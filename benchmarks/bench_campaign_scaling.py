@@ -20,6 +20,10 @@ Proofs for the batched campaign engine:
   encoder) beats the live-reconstructed PR 2 front half with
   bit-identical codes; the before/after per-die stage timings land in
   the machine-readable ``BENCH_4.json`` artifact;
+* **certified front half** -- the engine's fast spec front half
+  (basis-synthesized traces, threshold-table encode, exact recompute
+  of uncertified dies) returns the exact public kernels' codes at
+  least 2x faster on traces+encode;
 * **stage-timing regression guard** -- per-die stage timings
   (trace/encode/signature/ndf) are compared against the committed
   baseline ``benchmarks/baselines/campaign_stages.json`` with a
@@ -493,6 +497,100 @@ def test_front_half_speedup_vs_pr2(bench_setup, report_writer):
     assert identical
     assert combined_speedup >= required_combined
     assert encode_speedup >= required_encode
+
+
+def test_certified_front_half_vs_exact(bench_setup, report_writer):
+    """Certified front half vs the exact public kernels, same codes.
+
+    The engine's fast front half for spec chunks
+    (:func:`~repro.campaign.batch.certified_spec_codes`: a basis
+    product per row block plus per-column threshold compares, exact
+    recompute of whatever the certificate cannot cover) against
+    :func:`batch_biquad_traces` + :func:`batch_codes` on the same
+    chunks.  The codes must be equal and traces+encode at least 2x
+    faster.  Both sides run warm (basis and table built once per
+    process, like the engine's steady state); the one-off table build
+    is reported next to them.
+    """
+    from repro.campaign.batch import certified_spec_codes, trace_basis
+    from repro.monitor.bank_encode import build_threshold_table
+
+    n = FRONT_N
+    engine = bench_setup.campaign_engine(samples_per_period=2048,
+                                         cache=GoldenCache())
+    golden = engine.golden()
+    encoder = engine.config.encoder
+    stimulus = bench_setup.stimulus
+    population = montecarlo_dies(bench_setup.golden_spec, n,
+                                 sigma_f0=0.03, seed=47)
+    chunk = engine.config.chunk_size
+    build_start = time.perf_counter()
+    table = build_threshold_table(encoder, golden.x)
+    build_s = time.perf_counter() - build_start
+    basis = trace_basis(stimulus, golden.times)
+    assert table is not None
+
+    def run_exact():
+        start = time.perf_counter()
+        codes = []
+        for lo in range(0, n, chunk):
+            y = batch_biquad_traces(population.specs[lo:lo + chunk],
+                                    stimulus, golden.times)
+            codes.append(batch_codes(encoder, golden.x, y))
+            SCRATCH.give(y)
+        return time.perf_counter() - start, np.concatenate(codes)
+
+    def run_certified():
+        start = time.perf_counter()
+        codes, fallback = [], 0
+        for lo in range(0, n, chunk):
+            planes, rows = certified_spec_codes(
+                population.specs[lo:lo + chunk], stimulus, golden.times,
+                golden.x, [encoder], [table], basis)
+            codes.append(planes[0])
+            fallback += rows.size
+        return (time.perf_counter() - start, np.concatenate(codes),
+                fallback)
+
+    exact = min((run_exact() for __ in range(3)), key=lambda r: r[0])
+    certified = min((run_certified() for __ in range(3)),
+                    key=lambda r: r[0])
+    identical = bool(np.array_equal(exact[1], certified[1]))
+    speedup = exact[0] / certified[0]
+    required = 2.0
+
+    rows = [["dies", str(n)],
+            ["exact traces+encode", f"{exact[0] / n * 1e6:.1f} us/die"],
+            ["certified traces+encode",
+             f"{certified[0] / n * 1e6:.1f} us/die"],
+            ["fallback dies", str(certified[2])],
+            ["table build (once per process)", f"{build_s * 1e3:.1f} ms"],
+            ["speedup", f"{speedup:.2f}x"]]
+    comparisons = [
+        Comparison("traces+encode speedup", f">= {required:.1f}x",
+                   f"{speedup:.2f}x", match=speedup >= required),
+        Comparison("zone codes", "equal", str(identical),
+                   match=identical),
+    ]
+    report_writer("campaign_certified_front_half", "\n".join([
+        banner(f"CAMPAIGN: certified front half vs exact ({n} dies)"),
+        format_table(["quantity", "value"], rows),
+        "",
+        comparison_table(comparisons),
+    ]))
+    _write_json("campaign_certified_front_half", {
+        "dies": n,
+        "samples_per_period": 2048,
+        "per_die_s": {"exact": exact[0] / n,
+                      "certified": certified[0] / n},
+        "speedup": speedup,
+        "fallback_dies": certified[2],
+        "table_build_s": build_s,
+        "codes_equal": identical,
+    })
+
+    assert identical
+    assert speedup >= required
 
 
 def test_stage_timings_vs_committed_baseline(bench_setup,

@@ -37,21 +37,35 @@ arrays and a packed signature representation:
 * :meth:`SignatureBatch.ndf_to` scores every row against the golden in
   one flat kernel (no per-die ``np.unique`` breakpoint merges);
   :func:`batch_signatures`/:func:`batch_ndf` remain as the unpacked
-  per-die reference implementations.
+  per-die reference implementations;
+* :func:`certified_spec_codes` is the engine's fast front half for
+  spec chunks: a ``(rows, 2K+1) @ (2K+1, T)`` product against a
+  per-configuration :func:`trace_basis` synthesizes each row block to
+  within a proven per-die bound (:func:`trace_error_bound`), and the
+  block is encoded against per-column y thresholds
+  (:class:`~repro.monitor.bank_encode.ZoneThresholdTable`) while it is
+  still in cache.
 
-The floating-point expression order of the per-die path is replicated
-exactly (same complex quotient and ``hypot``/``arctan2`` rounding in
-the transfer evaluation, same offset-then-tone accumulation, same
+The exact kernels replicate the floating-point expression order of the
+per-die path (same complex quotient and ``hypot``/``arctan2`` rounding
+in the transfer evaluation, same offset-then-tone accumulation, same
 ``w*t + phase`` association, same run-length subtractions and NDF
-interval sums), so a batched campaign with ``refine`` disabled produces
-**bit-identical** traces, codes, signatures, NDFs and verdicts to a
-serial :class:`SignatureTester` with ``refine=False``.  The campaign
-equivalence tests assert this for every population kind and executor.
+interval sums), so they produce **bit-identical** traces, codes,
+signatures, NDFs and verdicts to a serial :class:`SignatureTester` with
+``refine=False``.  The certified front half gives up bit-identical
+*traces* -- its traces are within ``eps`` of the exact ones -- but not
+codes: a sample is only encoded from the table when its distance to
+every threshold exceeds ``eps`` plus the threshold's proven band, and
+every other die is recomputed on the exact kernels, so its code planes
+equal the exact ones (``docs/paper_map.md`` gives the derivation).
+The campaign equivalence tests assert the end result for every
+population kind and executor.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,7 +80,13 @@ from repro.filters.biquad import (
     batch_transfer_arrays,
     spec_arrays,
 )
-from repro.monitor.bank_encode import monitor_bank_codes
+from repro.monitor.bank_encode import (
+    UNIT_ROUNDOFF,
+    ZoneThresholdTable,
+    block_rows,
+    monitor_bank_codes,
+)
+from repro.obs.trace import NULL_SPAN
 from repro.signals.multitone import Multitone
 
 
@@ -145,9 +165,7 @@ def batch_through_eval(stimulus: Multitone,
     np.copyto(total, offsets[:, None])  # == np.repeat, value for value
     buf = SCRATCH.take(shape)
     for tone, (h_re, h_im) in zip(stimulus.tones, tone_transfers):
-        amps = tone.amplitude * np.hypot(h_re, h_im)
-        phase_deg = tone.phase_deg + np.degrees(np.arctan2(h_im, h_re))
-        phases = np.radians(phase_deg)
+        amps, phases = _tone_amp_phase(tone, h_re, h_im)
         w_t = 2.0 * math.pi * tone.freq_hz * times
         np.add(w_t[None, :], phases[:, None], out=buf)
         np.sin(buf, out=buf)
@@ -172,8 +190,21 @@ def batch_biquad_traces(specs: Sequence[BiquadSpec],
     times = np.asarray(times, dtype=float)
     if not specs:
         return np.empty((0, times.size))
-    # Stack the parameters once for all tone frequencies plus DC; a
-    # mixed-kind population stacks once per kind group.
+    tone_transfers, dc_re = _biquad_transfers(specs, stimulus)
+    return batch_through_eval(stimulus, tone_transfers, dc_re, times)
+
+
+def _biquad_transfers(specs: Sequence[BiquadSpec], stimulus: Multitone
+                      ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]],
+                                 np.ndarray]:
+    """Per-tone ``(real, imag)`` transfers and DC gains of N specs.
+
+    The parameters stack once for all tone frequencies plus DC; a
+    mixed-kind population stacks once per kind group.  H(0) of a
+    Biquad is exactly real (the quotient's imaginary part is a signed
+    zero), so Multitone.through's DC-realness guard can never trip on
+    the spec paths.
+    """
     n = len(specs)
     kind_list = [spec.kind for spec in specs]
     tone_transfers = [(np.empty(n), np.empty(n))
@@ -189,10 +220,21 @@ def batch_biquad_traces(specs: Sequence[BiquadSpec],
             tone_transfers[slot][1][idx] = h_im
         dc_re[idx], __ = batch_transfer_arrays(omega0, q, gain, kind,
                                                0.0)
-    # H(0) of a Biquad is exactly real (the quotient's imaginary part
-    # is a signed zero), so Multitone.through's DC-realness guard can
-    # never trip on this path.
-    return batch_through_eval(stimulus, tone_transfers, dc_re, times)
+    return tone_transfers, dc_re
+
+
+def _tone_amp_phase(tone, h_re: np.ndarray, h_im: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """One tone's amplitude and phase (radians) through N transfers.
+
+    ``|H|`` via the C-library ``hypot`` and the phase via the
+    ``arctan2 -> degrees -> + phase_deg -> radians`` round trip of
+    :meth:`Multitone.through`; the exact and the certified synthesis
+    share these floats.
+    """
+    amps = tone.amplitude * np.hypot(h_re, h_im)
+    phase_deg = tone.phase_deg + np.degrees(np.arctan2(h_im, h_re))
+    return amps, np.radians(phase_deg)
 
 
 #: Attributes a netlist CUT class exposes to join the stacked MNA fast
@@ -360,3 +402,186 @@ def trace_population_ndf(encoder: ZoneEncoder, times: np.ndarray,
     if signatures_out is not None:
         signatures_out.extend(batch.to_signatures())
     return batch.ndf_to(golden)
+
+
+# ----------------------------------------------------------------------
+# Certified front half: basis-synthesized traces + threshold tables
+# ----------------------------------------------------------------------
+#: Stated worst-case error, in ulps, of numpy's float64 ``sin``/``cos``
+#: (the trace error bound rests on it; the bound tests check it).
+SIN_ULPS = 4.0
+
+#: Dies whose trace bound exceeds this many volts skip the certified
+#: encode (they would widen every band of their chunk).
+MAX_TRACE_EPS = 1e-9
+
+
+@dataclass(frozen=True)
+class TraceBasis:
+    """The per-configuration basis of the fast trace synthesis.
+
+    ``matrix`` is ``(2K+1, T)``: ``sin w_k t`` and ``cos w_k t`` for
+    every stimulus tone (``w_k t`` formed exactly like the exact path's
+    ``2 pi f t``), then a row of ones for the DC offset; ``wt_max[k]``
+    is ``max |w_k t|`` on the grid, which the error bound needs.
+    """
+
+    matrix: np.ndarray
+    wt_max: np.ndarray
+
+
+def trace_basis(stimulus: Multitone, times: np.ndarray) -> TraceBasis:
+    """The sin/cos/1 synthesis basis of ``stimulus`` on ``times``."""
+    times = np.asarray(times, dtype=float)
+    tones = stimulus.tones
+    matrix = np.empty((2 * len(tones) + 1, times.size))
+    wt_max = np.empty(len(tones))
+    for k, tone in enumerate(tones):
+        w_t = 2.0 * math.pi * tone.freq_hz * times
+        matrix[2 * k] = np.sin(w_t)
+        matrix[2 * k + 1] = np.cos(w_t)
+        wt_max[k] = float(np.abs(w_t).max())
+    matrix[-1] = 1.0
+    matrix.setflags(write=False)
+    return TraceBasis(matrix, wt_max)
+
+
+def trace_error_bound(offsets: np.ndarray, amps: np.ndarray,
+                      phases: np.ndarray, wt_max: np.ndarray
+                      ) -> np.ndarray:
+    """Per-die bound ``eps`` on ``|y_fast - y_exact|`` (volts).
+
+    ``amps``/``phases`` are ``(K, N)``; both paths share them and the
+    offsets, so both approximate the same real trace ``Y = off + sum_k
+    A_k sin(w_k t + P_k)``.  With ``u = 2**-53`` and ``e`` =
+    :data:`SIN_ULPS` ulps of 1 (the absolute error allowance of
+    ``sin``/``cos`` on ``[-1, 1]``):
+
+    * **exact path** (:func:`batch_through_eval`): ``fl(w t + P)`` is
+      off by at most ``u (|w t| + |P|)``, ``sin`` adds ``e`` and the
+      amplitude product rounds once, so each tone term is within
+      ``|A| (u (W + |P|) + e + u (1 + e))``; the offset-then-tone
+      accumulation of K sums adds ``gamma_K (|off| + (1 + e)(1 + u)
+      sum |A|)``;
+    * **fast path** (``coef @ basis``): ``fl(A cos P)`` is within
+      ``|A| (e + u (1 + e))`` of ``A cos P`` and the basis entry within
+      ``e`` of ``sin w t``, so each of the 2K products is within
+      ``|A| ((e + u (1 + e))(1 + e) + e)``; the length-(2K+1) dot
+      product adds at most ``gamma_{2K+1} (|off| + 2 (1 + e)^2 (1 + u)
+      sum |A|)`` in *any* summation order (FMA only tightens it), so
+      the BLAS kernel's order does not matter.
+
+    ``gamma_n = n u / (1 - n u)``.  The sum of both bounds is doubled to
+    absorb second-order terms and the rounding of this evaluation.
+    """
+    u = UNIT_ROUNDOFF
+    e = SIN_ULPS * 2.0 * UNIT_ROUNDOFF
+    tones = amps.shape[0]
+
+    def gamma(n: int) -> float:
+        return n * u / (1.0 - n * u)
+
+    a = np.abs(amps)
+    p = np.abs(phases)
+    off = np.abs(offsets)
+    sum_a = a.sum(axis=0)
+    exact = (a * (u * (wt_max[:, None] + p) + e + u * (1.0 + e))).sum(
+        axis=0) + gamma(tones) * (off + (1.0 + e) * (1.0 + u) * sum_a)
+    fast = 2.0 * ((e + u * (1.0 + e)) * (1.0 + e) + e) * sum_a \
+        + gamma(2 * tones + 1) * (off + 2.0 * (1.0 + e) ** 2 * (1.0 + u)
+                                  * sum_a)
+    return 2.0 * (exact + fast)
+
+
+def spec_trace_coefficients(specs: Sequence[BiquadSpec],
+                            stimulus: Multitone, basis: TraceBasis
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(N, 2K+1)`` synthesis coefficients and per-die bounds ``eps``.
+
+    Amplitudes and phases come from the same
+    :func:`~repro.filters.biquad.batch_transfer_arrays` ->
+    ``hypot``/``arctan2``/degrees/radians chain as
+    :func:`batch_biquad_traces`; by angle addition ``A sin(w t + P) =
+    (A cos P) sin w t + (A sin P) cos w t``, so ``coef @ basis.matrix``
+    is the trace stack to within ``eps`` (:func:`trace_error_bound`).
+    """
+    tone_transfers, dc_re = _biquad_transfers(specs, stimulus)
+    n, tones = len(specs), len(stimulus.tones)
+    coef = np.empty((n, 2 * tones + 1))
+    amps = np.empty((tones, n))
+    phases = np.empty((tones, n))
+    for k, (tone, (h_re, h_im)) in enumerate(zip(stimulus.tones,
+                                                 tone_transfers)):
+        amps[k], phases[k] = _tone_amp_phase(tone, h_re, h_im)
+        coef[:, 2 * k] = amps[k] * np.cos(phases[k])
+        coef[:, 2 * k + 1] = amps[k] * np.sin(phases[k])
+    offsets = stimulus.offset * dc_re
+    coef[:, -1] = offsets
+    return coef, trace_error_bound(offsets, amps, phases, basis.wt_max)
+
+
+def _untimed(name: str, **attributes: object):
+    return NULL_SPAN
+
+
+def certified_spec_codes(specs: Sequence[BiquadSpec], stimulus: Multitone,
+                         times: np.ndarray, x: np.ndarray,
+                         encoders: Sequence[ZoneEncoder],
+                         tables: Sequence[ZoneThresholdTable],
+                         basis: TraceBasis, stage=_untimed
+                         ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Certified ``uint8`` code planes of a Biquad spec chunk.
+
+    The fast front half: per row block of
+    :func:`~repro.monitor.bank_encode.block_rows` dies, one ``(rows,
+    2K+1) @ (2K+1, T)`` product synthesizes the traces
+    (:func:`spec_trace_coefficients`) and every channel's threshold
+    table encodes them while the block is still in cache
+    (:meth:`ZoneThresholdTable.encode_block`, with the chunk's largest
+    ``eps``).  Dies with an uncertified sample, a sample outside the
+    window, or an ``eps`` above :data:`MAX_TRACE_EPS` are recomputed on
+    the exact path -- :func:`batch_biquad_traces` plus
+    :func:`monitor_bank_codes` per channel -- so every returned plane
+    equals the exact codes row for row.
+
+    ``stage(name, **attributes)`` returns a context manager wrapped
+    around each step (the engine's timing/span hook); the certified
+    ``encode`` steps report ``fallback_rows`` through its ``set``.
+    Returns ``(planes, fallback_row_indices)``.
+    """
+    times = np.asarray(times, dtype=float)
+    n, samples = len(specs), times.size
+    planes = [np.empty((n, samples), dtype=np.uint8) for __ in tables]
+    if n == 0:
+        return planes, np.empty(0, dtype=np.intp)
+    with stage("traces", dies=n, path="certified"):
+        coef, eps = spec_trace_coefficients(specs, stimulus, basis)
+    certified = eps <= MAX_TRACE_EPS  # NaN-safe
+    eps_max = float(eps[certified].max()) if certified.any() else 0.0
+    bands = [table.bands(eps_max) for table in tables]
+    rows = block_rows(samples)
+    block_buf = SCRATCH.take((min(rows, n), samples))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = block_buf[:stop - start]
+        with stage("traces", dies=stop - start, path="certified"):
+            np.matmul(coef[start:stop], basis.matrix, out=block)
+        with stage("encode", dies=stop - start,
+                   path="certified") as step:
+            for table, band, plane in zip(tables, bands, planes):
+                certified[start:stop] &= table.encode_block(
+                    block, band, plane[start:stop])
+            step.set(fallback_rows=int(
+                np.count_nonzero(~certified[start:stop])))
+    SCRATCH.give(block_buf)
+    fallback = np.flatnonzero(~certified)
+    if fallback.size:
+        k = int(fallback.size)
+        with stage("traces", dies=k, path="exact"):
+            exact = batch_biquad_traces([specs[i] for i in fallback],
+                                        stimulus, times)
+        with stage("encode", dies=k, path="exact"):
+            for encoder, plane in zip(encoders, planes):
+                plane[fallback] = monitor_bank_codes(encoder, x, exact)
+        SCRATCH.give(exact)
+    return planes, fallback

@@ -241,6 +241,14 @@ def encoder_key(encoder: ZoneEncoder) -> str:
 _PROCESS_CACHE = GoldenCache()
 
 
+#: Process-wide cache of the certified front half: threshold tables
+#: and trace bases, one build per process per configuration (every
+#: pool worker, shard worker and server process builds its own).  It
+#: is in-memory only and never store-backed on purpose: a threshold
+#: table certifies the ``exp``/``log1p`` of the machine that built it.
+_FRONT_HALF_CACHE = GoldenCache(maxsize=32)
+
+
 def __getattr__(name: str):
     # The old module-global backing store survives only as a
     # deprecated alias; the engine no longer consults it implicitly.

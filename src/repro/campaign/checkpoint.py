@@ -83,6 +83,10 @@ class StreamCheckpoint:
         ``[lo, hi)`` checkpoints with ``start_index=lo`` so its
         partial state names its global range and :meth:`merge` can
         reassemble the fleet.
+    fallback_dies:
+        Dies the certified front half recomputed exactly; it travels
+        with the partial state so a sharded campaign's coordinator
+        counts its workers' fallbacks.
     """
 
     def __init__(self, config_key: str,
@@ -99,6 +103,7 @@ class StreamCheckpoint:
         self.q_parts: List[np.ndarray] = []
         self.labels: List[str] = []
         self.timing: Dict[str, float] = {}
+        self.fallback_dies = 0
         self.chunks_done = 0
         self.complete = False
 
@@ -115,7 +120,7 @@ class StreamCheckpoint:
 
     def extend(self, values: np.ndarray, f0_devs: np.ndarray,
                q_devs: np.ndarray, labels: List[str],
-               timing: Dict[str, float]) -> None:
+               timing: Dict[str, float], fallback_dies: int = 0) -> None:
         """Merge one screened chunk's outputs."""
         self.value_parts.append(np.asarray(values))
         self.f0_parts.append(np.asarray(f0_devs, dtype=float))
@@ -123,6 +128,7 @@ class StreamCheckpoint:
         self.labels.extend(labels)
         for key, value in timing.items():
             self.timing[key] = self.timing.get(key, 0.0) + value
+        self.fallback_dies += int(fallback_dies)
         self.chunks_done += 1
 
     def values(self, empty: np.ndarray) -> np.ndarray:
@@ -161,6 +167,7 @@ class StreamCheckpoint:
             "next_index": self.next_index,
             "labels": self.labels,
             "timing": self.timing,
+            "fallback_dies": self.fallback_dies,
             "chunks_done": self.chunks_done,
             "complete": self.complete,
         }
@@ -222,6 +229,7 @@ class StreamCheckpoint:
         state.labels = list(meta["labels"])
         state.timing = {k: float(v)
                         for k, v in meta["timing"].items()}
+        state.fallback_dies = int(meta.get("fallback_dies", 0))
         state.chunks_done = int(meta["chunks_done"])
         state.complete = bool(meta["complete"])
         return state
@@ -323,6 +331,7 @@ class StreamCheckpoint:
             for key, value in part.timing.items():
                 merged.timing[key] = \
                     merged.timing.get(key, 0.0) + value
+            merged.fallback_dies += part.fallback_dies
             merged.chunks_done += part.chunks_done
             expected = part.next_index
         merged.complete = all(part.complete for part in parts)

@@ -18,6 +18,12 @@ instead of once per die through
   :class:`~repro.core.signature_batch.SignatureBatch` scored by the
   flat fleet-NDF kernel -- per-die ``Signature`` objects exist only
   at the diagnosis edges;
+* spec chunks of :data:`CERTIFIED_MIN_ROWS` dies or more take the
+  certified front half: one basis product per row block synthesizes
+  the traces, cached per-column y thresholds encode them, and only the
+  dies the error bound cannot certify re-run on the exact kernels --
+  the codes, and everything after them, stay the exact ones
+  (``docs/paper_map.md``);
 * an executor layer chunks the population serially, over a process
   pool, or over a shared-memory pool
   (:mod:`repro.campaign.executors`) with deterministic per-die
@@ -59,16 +65,20 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.campaign.batch import (
+    TraceBasis,
     batch_biquad_traces,
     batch_codes,
     batch_extract,
     batch_multitone_eval,
     batch_netlist_traces,
+    certified_spec_codes,
     sample_times,
+    trace_basis,
 )
 from repro.campaign.cache import (
     GoldenArtifacts,
     GoldenCache,
+    _FRONT_HALF_CACHE,
     _PROCESS_CACHE,
     encoder_key,
     spec_key,
@@ -91,7 +101,12 @@ from repro.core.signature import Signature
 from repro.core.signature_batch import SignatureBatch
 from repro.core.zones import ZoneEncoder
 from repro.filters.biquad import BiquadFilter, BiquadSpec
-from repro.obs.metrics import record_engine_timings
+from repro.monitor.bank_encode import (
+    ZoneThresholdTable,
+    build_threshold_table,
+    kernel_key,
+)
+from repro.obs.metrics import default_registry, record_engine_timings
 from repro.obs.profile import STAGE_PREFIX
 from repro.obs.trace import span
 from repro.signals.multitone import Multitone
@@ -190,6 +205,18 @@ class _stage:
             self._timing.get(self._name, 0.0) + elapsed
         return self._span.__exit__(exc_type, exc, tb)
 
+    def set(self, **attributes: object) -> "_stage":
+        """Attach attributes to the stage's span (no-op untraced)."""
+        self._span.set(**attributes)
+        return self
+
+
+#: Smallest spec chunk that takes the certified front half.  A build
+#: costs about as much as the exact front half of a hundred or two dies
+#: (once per process); a few-die stack -- a calibration sweep, a one-die
+#: service lot -- is cheaper to screen exactly than to build for.
+CERTIFIED_MIN_ROWS = 64
+
 
 # ----------------------------------------------------------------------
 # Chunk workers (module level: pool executors pickle them)
@@ -212,6 +239,55 @@ def _golden_artifacts(config: CampaignConfig,
                                 lambda: _compute_golden(config))
 
 
+def _channel_encoders(config: CampaignConfig) -> List[ZoneEncoder]:
+    return [config.encoder, *config.extra_encoders]
+
+
+def _zone_tables(config: CampaignConfig, golden: GoldenArtifacts,
+                 rows: int) -> List[Optional[ZoneThresholdTable]]:
+    """Per-channel threshold tables on the golden grid (None: exact).
+
+    Built once per process per (stimulus, samples, bank) and kept in
+    the in-memory :data:`~repro.campaign.cache._FRONT_HALF_CACHE`,
+    keyed on the bank's exact kernel inputs
+    (:func:`~repro.monitor.bank_encode.kernel_key`).  Spec chunks of
+    fewer than :data:`CERTIFIED_MIN_ROWS` dies keep the exact kernels
+    and never trigger a build.
+    """
+    if rows < CERTIFIED_MIN_ROWS:
+        return [None] * config.num_channels
+    prefix = ("zone_table", stimulus_key(config.stimulus),
+              int(config.samples_per_period))
+    tables: List[Optional[ZoneThresholdTable]] = []
+    for encoder in _channel_encoders(config):
+        key = kernel_key(encoder)
+        tables.append(None if key is None else
+                      _FRONT_HALF_CACHE.get_or_compute(
+                          prefix + (key,),
+                          lambda encoder=encoder: build_threshold_table(
+                              encoder, golden.x)))
+    return tables
+
+
+def _trace_basis(config: CampaignConfig,
+                 golden: GoldenArtifacts) -> TraceBasis:
+    return _FRONT_HALF_CACHE.get_or_compute(
+        ("trace_basis", stimulus_key(config.stimulus),
+         int(config.samples_per_period)),
+        lambda: trace_basis(config.stimulus, golden.times))
+
+
+def _count_fallback(dies: int) -> None:
+    """Dies the certificate could not cover (recomputed exactly).
+
+    Called in the process that owns the campaign (result packaging,
+    calibration): chunk workers hand their counts back with their
+    outputs, shard workers in their checkpoints.
+    """
+    default_registry().counter("front_half_fallback_rows_total").inc(
+        float(dies))
+
+
 def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
                       x: np.ndarray, y: np.ndarray,
                       timing: Dict[str, float], collect: bool = False,
@@ -221,21 +297,50 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
                                        MultiSignatureBatch]]:
     """Encode -> pack -> fleet-NDF one trace stack, timing each stage.
 
+    Every channel encodes the *same* stack through the exact fused
+    kernel (:func:`~repro.campaign.batch.batch_codes`), one channel at
+    a time as :func:`_score_codes` asks for it.
+    """
+    dies = int(y.shape[0])
+
+    def planes():
+        for k, encoder in enumerate(_channel_encoders(config)):
+            channel = {"channel": k} if k else {}
+            with _stage(timing, "encode", dies=dies, **channel):
+                codes = batch_codes(encoder, x, y)
+            yield codes
+
+    return _score_codes(config, golden, planes(), timing, collect, cache)
+
+
+def _score_codes(config: CampaignConfig, golden: GoldenArtifacts,
+                 planes: Iterable[np.ndarray], timing: Dict[str, float],
+                 collect: bool = False,
+                 cache: Optional[GoldenCache] = None
+                 ) -> Tuple[np.ndarray,
+                            Union[None, SignatureBatch,
+                                  MultiSignatureBatch]]:
+    """Pack -> fleet-NDF the code planes of one stack, one per channel.
+
+    ``planes`` yields channel 0's plane, then one per extra encoder; it
+    is drawn one channel at a time, so a lazy producer keeps only one
+    channel's plane alive.
+
     With ``collect`` the packed :class:`SignatureBatch` of the stack is
     returned alongside the NDFs (the diagnosis subsystem consumes it);
     otherwise the batch is released with the chunk.
 
-    When the config carries ``extra_encoders``, every extra channel
-    re-encodes the *same* stack (the synthesized traces are shared, so
-    the expensive front half runs once) against its own cached golden
-    signature.  The return then becomes an ``(n, K)`` NDF matrix and,
-    with ``collect``, a :class:`MultiSignatureBatch`; channel 0 is
-    computed by exactly the single-channel operations, so it stays
-    bit-identical to a plain run.
+    When the config carries ``extra_encoders``, every extra channel's
+    plane (encoded from the *same* traces, so the expensive front half
+    runs once) scores against its own cached golden signature.  The
+    return then becomes an ``(n, K)`` NDF matrix and, with ``collect``,
+    a :class:`MultiSignatureBatch`; channel 0 is computed by exactly
+    the single-channel operations, so it stays bit-identical to a
+    plain run.
     """
-    dies = int(y.shape[0])
-    with _stage(timing, "encode", dies=dies):
-        codes = batch_codes(config.encoder, x, y)
+    planes = iter(planes)
+    codes = next(planes)
+    dies = int(codes.shape[0])
     with _stage(timing, "signature", dies=dies):
         batch = batch_extract(golden.times, codes, golden.period)
     with _stage(timing, "ndf", dies=dies):
@@ -246,10 +351,8 @@ def _score_code_stack(config: CampaignConfig, golden: GoldenArtifacts,
     columns = [values]
     channels = [batch]
     for k in range(1, config.num_channels):
-        sub = config.channel_config(k)
-        sub_golden = _golden_artifacts(sub, cache)
-        with _stage(timing, "encode", dies=dies, channel=k):
-            sub_codes = batch_codes(sub.encoder, x, y)
+        sub_golden = _golden_artifacts(config.channel_config(k), cache)
+        sub_codes = next(planes)
         with _stage(timing, "signature", dies=dies, channel=k):
             sub_batch = batch_extract(golden.times, sub_codes,
                                       golden.period)
@@ -264,23 +367,41 @@ def _spec_chunk_ndfs(config: CampaignConfig,
                      specs: Sequence[BiquadSpec], cache: GoldenCache,
                      collect: bool = False
                      ) -> Tuple[np.ndarray, Dict[str, float],
-                                Optional[SignatureBatch]]:
+                                Optional[SignatureBatch], int]:
     """NDFs of a chunk of Biquad design points, object-free.
 
-    The whole front half is one array pass: closed-form transfer
-    broadcast + buffered tone accumulation
-    (:func:`~repro.campaign.batch.batch_biquad_traces`), then the
-    fused encode and packed back half.
+    When every channel has a threshold table, the front half is the
+    certified one (:func:`~repro.campaign.batch.certified_spec_codes`:
+    basis-synthesized traces encoded by per-column y thresholds, exact
+    recompute of every die the error bound cannot certify); otherwise
+    the exact closed-form synthesis
+    (:func:`~repro.campaign.batch.batch_biquad_traces`) feeds the
+    fused encoders.  Either way the codes, and so everything after
+    them, are the exact ones.  The fourth output counts the dies the
+    certified path recomputed exactly (0 on the exact path); the
+    caller counts it where it packages the result.
     """
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
-    with _stage(timing, "traces", dies=len(specs)):
-        y = batch_biquad_traces(specs, config.stimulus, golden.times)
-    values, batch = _score_code_stack(config, golden, golden.x, y,
-                                      timing, collect, cache)
-    SCRATCH.give(y)  # trace stacks ride pooled buffers; codes are out
-    return values, timing, batch
+        tables = _zone_tables(config, golden, len(specs))
+        basis = (_trace_basis(config, golden)
+                 if all(table is not None for table in tables) else None)
+    if basis is None:
+        with _stage(timing, "traces", dies=len(specs)):
+            y = batch_biquad_traces(specs, config.stimulus, golden.times)
+        values, batch = _score_code_stack(config, golden, golden.x, y,
+                                          timing, collect, cache)
+        SCRATCH.give(y)  # trace stacks ride pooled buffers; codes are out
+        return values, timing, batch, 0
+    planes, fallback = certified_spec_codes(
+        specs, config.stimulus, golden.times, golden.x,
+        _channel_encoders(config), tables, basis,
+        stage=lambda name, **attributes: _stage(timing, name,
+                                                **attributes))
+    values, batch = _score_codes(config, golden, planes, timing, collect,
+                                 cache)
+    return values, timing, batch, int(fallback.size)
 
 
 def _response_chunk_ndfs(config: CampaignConfig, cuts: Sequence,
@@ -316,7 +437,7 @@ def _response_chunk_ndfs(config: CampaignConfig, cuts: Sequence,
 
 def _spec_chunk_worker(payload
                        ) -> Tuple[np.ndarray, Dict[str, float],
-                                  Optional[SignatureBatch]]:
+                                  Optional[SignatureBatch], int]:
     """Pool-side entry point; uses the worker process' default cache."""
     config, specs, collect = payload
     return _spec_chunk_ndfs(config, specs, _PROCESS_CACHE, collect)
@@ -485,8 +606,9 @@ class CampaignEngine:
         def compute() -> ThresholdCalibration:
             population = deviation_sweep_population(
                 config.golden_spec, devs)
-            values, __, __ = _spec_chunk_ndfs(
+            values, __, __, fallback = _spec_chunk_ndfs(
                 config, population.specs, self.cache)
+            _count_fallback(fallback)
             return ThresholdCalibration(np.asarray(devs), values)
 
         return self.cache.get_or_compute(key, compute)
@@ -630,8 +752,9 @@ class CampaignEngine:
         start = time.perf_counter()
         population = self._as_population(population)
         threshold = self._resolve_threshold(band)
+        fallback = 0
         if isinstance(population, SpecPopulation):
-            values, timing, labels, batch = self._run_specs(
+            values, timing, labels, batch, fallback = self._run_specs(
                 population, keep_signatures)
             f0_devs = population.f0_deviations
             q_devs = population.q_deviations
@@ -655,11 +778,11 @@ class CampaignEngine:
             executor_name = "serial"
         return self._package_result(values, timing, labels, batch,
                                     band, threshold, f0_devs, q_devs,
-                                    executor_name, start)
+                                    executor_name, start, fallback)
 
     def _package_result(self, values, timing, labels, batch, band,
                         threshold, f0_devs, q_devs, executor_name,
-                        start) -> CampaignResult:
+                        start, fallback_dies: int) -> CampaignResult:
         """Assemble a :class:`CampaignResult`, channel-shape aware.
 
         Single-channel values pass through untouched.  An ``(N, K)``
@@ -686,8 +809,11 @@ class CampaignEngine:
         # Terminal result constructor: recursive delegations (extra
         # encoders, iterator -> stream) all funnel through here exactly
         # once per logical campaign, so engine-level metrics record
-        # here, not in submit().
+        # here, not in submit().  ``fallback_dies`` came home with the
+        # chunk outputs (or the merged checkpoint), so pool, shm and
+        # sharded runs count into this process's registry too.
         record_engine_timings(timing)
+        _count_fallback(fallback_dies)
         return CampaignResult(
             ndfs=values, threshold=threshold, verdicts=verdicts,
             f0_deviations=f0_devs, q_deviations=q_devs, labels=labels,
@@ -841,12 +967,13 @@ class CampaignEngine:
                     chunk.specs[skip:], chunk.f0_deviations[skip:],
                     chunk.q_deviations[skip:], chunk.labels[skip:])
                 skip = 0
-            values, section, chunk_labels, batch = self._run_specs(
-                chunk, keep_signatures)
+            values, section, chunk_labels, batch, fallback = \
+                self._run_specs(chunk, keep_signatures)
             if batch is not None:
                 batch_parts.append(batch)
             state.extend(values, chunk.f0_deviations,
-                         chunk.q_deviations, chunk_labels, section)
+                         chunk.q_deviations, chunk_labels, section,
+                         fallback_dies=fallback)
             if request.checkpoint is not None:
                 chunks_since_save += 1
                 if chunks_since_save >= request.checkpoint_every:
@@ -866,7 +993,8 @@ class CampaignEngine:
         return self._package_result(values, timing, state.labels,
                                     batch, band, threshold,
                                     state.f0_deviations(),
-                                    state.q_deviations(), name, start)
+                                    state.q_deviations(), name, start,
+                                    state.fallback_dies)
 
     def run_noise(self, population: Union[SpecPopulation,
                                           Sequence[BiquadSpec]],
@@ -992,9 +1120,11 @@ class CampaignEngine:
         ``listen="HOST:PORT"`` runs the campaign multi-node: instead
         of spawning subprocesses the coordinator accepts ``repro
         shard-worker --connect`` processes over TCP, shipping
-        checkpoints inline (no shared filesystem).  ``autotune_s``
-        replaces the static plan with shards carved to roughly that
-        many seconds of each worker's observed rate.
+        checkpoints inline (no shared filesystem); an explicit
+        ``workers`` then holds dispatch until that many workers have
+        connected.  ``autotune_s`` replaces the static plan with shards
+        carved to roughly that many seconds of each worker's observed
+        rate.
         """
         return self.submit(ScreeningRequest(
             population=fleet, mode="sharded", band=band,
@@ -1040,7 +1170,7 @@ class CampaignEngine:
         result = self._package_result(
             values, timing, merged.labels, None, request.band,
             threshold, merged.f0_deviations(), merged.q_deviations(),
-            name, start)
+            name, start, merged.fallback_dies)
         result.shard_stats = stats
         return result
 
@@ -1139,11 +1269,12 @@ class CampaignEngine:
     def _map_spec_chunks(self, specs: Sequence[BiquadSpec],
                          collect: bool = False
                          ) -> Tuple[np.ndarray, Dict[str, float],
-                                    Optional[SignatureBatch]]:
+                                    Optional[SignatureBatch], int]:
         """Chunk design points over the executor and merge the results.
 
         Specs travel directly (they are picklable frozen dataclasses);
-        no per-die CUT objects are materialized on any path.
+        no per-die CUT objects are materialized on any path.  The last
+        output sums the chunks' exactly recomputed dies.
         """
         chunk_size = self._pool_chunk_size(len(specs),
                                            self.config.chunk_size)
@@ -1157,18 +1288,20 @@ class CampaignEngine:
             outputs = self.executor.map(
                 lambda chunk: _spec_chunk_ndfs(
                     self.config, chunk, self.cache, collect), chunks)
-        return self._merge_outputs(outputs, collect)
+        values, timing, batch = self._merge_outputs(
+            [output[:3] for output in outputs], collect)
+        return values, timing, batch, sum(output[3] for output in outputs)
 
     def _run_specs(self, population: SpecPopulation,
                    collect: bool = False
                    ) -> Tuple[np.ndarray, Dict[str, float], List[str],
-                              Optional[SignatureBatch]]:
+                              Optional[SignatureBatch], int]:
         if len(population) == 0:
             return (self._empty_values(), {"golden": 0.0}, [],
-                    self._empty_batch(collect))
-        values, timing, batch = self._map_spec_chunks(population.specs,
-                                                      collect)
-        return values, timing, list(population.labels), batch
+                    self._empty_batch(collect), 0)
+        values, timing, batch, fallback = self._map_spec_chunks(
+            population.specs, collect)
+        return values, timing, list(population.labels), batch, fallback
 
     def _run_traces(self, population: TracePopulation,
                     collect: bool = False

@@ -118,7 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                "or shared-memory pool ('process' is a "
                                "legacy alias of 'pool')")
     campaign.add_argument("--workers", type=int, default=None,
-                          help="pool size (with --executor pool/shm)")
+                          help="pool size (with --executor pool/shm); "
+                               "with --shards --listen: wait for N "
+                               "workers to connect before dispatching")
     campaign.add_argument("--stream", action="store_true",
                           help="stream the population in bounded-"
                                "memory chunks (mc scenario)")

@@ -155,8 +155,12 @@ class ShardCoordinator:
         Planning and pool sizing: split into ``shards`` near-equal
         ranges, or fixed ``shard_size`` ranges; run at most
         ``workers`` subprocesses (default: one per shard).  With
-        ``listen`` set the pool is whoever dials in -- ``workers``
-        only sizes the stats and spans.
+        ``listen`` set the pool is whoever dials in, and an explicit
+        ``workers`` is a dispatch barrier: no shard goes out until
+        that many workers have said ``hello`` (or ``rejoin_grace``
+        expires with at least one connected), so the first worker to
+        dial in cannot drain the plan before the others arrive.
+        ``workers=None`` dispatches to each worker as it connects.
     workdir:
         Directory for shard checkpoints and worker stderr logs.  A
         temp dir (cleaned up on success) when None.
@@ -223,6 +227,9 @@ class ShardCoordinator:
         self.remote = listen is not None
         self._listener = (SocketListener(listen[0], listen[1])
                           if self.remote else None)
+        #: Listening mode only: hellos to wait for before dispatch.
+        self._barrier = (max(1, int(workers))
+                         if self.remote and workers is not None else None)
         if self.remote:
             self.num_workers = max(1, workers if workers is not None
                                    else shards)
@@ -491,8 +498,21 @@ class ShardCoordinator:
         tick = max(0.05, min(0.5, self.heartbeat / 4.0))
         workerless_since: Optional[float] = (
             time.monotonic() if self.remote else None)
+        barrier_since = time.monotonic()
+        dispatching = self._barrier is None
         while self._work_remaining(pending, done):
-            for worker in list(self._workers.values()):
+            if not dispatching:
+                greeted = sum(1 for worker in self._workers.values()
+                              if worker.hello_seen)
+                dispatching = greeted >= self._barrier or (
+                    bool(self._workers) and time.monotonic()
+                    - barrier_since > self.rejoin_grace)
+                if dispatching:
+                    log_event("shard.dispatch.open", greeted=greeted,
+                              connected=len(self._workers),
+                              expected=self._barrier)
+            for worker in (list(self._workers.values())
+                           if dispatching else ()):
                 if not worker.idle:
                     continue
                 if not pending and self.autotuner is not None:

@@ -15,7 +15,11 @@ from repro.campaign import (
     stream_montecarlo_dies,
     trace_population,
 )
+from repro.campaign.engine import CERTIFIED_MIN_ROWS
+from repro.core.testflow import SignatureTester
+from repro.filters.biquad import BiquadFilter
 from repro.monitor.configurations import table1_encoder
+from repro.obs.trace import tracing
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
 pytestmark = pytest.mark.campaign
@@ -103,6 +107,50 @@ def test_all_executors_bit_identical_including_streaming():
     for other in results[1:]:
         assert np.array_equal(serial.ndfs, other.ndfs)
         assert np.array_equal(serial.verdicts, other.verdicts)
+
+
+def _per_die_ndfs(specs):
+    tester = SignatureTester(table1_encoder(), PAPER_STIMULUS,
+                             BiquadFilter(PAPER_BIQUAD),
+                             samples_per_period=512, refine=False)
+    return np.asarray([tester.ndf_of(BiquadFilter(s)) for s in specs])
+
+
+def test_certified_chunks_match_per_die_on_every_executor():
+    """Chunks of >= CERTIFIED_MIN_ROWS dies (the certified front half)
+    on serial, pool and shared-memory executors, monolithic and
+    streamed, all equal the per-die SignatureTester bit for bit."""
+    n, stream_chunk = 4 * CERTIFIED_MIN_ROWS, 2 * CERTIFIED_MIN_ROWS
+    population = montecarlo_dies(PAPER_BIQUAD, n, sigma_f0=0.04,
+                                 seed=19)
+    reference = _per_die_ndfs(population.specs)
+
+    def stream():
+        return stream_montecarlo_dies(PAPER_BIQUAD, n,
+                                      chunk_size=stream_chunk,
+                                      sigma_f0=0.04, seed=19)
+
+    config = _config(chunk_size=256)
+    runs = []
+    with tracing() as tracer:
+        serial = CampaignEngine(config, cache=GoldenCache())
+        runs += [serial.run(population, band=None),
+                 serial.run_stream(stream(), band=None)]
+        for executor_cls in (ProcessPoolExecutor, SharedMemoryExecutor):
+            with executor_cls(max_workers=2) as pool:
+                engine = CampaignEngine(config, cache=GoldenCache(),
+                                        executor=pool)
+                runs += [engine.run(population, band=None),
+                         engine.run_stream(stream(), band=None)]
+    for result in runs:
+        assert np.array_equal(result.ndfs, reference)
+    # Chunks: serial 1 + 2 streamed; each pool 2 + 2 x 2 streamed.  All
+    # of them (pool children's spans included) took the certified path.
+    records = tracer.records()
+    assert len([r for r in records if r.name == "stage.signature"]) == 15
+    traces = [r for r in records if r.name == "stage.traces"]
+    assert traces and all(r.attributes.get("path") == "certified"
+                          for r in traces)
 
 
 def test_trace_stack_identical_across_transports():

@@ -12,7 +12,8 @@ its per-die reference bit for bit:
   retained PR 2 reference loop -- including hypothesis-driven random
   traces and Monte Carlo-varied banks;
 * engine NDFs for every population kind vs the refine-off
-  :class:`SignatureTester` per-die loop.
+  :class:`SignatureTester` per-die loop -- including populations large
+  enough for the certified front half.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.campaign import (
     CampaignEngine,
     CutListPopulation,
     GoldenCache,
+    SpecPopulation,
     batch_biquad_traces,
     batch_multitone_eval,
     batch_netlist_traces,
@@ -34,6 +36,7 @@ from repro.campaign import (
     parameter_grid,
     temperature_corners,
 )
+from repro.campaign.engine import CERTIFIED_MIN_ROWS
 from repro.core.testflow import SignatureTester
 from repro.core.zones import ZoneEncoder
 from repro.devices.process import MonteCarloSampler
@@ -50,6 +53,7 @@ from repro.monitor.bank_encode import (
 )
 from repro.monitor.configurations import table1_bank, table1_encoder
 from repro.monitor.montecarlo import bank_samples
+from repro.obs.trace import tracing
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
 pytestmark = pytest.mark.campaign
@@ -236,18 +240,52 @@ def _per_die_reference(engine, cuts):
     return np.asarray([tester.ndf_of(cut) for cut in cuts])
 
 
+def _mixed_population(count=96, seed=31):
+    specs = _mixed_specs(count, seed)
+    n = len(specs)
+    return SpecPopulation(specs, np.zeros(n), np.zeros(n),
+                          [f"mixed{i}" for i in range(n)])
+
+
+#: Populations of at least ``CERTIFIED_MIN_ROWS`` dies: their chunks
+#: take the certified front half, held to the same per-die contract.
+LARGE_POPULATIONS = {
+    "montecarlo-96": lambda: montecarlo_dies(PAPER_BIQUAD, 96,
+                                             sigma_f0=0.04, seed=22),
+    "sweep-72": lambda: deviation_sweep_population(
+        PAPER_BIQUAD, np.linspace(-0.15, 0.15, 72)),
+    "grid-72": lambda: parameter_grid(PAPER_BIQUAD,
+                                      np.linspace(-0.08, 0.08, 9),
+                                      np.linspace(-0.2, 0.2, 8)),
+    "mixed-kinds-96": _mixed_population,
+}
+
+
 @pytest.mark.parametrize("population_factory", [
     lambda: montecarlo_dies(PAPER_BIQUAD, 10, sigma_f0=0.04, seed=21),
     lambda: deviation_sweep_population(PAPER_BIQUAD,
                                        [-0.12, -0.04, 0.04, 0.12]),
     lambda: parameter_grid(PAPER_BIQUAD, [-0.05, 0.05], [-0.1, 0.1]),
-], ids=["montecarlo", "sweep", "grid"])
+    *LARGE_POPULATIONS.values(),
+], ids=["montecarlo", "sweep", "grid", *LARGE_POPULATIONS])
 def test_spec_population_kinds_bit_identical(engine, population_factory):
     population = population_factory()
     result = engine.run(population, band=None)
     reference = _per_die_reference(
         engine, [BiquadFilter(s) for s in population.specs])
     assert np.array_equal(result.ndfs, reference)
+
+
+@pytest.mark.parametrize("name", list(LARGE_POPULATIONS))
+def test_large_populations_take_certified_path(engine, name):
+    """The large cases above really exercise the certified front half."""
+    population = LARGE_POPULATIONS[name]()
+    assert len(population) >= CERTIFIED_MIN_ROWS
+    with tracing() as tracer:
+        engine.run(population, band=None)
+    paths = {r.attributes.get("path") for r in tracer.records()
+             if r.name == "stage.traces"}
+    assert "certified" in paths
 
 
 def test_fault_population_bit_identical(engine):

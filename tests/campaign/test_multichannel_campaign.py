@@ -26,9 +26,13 @@ from repro.campaign import (
     trace_population,
 )
 from repro.campaign.batch import batch_biquad_traces
+from repro.campaign.engine import CERTIFIED_MIN_ROWS
+from repro.core.testflow import SignatureTester
+from repro.filters.biquad import BiquadFilter
 from repro.filters.towthomas import TowThomasValues
 from repro.monitor.configurations import table1_bank, table1_encoder
 from repro.monitor.second_signature import second_signature_bank
+from repro.obs.trace import tracing
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
 pytestmark = pytest.mark.campaign
@@ -177,6 +181,49 @@ def test_streamed_multichannel_matches_monolithic(engine, encoders):
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.durations, b.durations)
         assert np.array_equal(a.row_offsets, b.row_offsets)
+
+
+def _per_die_channel_ndfs(encoder, specs):
+    tester = SignatureTester(encoder, PAPER_STIMULUS,
+                             BiquadFilter(PAPER_BIQUAD),
+                             samples_per_period=SAMPLES, refine=False)
+    return np.asarray([tester.ndf_of(BiquadFilter(s)) for s in specs])
+
+
+def test_certified_multichannel_matches_per_die_channels(encoders):
+    """Certified chunks (>= CERTIFIED_MIN_ROWS dies, one table per
+    channel): every channel of serial, pool and streamed multi-channel
+    runs equals that encoder's per-die SignatureTester."""
+    n = 2 * CERTIFIED_MIN_ROWS
+    population = montecarlo_dies(PAPER_BIQUAD, n, sigma_f0=0.05,
+                                 seed=29)
+    references = [_per_die_channel_ndfs(encoder, population.specs)
+                  for encoder in encoders]
+    runs = []
+    with tracing() as tracer:
+        serial = CampaignEngine.from_parts(
+            encoders[0], PAPER_STIMULUS, PAPER_BIQUAD,
+            samples_per_period=SAMPLES, cache=GoldenCache())
+        runs.append(serial.run(population, band=None,
+                               encoders=encoders))
+        runs.append(serial.run_stream(
+            stream_montecarlo_dies(PAPER_BIQUAD, n,
+                                   chunk_size=CERTIFIED_MIN_ROWS,
+                                   sigma_f0=0.05, seed=29),
+            band=None, encoders=encoders))
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = CampaignEngine.from_parts(
+                encoders[0], PAPER_STIMULUS, PAPER_BIQUAD,
+                samples_per_period=SAMPLES, cache=GoldenCache(),
+                executor=pool)
+            runs.append(pooled.run(population, band=None,
+                                   encoders=encoders))
+    for result in runs:
+        for k, reference in enumerate(references):
+            assert np.array_equal(result.channel_ndfs[:, k], reference)
+    traces = [r for r in tracer.records() if r.name == "stage.traces"]
+    assert traces and all(r.attributes.get("path") == "certified"
+                          for r in traces)
 
 
 def test_combined_verdict_is_or_over_channels(engine, encoders):

@@ -14,12 +14,20 @@ import pytest
 
 from repro.campaign import (
     ScreeningRequest,
+    SpecPopulation,
     deviation_sweep_population,
     montecarlo_dies,
     parameter_grid,
 )
-from repro.obs.metrics import default_registry
-from repro.paper import PAPER_BIQUAD
+from repro.campaign.engine import CERTIFIED_MIN_ROWS
+from repro.core.testflow import SignatureTester
+from repro.filters.biquad import BiquadFilter, BiquadSpec
+from repro.obs.metrics import (
+    MetricsRegistry,
+    default_registry,
+    set_default_registry,
+)
+from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 from repro.shard import (
     MonteCarloFleet,
     PopulationFleet,
@@ -60,6 +68,38 @@ def test_mc_bit_identical_to_monolithic(small_engine):
     assert sharded.executor == "sharded[3]"
     assert sharded.shard_stats["completed"] == 3.0
     assert sharded.shard_stats["reassigned"] == 0.0
+
+
+def test_certified_shards_match_per_die_and_count_in_coordinator(
+        small_engine):
+    """Shards screened on the certified front half (chunks of >=
+    CERTIFIED_MIN_ROWS dies) merge to the per-die SignatureTester
+    result, and the dies their workers recomputed exactly are counted
+    in the coordinator's registry."""
+    dies = montecarlo_dies(PAPER_BIQUAD, 2 * CERTIFIED_MIN_ROWS,
+                           sigma_f0=SIGMA, seed=SEED)
+    # Two dies whose traces leave the threshold tables' window.
+    specs = list(dies.specs) + [BiquadSpec(11e3, 1.0, gain=5.0),
+                                BiquadSpec(9e3, 0.8, 4.5)]
+    n = len(specs)
+    population = SpecPopulation(specs, np.zeros(n), np.zeros(n),
+                                [f"die{i}" for i in range(n)])
+    tester = SignatureTester(small_engine.config.encoder, PAPER_STIMULUS,
+                             BiquadFilter(PAPER_BIQUAD),
+                             samples_per_period=512, refine=False)
+    reference = np.asarray([tester.ndf_of(BiquadFilter(s))
+                            for s in specs])
+    registry = MetricsRegistry()
+    previous = set_default_registry(registry)
+    try:
+        sharded = small_engine.run_sharded(
+            PopulationFleet(population, chunk_size=256), shards=2,
+            band=0.05, heartbeat=HEARTBEAT)
+    finally:
+        set_default_registry(previous)
+    np.testing.assert_array_equal(sharded.ndfs, reference)
+    np.testing.assert_array_equal(sharded.verdicts, reference <= 0.05)
+    assert registry.counter("front_half_fallback_rows_total").value == 2.0
 
 
 def test_single_shard_matches_multi(small_engine):

@@ -30,6 +30,7 @@ from repro.shard import (
     ShardCoordinator,
     ShardWorkerError,
 )
+from repro.shard.worker import connect_main
 
 pytestmark = pytest.mark.campaign
 
@@ -99,7 +100,7 @@ def _monolithic(engine, fleet, count=DIES):
 
 def test_two_tcp_workers_merge_bit_identical(small_engine):
     fleet = _mc_fleet()
-    campaign = _Campaign(small_engine, fleet, shards=4)
+    campaign = _Campaign(small_engine, fleet, shards=4, workers=2)
     host, port = campaign.address
     workers = [_start_worker(host, port) for _ in range(2)]
     try:
@@ -116,6 +117,58 @@ def test_two_tcp_workers_merge_bit_identical(small_engine):
     assert stats["workers"] == 2.0
 
 
+def _thread_worker(host, port):
+    """An in-process TCP worker: dials at once (no interpreter start)."""
+    thread = threading.Thread(target=connect_main, args=(host, port),
+                              daemon=True)
+    thread.start()
+    return thread
+
+
+def test_explicit_workers_hold_dispatch_until_all_said_hello(
+        small_engine):
+    fleet = _mc_fleet()
+    campaign = _Campaign(small_engine, fleet, shards=4, workers=2)
+    coordinator = campaign.coordinator
+    host, port = campaign.address
+    first = _thread_worker(host, port)
+    deadline = time.monotonic() + 60.0
+    while not any(w.hello_seen for w in
+                  list(coordinator._workers.values())):
+        assert time.monotonic() < deadline, "no hello"
+        time.sleep(0.02)
+    # Without the barrier the greeted worker would hold a shard within
+    # one loop turn; with it, nothing goes out until the second hello.
+    time.sleep(0.3)
+    assert coordinator.stats["dispatched"] == 0.0
+    second = _thread_worker(host, port)
+    merged, stats = campaign.join()
+    for thread in (first, second):
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    reference = _monolithic(small_engine, fleet)
+    np.testing.assert_array_equal(merged.values(np.empty(0)),
+                                  reference.ndfs)
+    assert stats["workers"] == 2.0
+    assert stats["completed"] == 4.0
+
+
+def test_dispatch_barrier_opens_after_rejoin_grace(small_engine):
+    fleet = _mc_fleet()
+    campaign = _Campaign(small_engine, fleet, shards=2, workers=2,
+                         rejoin_grace=1.0)
+    host, port = campaign.address
+    lone = _thread_worker(host, port)
+    merged, stats = campaign.join()
+    lone.join(timeout=30)
+    assert not lone.is_alive()
+    reference = _monolithic(small_engine, fleet)
+    np.testing.assert_array_equal(merged.values(np.empty(0)),
+                                  reference.ndfs)
+    assert stats["workers"] == 1.0
+    assert stats["completed"] == 2.0
+
+
 def test_worker_severed_mid_shard_resumes_from_shipped_checkpoint(
         small_engine):
     """The headline drill: one of two TCP workers dies mid-shard
@@ -123,7 +176,7 @@ def test_worker_severed_mid_shard_resumes_from_shipped_checkpoint(
     takes the shard over and resumes from the checkpoint bytes the
     dead worker shipped home -- bit-identical merge, no shared FS."""
     fleet = _mc_fleet()
-    campaign = _Campaign(small_engine, fleet, shards=2)
+    campaign = _Campaign(small_engine, fleet, shards=2, workers=2)
     host, port = campaign.address
     # Worker A SIGKILLs itself right after its second progress report
     # -- past an inline-shipped checkpoint, so the resume is real --
