@@ -10,9 +10,8 @@ scale through :mod:`repro.campaign`:
    stacked traces, shared-branch zone encoding, packed
    ``SignatureBatch`` extraction, one-pass fleet NDF -- and print the
    fleet economics plus the per-stage timings;
-3. re-run the same seeded population on a process pool and on the
-   shared-memory executor and check all verdict vectors are
-   bit-identical;
+3. re-run the same seeded population on a process pool and check
+   the verdict vector is bit-identical;
 4. stream a fleet larger than you would want in memory through
    bounded-size chunks (same seeds, same verdicts, bounded RSS);
 5. repeat every die's measurement under Section IV-C noise as one
@@ -31,7 +30,6 @@ from repro.campaign import (
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
-    SharedMemoryExecutor,
     montecarlo_dies,
     montecarlo_monitor_banks,
     stream_montecarlo_dies,
@@ -59,16 +57,13 @@ def main() -> None:
                                   "ndf") if k in result.timing)
     print(f"stage timings: {stages}\n")
 
-    print("=== same fleet on a process pool and in shared memory ===")
-    for executor_cls in (ProcessPoolExecutor, SharedMemoryExecutor):
-        with executor_cls(max_workers=4) as pool:
-            pooled = CampaignEngine(engine.config, cache=GoldenCache(),
-                                    executor=pool).run(dies,
-                                                       band="auto")
-        same = np.array_equal(result.verdicts, pooled.verdicts)
-        print(f"{pooled.executor}: {pooled.pass_count} PASS / "
-              f"{pooled.fail_count} FAIL -- verdicts bit-identical: "
-              f"{same}")
+    print("=== same fleet on a process pool ===")
+    with ProcessPoolExecutor(max_workers=4) as pool:
+        pooled = CampaignEngine(engine.config, cache=GoldenCache(),
+                                executor=pool).run(dies, band="auto")
+    same = np.array_equal(result.verdicts, pooled.verdicts)
+    print(f"{pooled.executor}: {pooled.pass_count} PASS / "
+          f"{pooled.fail_count} FAIL -- verdicts bit-identical: {same}")
     print()
 
     print("=== streaming the same fleet in 256-die chunks ===")

@@ -31,7 +31,6 @@ from repro.campaign.batch import (
     batch_signatures,
     batch_through_eval,
     sample_times,
-    trace_population_ndf,
 )
 from repro.campaign.cache import (
     CacheInfo,
@@ -51,9 +50,7 @@ from repro.campaign.request import ScreeningRequest
 from repro.campaign.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
-    SharedArrayHandle,
     SharedMemoryExecutor,
-    attach_shared_array,
     chunked,
 )
 from repro.campaign.result import CampaignResult, NoiseCampaignResult
@@ -87,7 +84,6 @@ __all__ = [
     "batch_signatures",
     "batch_through_eval",
     "sample_times",
-    "trace_population_ndf",
     "CacheInfo",
     "GoldenArtifacts",
     "GoldenCache",
@@ -97,9 +93,7 @@ __all__ = [
     "ScreeningRequest",
     "ProcessPoolExecutor",
     "SerialExecutor",
-    "SharedArrayHandle",
     "SharedMemoryExecutor",
-    "attach_shared_array",
     "chunked",
     "CampaignResult",
     "NoiseCampaignResult",
@@ -117,14 +111,3 @@ __all__ = [
     "trace_population",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecated alias of the retired process-global backing store;
-    # importing it still works but warns (repro.campaign.cache emits
-    # the DeprecationWarning).
-    if name == "DEFAULT_CACHE":
-        from repro.campaign import cache
-
-        return cache.DEFAULT_CACHE
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -385,25 +385,6 @@ def batch_ndf(signatures: Sequence[Signature],
     return np.asarray([ndf(s, golden) for s in signatures], dtype=float)
 
 
-def trace_population_ndf(encoder: ZoneEncoder, times: np.ndarray,
-                         x: np.ndarray, y_stack: np.ndarray,
-                         period: float, golden: Signature,
-                         signatures_out: Optional[list] = None
-                         ) -> np.ndarray:
-    """Encode + extract + score a stacked trace population in one call.
-
-    ``y_stack`` is ``(N, T)``; ``x`` is shared across the population.
-    The whole pipeline stays packed (codes -> CSR batch -> fleet NDF);
-    per-die signatures are only unpacked into ``signatures_out`` when a
-    diagnosis path asks for them.
-    """
-    codes = batch_codes(encoder, x, y_stack)
-    batch = batch_extract(times, codes, period)
-    if signatures_out is not None:
-        signatures_out.extend(batch.to_signatures())
-    return batch.ndf_to(golden)
-
-
 # ----------------------------------------------------------------------
 # Certified front half: basis-synthesized traces + threshold tables
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ unreadable artifact simply degrades to a recompute.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Tuple
@@ -248,17 +247,3 @@ _PROCESS_CACHE = GoldenCache()
 #: table certifies the ``exp``/``log1p`` of the machine that built it.
 _FRONT_HALF_CACHE = GoldenCache(maxsize=32)
 
-
-def __getattr__(name: str):
-    # The old module-global backing store survives only as a
-    # deprecated alias; the engine no longer consults it implicitly.
-    if name == "DEFAULT_CACHE":
-        warnings.warn(
-            "repro.campaign.cache.DEFAULT_CACHE is deprecated: "
-            "CampaignEngine now defaults to a per-engine GoldenCache; "
-            "pass cache= explicitly to share golden artifacts between "
-            "engines (e.g. one repro.service.ScreeningSession)",
-            DeprecationWarning, stacklevel=2)
-        return _PROCESS_CACHE
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -24,13 +24,16 @@ instead of once per die through
   dies the error bound cannot certify re-run on the exact kernels --
   the codes, and everything after them, stay the exact ones
   (``docs/paper_map.md``);
-* an executor layer chunks the population serially, over a process
-  pool, or over a shared-memory pool
-  (:mod:`repro.campaign.executors`) with deterministic per-die
+* an executor layer chunks the population serially or over a process
+  pool (:mod:`repro.campaign.executors`) with deterministic per-die
   seeding, so every executor yields bit-identical verdict vectors;
-* populations larger than memory stream through
-  :meth:`CampaignEngine.run_stream` (or simply by passing a generator
-  of chunks to :meth:`run`), keeping RSS bounded by the chunk size;
+* every clean campaign runs one parts loop: a monolithic run is one
+  part, a stream (:meth:`CampaignEngine.run_stream`, or a generator of
+  chunks passed to :meth:`run`) one part per chunk, keeping RSS
+  bounded by the chunk size; the parts accumulate into one
+  :class:`~repro.campaign.checkpoint.StreamCheckpoint`, the state a
+  sharded run merges from its shards, and one packager builds the
+  result from it;
 * :meth:`CampaignEngine.run_noise` repeats every die's measurement
   under fresh Section IV-C noise as one ``(N * repeats, samples)``
   stack with per-die deterministic seeding;
@@ -57,6 +60,8 @@ Worked example (mirrors ``examples/campaign_fleet.py``)::
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -84,7 +89,7 @@ from repro.campaign.cache import (
     spec_key,
     stimulus_key,
 )
-from repro.campaign.executors import SerialExecutor, chunked
+from repro.campaign.executors import SerialExecutor
 from repro.campaign.request import ScreeningRequest
 from repro.campaign.result import CampaignResult, NoiseCampaignResult
 from repro.campaign.scenarios import (
@@ -219,7 +224,10 @@ CERTIFIED_MIN_ROWS = 64
 
 
 # ----------------------------------------------------------------------
-# Chunk workers (module level: pool executors pickle them)
+# Chunk workers (module level: pool executors pickle them).  Each takes
+# ``(payload, cache=None)``: pool processes leave ``cache`` unset and
+# use the process-wide default cache; in-process executors get the
+# engine's own cache (bound by :meth:`CampaignEngine._map`).
 # ----------------------------------------------------------------------
 def _compute_golden(config: CampaignConfig) -> GoldenArtifacts:
     """Golden trace, codes and signature for one configuration."""
@@ -363,15 +371,14 @@ def _score_codes(config: CampaignConfig, golden: GoldenArtifacts,
     return stacked, (MultiSignatureBatch(channels) if collect else None)
 
 
-def _spec_chunk_ndfs(config: CampaignConfig,
-                     specs: Sequence[BiquadSpec], cache: GoldenCache,
-                     collect: bool = False
+def _spec_chunk_ndfs(payload, cache: Optional[GoldenCache] = None
                      ) -> Tuple[np.ndarray, Dict[str, float],
                                 Optional[SignatureBatch], int]:
     """NDFs of a chunk of Biquad design points, object-free.
 
-    When every channel has a threshold table, the front half is the
-    certified one (:func:`~repro.campaign.batch.certified_spec_codes`:
+    ``payload`` is ``(config, specs, collect)``.  When every channel
+    has a threshold table, the front half is the certified one
+    (:func:`~repro.campaign.batch.certified_spec_codes`:
     basis-synthesized traces encoded by per-column y thresholds, exact
     recompute of every die the error bound cannot certify); otherwise
     the exact closed-form synthesis
@@ -381,6 +388,8 @@ def _spec_chunk_ndfs(config: CampaignConfig,
     certified path recomputed exactly (0 on the exact path); the
     caller counts it where it packages the result.
     """
+    config, specs, collect = payload
+    cache = _PROCESS_CACHE if cache is None else cache
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
@@ -435,70 +444,39 @@ def _response_chunk_ndfs(config: CampaignConfig, cuts: Sequence,
     return values, timing, batch
 
 
-def _spec_chunk_worker(payload
-                       ) -> Tuple[np.ndarray, Dict[str, float],
-                                  Optional[SignatureBatch], int]:
-    """Pool-side entry point; uses the worker process' default cache."""
-    config, specs, collect = payload
-    return _spec_chunk_ndfs(config, specs, _PROCESS_CACHE, collect)
-
-
-def _trace_rows_ndfs(config: CampaignConfig, y_rows: np.ndarray,
-                     cache: GoldenCache, collect: bool = False
+def _trace_rows_ndfs(payload, cache: Optional[GoldenCache] = None
                      ) -> Tuple[np.ndarray, Dict[str, float],
-                                Optional[SignatureBatch]]:
-    """NDFs of a slice of measured traces on the shared grid."""
+                                Optional[SignatureBatch], int]:
+    """NDFs of a slice of measured traces on the shared grid.
+
+    ``payload`` is ``(config, y_rows, collect)``.  Measured rows are
+    encoded exactly, so no die is ever recomputed (the fourth output
+    is 0, as :func:`_spec_chunk_ndfs` reports it).
+    """
+    config, y_rows, collect = payload
+    cache = _PROCESS_CACHE if cache is None else cache
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
-    values, batch = _score_code_stack(config, golden, golden.x, y_rows,
-                                      timing, collect, cache)
-    return values, timing, batch
+    values, batch = _score_code_stack(config, golden, golden.x,
+                                      np.asarray(y_rows), timing,
+                                      collect, cache)
+    return values, timing, batch, 0
 
 
-def _trace_chunk_worker(payload
-                        ) -> Tuple[np.ndarray, Dict[str, float],
-                                   Optional[SignatureBatch]]:
-    """Pool-side trace scoring: the chunk's rows travel pickled."""
-    config, y_rows, collect = payload
-    return _trace_rows_ndfs(config, np.asarray(y_rows),
-                            _PROCESS_CACHE, collect)
-
-
-def _trace_chunk_worker_shm(payload
-                            ) -> Tuple[np.ndarray, Dict[str, float],
-                                       Optional[SignatureBatch]]:
-    """Pool-side trace scoring against a shared-memory stack.
-
-    The payload carries only ``(config, handle, start, stop,
-    collect)``: the worker attaches a zero-copy view of the published
-    ``(N, T)`` stack and scores its row slice -- nothing bulky crosses
-    the pickle boundary in either direction except the per-row NDFs
-    (plus the packed signature rows when the campaign collects them).
-    """
-    from repro.campaign.executors import attach_shared_array
-
-    config, handle, start, stop, collect = payload
-    stack, close = attach_shared_array(handle)
-    try:
-        return _trace_rows_ndfs(config, stack[start:stop],
-                                _PROCESS_CACHE, collect)
-    finally:
-        close()
-
-
-def _noise_chunk_ndfs(config: CampaignConfig,
-                      specs: Sequence[BiquadSpec], children,
-                      repeats: int, three_sigma: float,
-                      cache: GoldenCache
+def _noise_chunk_ndfs(payload, cache: Optional[GoldenCache] = None
                       ) -> Tuple[np.ndarray, Dict[str, float]]:
     """Noisy-repeat NDFs of a chunk of dies: an ``(n * R, T)`` stack.
 
+    ``payload`` is ``(config, specs, children, repeats, three_sigma)``.
     Die ``i`` draws all of its ``repeats`` noise realizations (X then Y
     per repeat) from its own spawned seed child, so the matrix is a
-    pure function of ``(seed, die index)`` -- chunking and streaming
-    never reshuffle noise.
+    pure function of ``(seed, die index)`` -- chunking, streaming and
+    the executor never reshuffle noise, and pool and serial runs are
+    bit-identical.
     """
+    config, specs, children, repeats, three_sigma = payload
+    cache = _PROCESS_CACHE if cache is None else cache
     timing: Dict[str, float] = {}
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
@@ -524,19 +502,6 @@ def _noise_chunk_ndfs(config: CampaignConfig,
     return values.reshape(n, repeats), timing
 
 
-def _noise_chunk_worker(payload) -> Tuple[np.ndarray, Dict[str, float]]:
-    """Pool-side noise-campaign entry point.
-
-    The payload carries the chunk's specs and their pre-spawned seed
-    children; since every die's noise is a pure function of its child,
-    the matrix is independent of how the executor chunks the fleet --
-    pool and serial runs are bit-identical.
-    """
-    config, specs, children, repeats, three_sigma = payload
-    return _noise_chunk_ndfs(config, specs, children, repeats,
-                             three_sigma, _PROCESS_CACHE)
-
-
 def _merge_timing(total: Dict[str, float],
                   section: Dict[str, float]) -> None:
     for key, value in section.items():
@@ -554,9 +519,8 @@ class CampaignEngine:
         Golden/calibration cache.  Defaults to a fresh per-engine
         :class:`~repro.campaign.cache.GoldenCache`; pass one
         explicitly to share warm artifacts between engines (channel
-        engines and service sessions do).  The old process-global
-        ``DEFAULT_CACHE`` backing store is retired -- engines no
-        longer share state implicitly.
+        engines and service sessions do); engines share no state
+        implicitly.
     executor:
         Chunk scheduler; :class:`SerialExecutor` when omitted.
     """
@@ -607,7 +571,7 @@ class CampaignEngine:
             population = deviation_sweep_population(
                 config.golden_spec, devs)
             values, __, __, fallback = _spec_chunk_ndfs(
-                config, population.specs, self.cache)
+                (config, population.specs, False), self.cache)
             _count_fallback(fallback)
             return ThresholdCalibration(np.asarray(devs), values)
 
@@ -668,11 +632,11 @@ class CampaignEngine:
                ) -> Union[CampaignResult, NoiseCampaignResult]:
         """Execute one :class:`~repro.campaign.request.ScreeningRequest`.
 
-        The unified entry point behind :meth:`run`, :meth:`run_stream`
-        and :meth:`run_noise` (all three are thin shims that build a
-        request and call this).  Service sessions and the coalescing
-        batcher submit requests directly; ``request.client`` is
-        ignored here -- it is service-layer bookkeeping.
+        The unified entry point behind :meth:`run`, :meth:`run_stream`,
+        :meth:`run_noise` and :meth:`run_sharded` (all thin shims that
+        build a request and call this).  Service sessions and the
+        coalescing batcher submit requests directly; ``request.client``
+        is ignored here -- it is service-layer bookkeeping.
 
         With tracing enabled (:func:`repro.obs.tracing`) the whole
         submission runs under a ``campaign.submit`` span and every
@@ -680,15 +644,18 @@ class CampaignEngine:
         timings also land in the process-default metrics registry
         (``engine_stage_seconds`` histograms) either way.
         """
+        if request.encoders is not None:
+            # Multi-signature screening is an engine over the listed
+            # banks, in every mode.
+            return self.with_encoders(request.encoders).submit(
+                replace(request, encoders=None))
         with span("campaign.submit", mode=request.mode,
                   executor=getattr(self.executor, "name", "custom")):
-            if request.mode == "stream":
-                return self._submit_stream(request)
             if request.mode == "noise":
                 return self._submit_noise(request)
             if request.mode == "sharded":
                 return self._submit_sharded(request)
-            return self._submit_run(request)
+            return self._submit_parts(request)
 
     def run(self, population: Union[Population, Iterable],
             band: Union[None, str, float, DecisionBand] = "auto",
@@ -721,108 +688,14 @@ class CampaignEngine:
         The configured executor parallelizes *spec* populations (the
         chunkable fast path) and trace stacks; cut and encoder
         populations always run in process, and the result's
-        ``executor`` field reports what actually ran.  Passing a
-        generator/iterator of population *chunks* delegates to
+        ``executor`` field reports what actually ran.  A
+        generator/iterator of population *chunks* streams exactly like
         :meth:`run_stream` (bounded memory); an iterator of individual
         specs is simply materialized and run in one shot.
         """
         return self.submit(ScreeningRequest(
             population=population, mode="run", band=band,
             keep_signatures=keep_signatures, encoders=encoders))
-
-    def _submit_run(self, request: ScreeningRequest) -> CampaignResult:
-        population = request.population
-        band = request.band
-        keep_signatures = request.keep_signatures
-        if request.encoders is not None:
-            return self.with_encoders(request.encoders).run(
-                population, band, keep_signatures)
-        if isinstance(population, Iterator):
-            import itertools
-
-            try:
-                first = next(population)
-            except StopIteration:
-                return self.run_stream(iter(()), band, keep_signatures)
-            rest = itertools.chain([first], population)
-            if isinstance(first, BiquadSpec):
-                population = list(rest)
-            else:
-                return self.run_stream(rest, band, keep_signatures)
-        start = time.perf_counter()
-        population = self._as_population(population)
-        threshold = self._resolve_threshold(band)
-        fallback = 0
-        if isinstance(population, SpecPopulation):
-            values, timing, labels, batch, fallback = self._run_specs(
-                population, keep_signatures)
-            f0_devs = population.f0_deviations
-            q_devs = population.q_deviations
-            executor_name = getattr(self.executor, "name", "custom")
-        elif isinstance(population, TracePopulation):
-            values, timing, labels, batch = self._run_traces(
-                population, keep_signatures)
-            f0_devs = q_devs = None
-            executor_name = getattr(self.executor, "name", "custom")
-        elif isinstance(population, CutListPopulation):
-            values, timing, labels, batch = self._run_cuts(
-                population, keep_signatures)
-            f0_devs = q_devs = None
-            # Cut/encoder populations run in process: their per-die
-            # work is one vector op, not worth shipping to a pool.
-            executor_name = "serial"
-        else:
-            values, timing, labels, batch = self._run_encoders(
-                population, keep_signatures)
-            f0_devs = q_devs = None
-            executor_name = "serial"
-        return self._package_result(values, timing, labels, batch,
-                                    band, threshold, f0_devs, q_devs,
-                                    executor_name, start, fallback)
-
-    def _package_result(self, values, timing, labels, batch, band,
-                        threshold, f0_devs, q_devs, executor_name,
-                        start, fallback_dies: int) -> CampaignResult:
-        """Assemble a :class:`CampaignResult`, channel-shape aware.
-
-        Single-channel values pass through untouched.  An ``(N, K)``
-        multi-channel matrix is split: column 0 becomes the result's
-        primary ``ndfs``/``verdicts`` (the same floats the
-        single-channel flow produces -- the channel-0 contract), the
-        full matrix plus per-channel thresholds/verdicts and the
-        packed multi batch ride the ``channel_*`` fields.
-        """
-        channel_ndfs = channel_thresholds = channel_verdicts = None
-        multi_batch = None
-        if values.ndim == 2:
-            channel_ndfs = values
-            channel_thresholds = self.channel_thresholds(band)
-            if channel_thresholds is not None:
-                channel_verdicts = (channel_ndfs
-                                    <= channel_thresholds[None, :])
-            values = np.ascontiguousarray(channel_ndfs[:, 0])
-            multi_batch = batch
-            batch = multi_batch.channel(0) \
-                if multi_batch is not None else None
-        verdicts = None if threshold is None else values <= threshold
-        timing["total"] = time.perf_counter() - start
-        # Terminal result constructor: recursive delegations (extra
-        # encoders, iterator -> stream) all funnel through here exactly
-        # once per logical campaign, so engine-level metrics record
-        # here, not in submit().  ``fallback_dies`` came home with the
-        # chunk outputs (or the merged checkpoint), so pool, shm and
-        # sharded runs count into this process's registry too.
-        record_engine_timings(timing)
-        _count_fallback(fallback_dies)
-        return CampaignResult(
-            ndfs=values, threshold=threshold, verdicts=verdicts,
-            f0_deviations=f0_devs, q_deviations=q_devs, labels=labels,
-            tolerance=self.config.tolerance, timing=timing,
-            executor=executor_name, cache_info=self.cache.info,
-            signature_batch=batch, channel_ndfs=channel_ndfs,
-            channel_thresholds=channel_thresholds,
-            channel_verdicts=channel_verdicts,
-            multi_signature_batch=multi_batch)
 
     def run_stream(self, chunks: Iterable,
                    band: Union[None, str, float, DecisionBand] = "auto",
@@ -889,27 +762,38 @@ class CampaignEngine:
                                checkpoint_every=checkpoint_every,
                                stream_offset=stream_offset)
 
-    def _submit_stream(self, request: ScreeningRequest
-                       ) -> CampaignResult:
+    def _submit_parts(self, request: ScreeningRequest
+                      ) -> CampaignResult:
+        """The parts loop behind every ``run`` and ``stream`` request.
+
+        A monolithic run is one part and a stream one part per chunk;
+        :meth:`_score` screens each.  A ``run`` over an iterator peeks
+        at its first item: a :class:`BiquadSpec` materializes one
+        part, anything else (chunks, or nothing) is a stream.  The
+        parts accumulate into a :class:`StreamCheckpoint` -- the state
+        a shard worker ships -- which only a request with a checkpoint
+        path ever persists.
+        """
         from repro.campaign.checkpoint import StreamCheckpoint
         from repro.testing.faultinject import fail_if_armed
 
-        chunks = request.population
-        band = request.band
-        keep_signatures = request.keep_signatures
-        if request.encoders is not None:
-            engine = self.with_encoders(request.encoders)
-            return engine.submit(replace(request, encoders=None))
         start = time.perf_counter()
-        threshold = self._resolve_threshold(band)
-        # The stream state -- accumulated NDF/deviation/label parts,
-        # merged timings, the next global die index -- always lives in
-        # a StreamCheckpoint; only a request with a checkpoint path
-        # ever persists it.
+        parts = request.population
+        streamed = request.mode == "stream"
+        if not streamed and isinstance(parts, Iterator):
+            peek = list(itertools.islice(parts, 1))
+            parts = itertools.chain(peek, parts)
+            if peek and isinstance(peek[0], BiquadSpec):
+                parts = list(parts)
+            else:
+                streamed = True
+        if not streamed:
+            parts = [parts]
+        threshold = self._resolve_threshold(request.band)
         config_key = repr(self.config.golden_key())
         state = None
         if request.checkpoint is not None:
-            if keep_signatures:
+            if request.keep_signatures:
                 raise ValueError(
                     "checkpointed streams cannot keep signatures: the "
                     "packed batch is not part of the mergeable "
@@ -939,21 +823,29 @@ class CampaignEngine:
                 f"but the checkpoint resumes at {state.next_index}: "
                 f"dies {state.next_index}..{request.stream_offset - 1} "
                 "would be missing")
-        batch_parts: List[Union[SignatureBatch,
-                                MultiSignatureBatch]] = []
+        # Only spec populations carry ground-truth deviations; cut and
+        # encoder populations run in process (their per-die work is
+        # one vector op, not worth shipping to a pool).
+        deviations = True
+        executor = getattr(self.executor, "name", "custom")
+        batches: List[Union[SignatureBatch, MultiSignatureBatch]] = []
         seen = 0  # dies drawn from the iterable so far
         chunks_since_save = 0
-        for chunk in chunks:
+        for part in parts:
             # Raw spec-sequence chunks get placeholder labels numbered
             # from the global die index, not per chunk -- labels must
             # stay unique across the whole stream (and across the
             # interrupted runs of a checkpointed one).
-            chunk = self._as_population(
-                chunk, first_index=request.stream_offset + seen)
-            if not isinstance(chunk, SpecPopulation):
-                raise TypeError("streamed campaigns consume spec "
-                                "population chunks")
-            n = len(chunk)
+            part = self._as_population(
+                part, first_index=request.stream_offset + seen)
+            if not isinstance(part, SpecPopulation):
+                if streamed:
+                    raise TypeError("streamed campaigns consume spec "
+                                    "population chunks")
+                deviations = False
+                if not isinstance(part, TracePopulation):
+                    executor = "serial"
+            n = len(part)
             seen += n
             if skip > 0:
                 if n <= skip:  # whole chunk already screened
@@ -963,16 +855,16 @@ class CampaignEngine:
                 # rows are chunk-boundary independent, so the sliced
                 # tail scores bit-identically to its uninterrupted
                 # position.
-                chunk = SpecPopulation(
-                    chunk.specs[skip:], chunk.f0_deviations[skip:],
-                    chunk.q_deviations[skip:], chunk.labels[skip:])
+                part = SpecPopulation(
+                    part.specs[skip:], part.f0_deviations[skip:],
+                    part.q_deviations[skip:], part.labels[skip:])
                 skip = 0
-            values, section, chunk_labels, batch, fallback = \
-                self._run_specs(chunk, keep_signatures)
-            if batch is not None:
-                batch_parts.append(batch)
-            state.extend(values, chunk.f0_deviations,
-                         chunk.q_deviations, chunk_labels, section,
+            values, timing, part_batches, fallback = self._score(
+                part, request.keep_signatures)
+            batches += part_batches
+            devs = ((part.f0_deviations, part.q_deviations)
+                    if deviations else ((), ()))
+            state.extend(values, *devs, part.labels, timing,
                          fallback_dies=fallback)
             if request.checkpoint is not None:
                 chunks_since_save += 1
@@ -982,19 +874,69 @@ class CampaignEngine:
                 # Robustness-suite injection point: die *after* the
                 # checkpoint landed, before the next chunk is drawn.
                 fail_if_armed("stream.chunk.crash")
-        values = state.values(self._empty_values())
-        batch = (self._concatenate_batches(batch_parts)
-                 if keep_signatures else None)
-        timing = dict(state.timing)
         if request.checkpoint is not None:
             state.complete = True
             state.save(request.checkpoint)
-        name = getattr(self.executor, "name", "custom") + "+stream"
-        return self._package_result(values, timing, state.labels,
-                                    batch, band, threshold,
-                                    state.f0_deviations(),
-                                    state.q_deviations(), name, start,
-                                    state.fallback_dies)
+        return self._package_result(
+            state, request.band, start,
+            executor + ("+stream" if streamed else ""),
+            batches if request.keep_signatures else None, deviations)
+
+    def _package_result(self, state, band, start: float, executor: str,
+                        batches=None, deviations: bool = True
+                        ) -> CampaignResult:
+        """Assemble a :class:`CampaignResult` from accumulated state.
+
+        ``state`` is a :class:`StreamCheckpoint`: the parts loop's own,
+        or a sharded run's merged one.  ``batches`` are the kept
+        packed batches in die order (None: signatures not kept);
+        ``deviations=False`` reports no ground truth (trace, cut and
+        encoder populations).
+
+        Single-channel values pass through untouched.  An ``(N, K)``
+        multi-channel matrix is split: column 0 becomes the result's
+        primary ``ndfs``/``verdicts`` (the same floats the
+        single-channel flow produces -- the channel-0 contract), the
+        full matrix plus per-channel thresholds/verdicts and the
+        packed multi batch ride the ``channel_*`` fields.
+        """
+        values = state.values(self._empty_values())
+        threshold = state.threshold
+        batch = (None if batches is None
+                 else self._concatenate_batches(batches))
+        channel_ndfs = channel_thresholds = channel_verdicts = None
+        multi_batch = None
+        if values.ndim == 2:
+            channel_ndfs = values
+            channel_thresholds = self.channel_thresholds(band)
+            if channel_thresholds is not None:
+                channel_verdicts = (channel_ndfs
+                                    <= channel_thresholds[None, :])
+            values = np.ascontiguousarray(channel_ndfs[:, 0])
+            multi_batch = batch
+            batch = multi_batch.channel(0) \
+                if multi_batch is not None else None
+        verdicts = None if threshold is None else values <= threshold
+        timing = dict(state.timing)
+        timing["total"] = time.perf_counter() - start
+        # Terminal result constructor: every run, stream and sharded
+        # campaign funnels through here exactly once, so engine-level
+        # metrics record here, not in submit().  ``fallback_dies`` came
+        # home with the chunk outputs (or the merged checkpoint), so
+        # pool and sharded runs count into this process's registry too.
+        record_engine_timings(timing)
+        _count_fallback(state.fallback_dies)
+        return CampaignResult(
+            ndfs=values, threshold=threshold, verdicts=verdicts,
+            f0_deviations=state.f0_deviations() if deviations else None,
+            q_deviations=state.q_deviations() if deviations else None,
+            labels=state.labels, tolerance=self.config.tolerance,
+            timing=timing, executor=executor,
+            cache_info=self.cache.info, signature_batch=batch,
+            channel_ndfs=channel_ndfs,
+            channel_thresholds=channel_thresholds,
+            channel_verdicts=channel_verdicts,
+            multi_signature_batch=multi_batch)
 
     def run_noise(self, population: Union[SpecPopulation,
                                           Sequence[BiquadSpec]],
@@ -1057,23 +999,12 @@ class CampaignEngine:
         n = len(population)
         children = np.random.SeedSequence(
             [seed, NOISE_SEED_DOMAIN]).spawn(n)
-        die_chunk = self._pool_chunk_size(
+        size = self._pool_chunk_size(
             n, max(1, self.config.chunk_size // repeats))
-        ranges = [(lo, min(lo + die_chunk, n))
-                  for lo in range(0, n, die_chunk)]
-        if getattr(self.executor, "needs_picklable_work", False):
-            payloads = [(self.config,
-                         tuple(population.specs[lo:hi]),
-                         tuple(children[lo:hi]), repeats, three_sigma)
-                        for lo, hi in ranges]
-            outputs = self.executor.map(_noise_chunk_worker, payloads)
-        else:
-            outputs = self.executor.map(
-                lambda bounds: _noise_chunk_ndfs(
-                    self.config,
-                    population.specs[bounds[0]:bounds[1]],
-                    children[bounds[0]:bounds[1]], repeats,
-                    three_sigma, self.cache), ranges)
+        outputs = self._map(_noise_chunk_ndfs, [
+            (self.config, tuple(population.specs[lo:lo + size]),
+             tuple(children[lo:lo + size]), repeats, three_sigma)
+            for lo in range(0, n, size)])
         timing: Dict[str, float] = {}
         for __, section in outputs:
             _merge_timing(timing, section)
@@ -1142,7 +1073,7 @@ class CampaignEngine:
             raise ValueError(
                 "sharded campaigns cannot keep signatures: the packed "
                 "batch is not part of the mergeable checkpoint state")
-        if request.encoders is not None or self.config.extra_encoders:
+        if self.config.extra_encoders:
             raise ValueError(
                 "sharded campaigns are single-channel today; run "
                 "multi-signature screening through run()/run_stream()")
@@ -1162,15 +1093,11 @@ class CampaignEngine:
             listen=listen,
             autotune_target_s=request.shard_autotune_s)
         merged, stats = coordinator.run()
-        values = merged.values(self._empty_values())
-        timing = dict(merged.timing)
-        timing["merge"] = float(stats.get("merge_seconds", 0.0))
+        merged.timing["merge"] = float(stats.get("merge_seconds", 0.0))
         mode = "sharded-tcp" if listen is not None else "sharded"
-        name = f"{mode}[{coordinator.num_workers}]"
         result = self._package_result(
-            values, timing, merged.labels, None, request.band,
-            threshold, merged.f0_deviations(), merged.q_deviations(),
-            name, start, merged.fallback_dies)
+            merged, request.band, start,
+            f"{mode}[{coordinator.num_workers}]")
         result.shard_stats = stats
         return result
 
@@ -1221,138 +1148,83 @@ class CampaignEngine:
             return np.empty((0, self.config.num_channels))
         return np.empty(0)
 
-    def _empty_batch(self, collect: bool
-                     ) -> Union[None, SignatureBatch,
-                                MultiSignatureBatch]:
-        """Packed batch of an empty population, channel-shape aware."""
-        if not collect:
-            return None
-        if self.config.extra_encoders:
-            return MultiSignatureBatch.empty(self.config.num_channels)
-        return SignatureBatch.empty()
-
     def _concatenate_batches(self, parts
                              ) -> Union[SignatureBatch,
                                         MultiSignatureBatch]:
-        """Row-stack collected chunk batches, channel-shape aware.
+        """Row-stack kept chunk batches, channel-shape aware.
 
-        Single source of the Multi-vs-plain dispatch for both the
-        chunked (:meth:`_merge_outputs`) and the streamed
-        (:meth:`run_stream`) merge.
+        A lone batch is returned as-is; no batches give the empty
+        batch of this engine's channel count.
         """
-        parts = [part for part in parts if part is not None]
+        if len(parts) == 1:
+            return parts[0]
+        if not self.config.extra_encoders:
+            return SignatureBatch.concatenate(parts)
         if not parts:
-            return self._empty_batch(True)
-        if isinstance(parts[0], MultiSignatureBatch):
-            return MultiSignatureBatch.concatenate(parts)
-        return SignatureBatch.concatenate(parts)
+            return MultiSignatureBatch.empty(self.config.num_channels)
+        return MultiSignatureBatch.concatenate(parts)
 
-    def _merge_outputs(self, outputs, collect: bool):
-        """Merge chunk outputs ``(values, timing, batch)`` in order.
+    def _map(self, worker, payloads: Sequence) -> List:
+        """Run a chunk worker over its payloads on the executor.
 
-        NDF parts concatenate along the die axis whether they are
-        per-die vectors or ``(n, K)`` multi-channel matrices; packed
-        batches concatenate through their own class, so streamed and
-        chunked multi-signature campaigns merge channel by channel.
+        Results come back in payload order.  Pool workers use their
+        process-wide cache; in-process executors share this engine's.
         """
+        if not getattr(self.executor, "needs_picklable_work", False):
+            worker = functools.partial(worker, cache=self.cache)
+        return self.executor.map(worker, payloads)
+
+    def _score(self, part, collect: bool = False
+               ) -> Tuple[np.ndarray, Dict[str, float], List, int]:
+        """Screen one part: NDFs, stage timings, batches, fallbacks.
+
+        Spec and trace rows chunk over the executor through
+        :meth:`_map`: specs travel directly (picklable frozen
+        dataclasses), so no per-die CUT object exists on any path.
+        Cut and encoder populations run in process.  The third output
+        lists the chunks' packed batches in die order (each None
+        unless ``collect``); the last sums the dies the certified
+        front half recomputed exactly.
+        """
+        if isinstance(part, EncoderPopulation) \
+                and self.config.extra_encoders:
+            raise ValueError(
+                "encoder populations vary the primary monitor bank "
+                "per die; extra signature channels are ambiguous here "
+                "-- run them single-channel")
+        if len(part) == 0:
+            return self._empty_values(), {"golden": 0.0}, [], 0
+        if isinstance(part, CutListPopulation):
+            return self._run_cuts(part, collect)
+        if isinstance(part, EncoderPopulation):
+            return self._run_encoders(part, collect)
+        if isinstance(part, SpecPopulation):
+            rows, worker = tuple(part.specs), _spec_chunk_ndfs
+        else:
+            rows, worker = part.y_stack, _trace_rows_ndfs
+        size = self._pool_chunk_size(len(rows), self.config.chunk_size)
+        outputs = self._map(worker, [
+            (self.config, rows[lo:lo + size], collect)
+            for lo in range(0, len(rows), size)])
         timing: Dict[str, float] = {}
-        for __, section_times, __batch in outputs:
-            _merge_timing(timing, section_times)
-        values = (np.concatenate([v for v, __, __b in outputs])
-                  if outputs else self._empty_values())
-        batch = None
-        if collect:
-            batch = self._concatenate_batches(
-                [b for __, __t, b in outputs])
-        return values, timing, batch
-
-    def _map_spec_chunks(self, specs: Sequence[BiquadSpec],
-                         collect: bool = False
-                         ) -> Tuple[np.ndarray, Dict[str, float],
-                                    Optional[SignatureBatch], int]:
-        """Chunk design points over the executor and merge the results.
-
-        Specs travel directly (they are picklable frozen dataclasses);
-        no per-die CUT objects are materialized on any path.  The last
-        output sums the chunks' exactly recomputed dies.
-        """
-        chunk_size = self._pool_chunk_size(len(specs),
-                                           self.config.chunk_size)
-        chunks = chunked(list(specs), chunk_size)
-        if getattr(self.executor, "needs_picklable_work", False):
-            # Pool workers use the per-process default cache.
-            payloads = [(self.config, tuple(chunk), collect)
-                        for chunk in chunks]
-            outputs = self.executor.map(_spec_chunk_worker, payloads)
-        else:
-            outputs = self.executor.map(
-                lambda chunk: _spec_chunk_ndfs(
-                    self.config, chunk, self.cache, collect), chunks)
-        values, timing, batch = self._merge_outputs(
-            [output[:3] for output in outputs], collect)
-        return values, timing, batch, sum(output[3] for output in outputs)
-
-    def _run_specs(self, population: SpecPopulation,
-                   collect: bool = False
-                   ) -> Tuple[np.ndarray, Dict[str, float], List[str],
-                              Optional[SignatureBatch], int]:
-        if len(population) == 0:
-            return (self._empty_values(), {"golden": 0.0}, [],
-                    self._empty_batch(collect), 0)
-        values, timing, batch, fallback = self._map_spec_chunks(
-            population.specs, collect)
-        return values, timing, list(population.labels), batch, fallback
-
-    def _run_traces(self, population: TracePopulation,
-                    collect: bool = False
-                    ) -> Tuple[np.ndarray, Dict[str, float], List[str],
-                               Optional[SignatureBatch]]:
-        """Measured-trace stacks: encode/score only, shared-memory aware.
-
-        With a :class:`~repro.campaign.executors.SharedMemoryExecutor`
-        the ``(N, T)`` stack is published to shared memory once and
-        workers attach zero-copy row views; with a plain process pool
-        the chunk rows travel pickled; serially the views are used in
-        place.
-        """
-        n = len(population)
-        if n == 0:
-            return (self._empty_values(), {"golden": 0.0}, [],
-                    self._empty_batch(collect))
-        stack = population.y_stack
-        chunk_size = self._pool_chunk_size(n, self.config.chunk_size)
-        ranges = [(lo, min(lo + chunk_size, n))
-                  for lo in range(0, n, chunk_size)]
-        map_shared = getattr(self.executor, "map_shared", None)
-        if map_shared is not None:
-            outputs = map_shared(
-                _trace_chunk_worker_shm, stack,
-                lambda handle: [(self.config, handle, lo, hi, collect)
-                                for lo, hi in ranges])
-        elif getattr(self.executor, "needs_picklable_work", False):
-            payloads = [(self.config, stack[lo:hi], collect)
-                        for lo, hi in ranges]
-            outputs = self.executor.map(_trace_chunk_worker, payloads)
-        else:
-            outputs = self.executor.map(
-                lambda bounds: _trace_rows_ndfs(
-                    self.config, stack[bounds[0]:bounds[1]],
-                    self.cache, collect), ranges)
-        values, timing, batch = self._merge_outputs(outputs, collect)
-        return values, timing, list(population.labels), batch
+        for output in outputs:
+            _merge_timing(timing, output[1])
+        values = np.concatenate([output[0] for output in outputs])
+        return (values, timing, [output[2] for output in outputs],
+                sum(output[3] for output in outputs))
 
     def _run_cuts(self, population: CutListPopulation,
                   collect: bool = False
-                  ) -> Tuple[np.ndarray, Dict[str, float], List[str],
-                             Optional[SignatureBatch]]:
-        """Generic CUTs: batched when they expose ``response``."""
-        if len(population) == 0:
-            return (self._empty_values(), {"golden": 0.0}, [],
-                    self._empty_batch(collect))
+                  ) -> Tuple[np.ndarray, Dict[str, float],
+                             List[Optional[SignatureBatch]], int]:
+        """Generic CUTs: batched when they expose ``response``.
+
+        Returns :meth:`_score`'s outputs for a non-empty population.
+        """
         if all(hasattr(cut, "response") for cut in population.cuts):
             values, timing, batch = _response_chunk_ndfs(
                 self.config, population.cuts, self.cache, collect)
-            return values, timing, list(population.labels), batch
+            return values, timing, [batch], 0
         if self.config.extra_encoders:
             raise ValueError(
                 "multi-signature campaigns need populations that take "
@@ -1393,8 +1265,7 @@ class CampaignEngine:
                                       codes, first.period)
             with _stage(timing, "ndf", dies=len(population)):
                 values = batch.ndf_to(golden.signature)
-            return (values, timing, list(population.labels),
-                    batch if collect else None)
+            return values, timing, [batch if collect else None], 0
         # Heterogeneous grids: score die by die, one trace resident at
         # a time (rare -- mixed CUT families in one population).
         from repro.core.ndf import ndf as _ndf
@@ -1415,12 +1286,12 @@ class CampaignEngine:
                 values[i] = _ndf(observed, golden.signature)
         batch = (SignatureBatch.from_signatures(signatures)
                  if collect else None)
-        return values, timing, list(population.labels), batch
+        return values, timing, [batch], 0
 
     def _run_encoders(self, population: EncoderPopulation,
                       collect: bool = False
-                      ) -> Tuple[np.ndarray, Dict[str, float], List[str],
-                                 Optional[SignatureBatch]]:
+                      ) -> Tuple[np.ndarray, Dict[str, float],
+                                 List[Optional[SignatureBatch]], int]:
         """One fault-free CUT seen through N varied monitor banks.
 
         The golden signature stays the *nominal*-bank reference, so the
@@ -1429,16 +1300,9 @@ class CampaignEngine:
         golden through each varied bank and therefore measured exactly
         zero).  Encoding still runs per bank (each bank draws its own
         boundaries), but the signatures of all banks pack into one
-        batch and score through the fleet-NDF kernel.
+        batch and score through the fleet-NDF kernel.  Returns
+        :meth:`_score`'s outputs for a non-empty population.
         """
-        if self.config.extra_encoders:
-            raise ValueError(
-                "encoder populations vary the primary monitor bank "
-                "per die; extra signature channels are ambiguous here "
-                "-- run them single-channel")
-        if len(population) == 0:
-            return (np.empty(0), {"golden": 0.0}, [],
-                    SignatureBatch.empty() if collect else None)
         timing: Dict[str, float] = {}
         with _stage(timing, "golden"):
             golden = self.golden()
@@ -1451,5 +1315,4 @@ class CampaignEngine:
                                   golden.period)
         with _stage(timing, "ndf", dies=len(population)):
             values = batch.ndf_to(golden.signature)
-        return (values, timing, list(population.labels),
-                batch if collect else None)
+        return values, timing, [batch if collect else None], 0

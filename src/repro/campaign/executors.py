@@ -13,21 +13,13 @@ population (asserted by the equivalence tests).
   processes via :mod:`concurrent.futures`; results are re-assembled in
   submission order.  Worker processes amortize golden-signature work
   through the process-wide default cache.
-* :class:`SharedMemoryExecutor` -- a process pool whose bulk array
-  inputs travel through :mod:`multiprocessing.shared_memory` instead
-  of pickling: the parent publishes an ``(N, T)`` stack once, workers
-  attach zero-copy views of their row slices.  Chunk payloads shrink
-  from megabytes of trace data to a (name, shape, slice) descriptor.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
-
-import numpy as np
 
 from repro.obs.trace import (SpanRecord, TraceContext, context_tracer,
                              current_trace_context, current_tracer,
@@ -180,96 +172,7 @@ class ProcessPoolExecutor:
         self.shutdown()
 
 
-# ----------------------------------------------------------------------
-# Shared-memory transport
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SharedArrayHandle:
-    """Picklable descriptor of an array published in shared memory."""
-
-    name: str
-    shape: tuple
-    dtype: str
-
-
-def attach_shared_array(handle: SharedArrayHandle):
-    """Worker-side: zero-copy view of a published array.
-
-    Returns ``(array, close)``; call ``close()`` once the chunk's
-    compute no longer references the array.  Ownership (and the
-    eventual unlink) stays with the publisher: on Python >= 3.13 the
-    attach opts out of resource tracking; on 3.10-3.12 fork-based
-    pools the workers share the publisher's tracker (whose set-based
-    registry makes the attach-side registration a no-op), while
-    spawn-based pools get their own tracker, from which the attach
-    registration is explicitly withdrawn so worker shutdown cannot
-    unlink (or double-report) the publisher's live segment.
-    """
-    import multiprocessing
-    import sys
-    from multiprocessing import shared_memory
-
-    if sys.version_info >= (3, 13):
-        shm = shared_memory.SharedMemory(name=handle.name, track=False)
-    else:
-        shm = shared_memory.SharedMemory(name=handle.name)
-        if multiprocessing.get_start_method() != "fork":
-            from multiprocessing import resource_tracker
-
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals
-                pass
-    array = np.ndarray(handle.shape, np.dtype(handle.dtype),
-                       buffer=shm.buf)
-    return array, shm.close
-
-
-class SharedMemoryExecutor(ProcessPoolExecutor):
-    """Process pool with shared-memory bulk-array transport.
-
-    Behaves exactly like :class:`ProcessPoolExecutor` for ordinary
-    chunk payloads (spec populations); in addition,
-    :meth:`map_shared` publishes one big array for a whole campaign so
-    per-chunk payloads stop pickling ``(N, T)`` float stacks.
-    """
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        self.name = f"shared-memory[{self.max_workers}]"
-
-    def publish(self, array: np.ndarray):
-        """Copy an array into a fresh shared segment once.
-
-        Returns ``(handle, unlink)``: ship ``handle`` to workers, call
-        ``unlink()`` after every chunk completed.
-        """
-        from multiprocessing import shared_memory
-
-        array = np.ascontiguousarray(array)
-        shm = shared_memory.SharedMemory(create=True, size=array.nbytes)
-        view = np.ndarray(array.shape, array.dtype, buffer=shm.buf)
-        view[...] = array
-        handle = SharedArrayHandle(shm.name, array.shape,
-                                   array.dtype.str)
-
-        def unlink() -> None:
-            shm.close()
-            shm.unlink()
-
-        return handle, unlink
-
-    def map_shared(self, worker: Callable[[T], R], array: np.ndarray,
-                   make_payload: Callable[[SharedArrayHandle], Iterable[T]]
-                   ) -> List[R]:
-        """Publish ``array``, run the derived chunk payloads, unlink.
-
-        ``make_payload`` receives the shared handle and returns the
-        chunk payloads (each embedding the handle plus a row slice);
-        results come back in submission order.
-        """
-        handle, unlink = self.publish(array)
-        try:
-            return self.map(worker, list(make_payload(handle)))
-        finally:
-            unlink()
+#: Old name of the retired shared-memory pool, kept because
+#: ``perfbench/layers.py`` imports it; drop it together with the
+#: benchmark's ``executor.shm_speedup`` metric.
+SharedMemoryExecutor = ProcessPoolExecutor

@@ -20,9 +20,8 @@ A campaign screens one of four population kinds:
   trace is computed once and re-encoded per bank.
 * :class:`TracePopulation` -- N already-measured response traces on the
   shared capture grid (instrument dumps, transient simulations).  Only
-  the encode/signature/NDF back half runs; with a
-  :class:`~repro.campaign.executors.SharedMemoryExecutor` the stack is
-  published once instead of pickled chunk by chunk.
+  the encode/signature/NDF back half runs, and the stack's rows
+  chunk over the executor like spec chunks do.
 
 All Monte Carlo builders use :class:`numpy.random.SeedSequence` spawning
 for per-die seeding: die ``i`` of seed ``s`` draws the same parameters

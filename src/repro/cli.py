@@ -113,12 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--samples", type=int, default=2048,
                           help="trace samples per period")
     campaign.add_argument("--executor", default="serial",
-                          choices=["serial", "pool", "shm", "process"],
-                          help="chunk scheduler: serial, process pool, "
-                               "or shared-memory pool ('process' is a "
-                               "legacy alias of 'pool')")
+                          choices=["serial", "pool"],
+                          help="chunk scheduler: serial or process pool")
     campaign.add_argument("--workers", type=int, default=None,
-                          help="pool size (with --executor pool/shm); "
+                          help="pool size (with --executor pool); "
                                "with --shards --listen: wait for N "
                                "workers to connect before dispatching")
     campaign.add_argument("--stream", action="store_true",
@@ -474,12 +472,10 @@ def _shard_fleet(setup, args):
 
 def _campaign_executor(args):
     """Executor selected on the command line (None = serial)."""
-    from repro.campaign import ProcessPoolExecutor, SharedMemoryExecutor
+    from repro.campaign import ProcessPoolExecutor
 
-    if args.executor in ("pool", "process"):
+    if args.executor == "pool":
         return ProcessPoolExecutor(max_workers=args.workers)
-    if args.executor == "shm":
-        return SharedMemoryExecutor(max_workers=args.workers)
     return None
 
 

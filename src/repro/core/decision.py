@@ -23,6 +23,8 @@ import numpy as np
 class TestVerdict:
     """Outcome of one signature test."""
 
+    __test__ = False  # not a pytest test class despite the name
+
     ndf: float
     threshold: float
 

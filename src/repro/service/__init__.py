@@ -16,8 +16,7 @@ long-lived screening endpoint:
   optional :class:`RetryPolicy` (idempotent replays, backoff+jitter).
 
 Telemetry lives in :mod:`repro.obs` (tracing spans, the metrics
-registry's home, structured JSON logs, request-id propagation);
-``repro.service.metrics`` remains a compatibility re-export.  Every
+registry's home, structured JSON logs, request-id propagation).  Every
 request carries an ``X-Repro-Request-Id`` that joins client retries to
 server spans and log lines end to end (``docs/observability.md``).
 
@@ -29,6 +28,7 @@ drains gracefully on SIGTERM.  Start one from the CLI with
 """
 
 from repro.campaign.request import ScreeningRequest
+from repro.obs.metrics import MetricsRegistry, timed
 from repro.service.batcher import (
     CoalescingBatcher,
     DeadlineExceeded,
@@ -41,7 +41,6 @@ from repro.service.client import (
     ServiceError,
     ServiceUnavailable,
 )
-from repro.service.metrics import MetricsRegistry, timed
 from repro.service.ratelimit import RateLimiter, TokenBucket
 from repro.service.server import (
     IdempotencyCache,

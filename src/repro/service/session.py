@@ -31,8 +31,8 @@ from typing import Dict, Optional, Union
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.request import ScreeningRequest
 from repro.campaign.result import CampaignResult, NoiseCampaignResult
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_request_id, request_context, span
-from repro.service.metrics import MetricsRegistry
 from repro.testing.faultinject import (
     fail_if_armed,
     should_fail,
@@ -49,7 +49,7 @@ class ScreeningSession:
         The campaign engine to serve (its cache is the session's warm
         store).  Build from the paper bench via :meth:`from_paper`.
     metrics:
-        Optional :class:`~repro.service.metrics.MetricsRegistry`;
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`;
         submissions then record request counts and per-stage engine
         timings.
     """

@@ -34,7 +34,6 @@ from repro.campaign import (
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
-    SharedMemoryExecutor,
     SpecPopulation,
     batch_biquad_traces,
     montecarlo_dies,
@@ -495,8 +494,7 @@ def test_fallback_counter_counts_dies_once_across_channels(registry):
 
 
 @pytest.mark.parametrize("executor_cls",
-                         [ProcessPoolExecutor, SharedMemoryExecutor],
-                         ids=["pool", "shm"])
+                         [ProcessPoolExecutor], ids=["pool"])
 def test_fallback_counter_counts_in_the_parent(registry, executor_cls):
     """Pool chunks hand their fallbacks home; the parent counts them."""
     population = _lot_with_loud_dies(2 * CERTIFIED_MIN_ROWS, seed=11)

@@ -9,7 +9,6 @@ from repro.campaign import (
     GoldenCache,
     ProcessPoolExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     chunked,
     montecarlo_dies,
     stream_montecarlo_dies,
@@ -84,8 +83,8 @@ def test_process_pool_bit_identical_to_serial():
 
 
 def test_all_executors_bit_identical_including_streaming():
-    """Serial, pool and shared-memory runs -- streamed or not -- agree
-    bit for bit (the acceptance criterion)."""
+    """Serial and pool runs -- streamed or not -- agree bit for bit
+    (the acceptance criterion)."""
     population = montecarlo_dies(PAPER_BIQUAD, 20, sigma_f0=0.03,
                                  seed=17)
 
@@ -96,12 +95,11 @@ def test_all_executors_bit_identical_including_streaming():
     serial = CampaignEngine(_config(), cache=GoldenCache()).run(
         population, band="auto")
     results = [serial]
-    for executor_cls in (ProcessPoolExecutor, SharedMemoryExecutor):
-        with executor_cls(max_workers=2) as pool:
-            engine = CampaignEngine(_config(), cache=GoldenCache(),
-                                    executor=pool)
-            results.append(engine.run(population, band="auto"))
-            results.append(engine.run_stream(stream(), band="auto"))
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        engine = CampaignEngine(_config(), cache=GoldenCache(),
+                                executor=pool)
+        results.append(engine.run(population, band="auto"))
+        results.append(engine.run_stream(stream(), band="auto"))
     results.append(CampaignEngine(_config(), cache=GoldenCache())
                    .run_stream(stream(), band="auto"))
     for other in results[1:]:
@@ -118,8 +116,8 @@ def _per_die_ndfs(specs):
 
 def test_certified_chunks_match_per_die_on_every_executor():
     """Chunks of >= CERTIFIED_MIN_ROWS dies (the certified front half)
-    on serial, pool and shared-memory executors, monolithic and
-    streamed, all equal the per-die SignatureTester bit for bit."""
+    on serial and pool executors, monolithic and streamed, all equal
+    the per-die SignatureTester bit for bit."""
     n, stream_chunk = 4 * CERTIFIED_MIN_ROWS, 2 * CERTIFIED_MIN_ROWS
     population = montecarlo_dies(PAPER_BIQUAD, n, sigma_f0=0.04,
                                  seed=19)
@@ -136,25 +134,24 @@ def test_certified_chunks_match_per_die_on_every_executor():
         serial = CampaignEngine(config, cache=GoldenCache())
         runs += [serial.run(population, band=None),
                  serial.run_stream(stream(), band=None)]
-        for executor_cls in (ProcessPoolExecutor, SharedMemoryExecutor):
-            with executor_cls(max_workers=2) as pool:
-                engine = CampaignEngine(config, cache=GoldenCache(),
-                                        executor=pool)
-                runs += [engine.run(population, band=None),
-                         engine.run_stream(stream(), band=None)]
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            engine = CampaignEngine(config, cache=GoldenCache(),
+                                    executor=pool)
+            runs += [engine.run(population, band=None),
+                     engine.run_stream(stream(), band=None)]
     for result in runs:
         assert np.array_equal(result.ndfs, reference)
-    # Chunks: serial 1 + 2 streamed; each pool 2 + 2 x 2 streamed.  All
-    # of them (pool children's spans included) took the certified path.
+    # Chunks: serial 1 + 2 streamed; pool 2 + 2 x 2 streamed.  All of
+    # them (pool children's spans included) took the certified path.
     records = tracer.records()
-    assert len([r for r in records if r.name == "stage.signature"]) == 15
+    assert len([r for r in records if r.name == "stage.signature"]) == 9
     traces = [r for r in records if r.name == "stage.traces"]
     assert traces and all(r.attributes.get("path") == "certified"
                           for r in traces)
 
 
 def test_trace_stack_identical_across_transports():
-    """Pickled, shared-memory and in-process trace scoring agree."""
+    """Pickled (pool) and in-process trace scoring agree."""
     from repro.campaign.batch import batch_multitone_eval
     from repro.filters.biquad import BiquadFilter
 
@@ -169,34 +166,13 @@ def test_trace_stack_identical_across_transports():
 
     serial = engine.run(traces, band="auto")
     assert serial.executor == "serial"
-    outcomes = [serial]
-    for executor_cls in (ProcessPoolExecutor, SharedMemoryExecutor):
-        with executor_cls(max_workers=2) as pool:
-            result = CampaignEngine(_config(chunk_size=5),
-                                    cache=GoldenCache(),
-                                    executor=pool).run(traces,
-                                                       band="auto")
-            outcomes.append(result)
-    assert outcomes[1].executor.startswith("process-pool")
-    assert outcomes[2].executor.startswith("shared-memory")
-    for other in outcomes[1:]:
-        assert np.array_equal(serial.ndfs, other.ndfs)
-        assert np.array_equal(serial.verdicts, other.verdicts)
-
-
-def test_shared_memory_publish_roundtrip():
-    executor = SharedMemoryExecutor(max_workers=1)
-    try:
-        stack = np.arange(12.0).reshape(3, 4)
-        handle, unlink = executor.publish(stack)
-        from repro.campaign import attach_shared_array
-
-        view, close = attach_shared_array(handle)
-        assert np.array_equal(view, stack)
-        close()
-        unlink()
-    finally:
-        executor.shutdown()
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        pooled = CampaignEngine(_config(chunk_size=5),
+                                cache=GoldenCache(),
+                                executor=pool).run(traces, band="auto")
+    assert pooled.executor.startswith("process-pool")
+    assert np.array_equal(serial.ndfs, pooled.ndfs)
+    assert np.array_equal(serial.verdicts, pooled.verdicts)
 
 
 def test_process_pool_rejects_bad_worker_count():

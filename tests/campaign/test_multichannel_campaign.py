@@ -18,7 +18,6 @@ from repro.campaign import (
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
-    SharedMemoryExecutor,
     fault_dictionary,
     montecarlo_dies,
     montecarlo_monitor_banks,
@@ -130,8 +129,7 @@ def test_trace_population_channel0_identity(engine, encoders):
 
 @pytest.mark.parametrize("executor_factory", [
     lambda: ProcessPoolExecutor(max_workers=2),
-    lambda: SharedMemoryExecutor(max_workers=2),
-], ids=["pool", "shm"])
+], ids=["pool"])
 def test_executors_bit_identical_multichannel(encoders,
                                               executor_factory):
     population = montecarlo_dies(PAPER_BIQUAD, 24, sigma_f0=0.05,

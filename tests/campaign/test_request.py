@@ -106,7 +106,7 @@ def test_submit_carries_request_options(engine):
 
 
 # ----------------------------------------------------------------------
-# Cache migration: per-engine default, deprecated global alias
+# Caches: per-engine default, explicit sharing
 # ----------------------------------------------------------------------
 def test_engines_default_to_private_caches():
     a = CampaignEngine.from_parts(table1_encoder(), PAPER_STIMULUS,
@@ -135,18 +135,6 @@ def test_explicit_cache_is_shared():
     misses = cache.info.misses
     b.golden()
     assert cache.info.misses == misses  # b hit a's entry
-
-
-def test_default_cache_alias_warns():
-    import repro.campaign
-    import repro.campaign.cache
-
-    with pytest.warns(DeprecationWarning, match="DEFAULT_CACHE"):
-        legacy = repro.campaign.cache.DEFAULT_CACHE
-    assert isinstance(legacy, GoldenCache)
-    with pytest.warns(DeprecationWarning):
-        from_package = repro.campaign.DEFAULT_CACHE
-    assert from_package is legacy
 
 
 def test_missing_attribute_still_raises():

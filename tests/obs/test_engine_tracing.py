@@ -13,7 +13,6 @@ from repro.campaign import (
     CampaignEngine,
     ProcessPoolExecutor,
     SerialExecutor,
-    SharedMemoryExecutor,
     montecarlo_dies,
 )
 from repro.monitor.configurations import table1_encoder
@@ -53,8 +52,7 @@ def _population(dies=24):
     lambda: None,
     lambda: SerialExecutor(),
     lambda: ProcessPoolExecutor(max_workers=2),
-    lambda: SharedMemoryExecutor(max_workers=2),
-], ids=["default", "serial", "pool", "shm"])
+], ids=["default", "serial", "pool"])
 def test_verdicts_bit_identical_tracing_on_vs_off(make_executor):
     population = _population()
     executor = make_executor()
@@ -157,14 +155,11 @@ def test_noise_campaign_traces_and_stays_bit_identical():
 @pytest.mark.parametrize("make_executor", [
     lambda: SerialExecutor(),
     lambda: ProcessPoolExecutor(max_workers=2),
-    lambda: SharedMemoryExecutor(max_workers=2),
-], ids=["serial", "pool", "shm"])
+], ids=["serial", "pool"])
 def test_every_executor_yields_one_connected_trace(make_executor):
     """Cross-process trace propagation holds for ALL executors: every
-    span -- including chunk spans from pool/shm worker processes --
-    descends from the single campaign.submit root.  (PR 9's traced
-    chunk calls cover the shm executor too; the old 'shm starts
-    parentless spans' caveat is dead.)"""
+    span -- including chunk spans from pool worker processes --
+    descends from the single campaign.submit root."""
     executor = make_executor()
     try:
         with tracing() as tracer:

@@ -127,17 +127,3 @@ def test_record_engine_timings_counts_and_histograms(scratch_default):
     assert hists['engine_stage_seconds{stage="encode"}']["count"] == 2
     assert hists['engine_stage_seconds{stage="novel"}']["count"] == 1
 
-
-# ----------------------------------------------------------------------
-# Compatibility: the old service-layer import path still works
-# ----------------------------------------------------------------------
-def test_service_metrics_shim_reexports_everything():
-    from repro.obs import metrics as obs_metrics
-    from repro.service import metrics as service_metrics
-
-    for name in ("Counter", "Gauge", "Histogram", "MetricsRegistry",
-                 "RollingWindow", "default_registry",
-                 "record_engine_timings", "set_default_registry",
-                 "timed", "DEFAULT_BUCKETS"):
-        assert getattr(service_metrics, name) \
-            is getattr(obs_metrics, name)

@@ -100,15 +100,6 @@ def test_campaign_executor_pool(capsys):
     assert payload["pass"] + payload["fail"] == 6
 
 
-def test_campaign_executor_shm(capsys):
-    assert main(["campaign", "--dies", "6", "--samples", "512",
-                 "--executor", "shm", "--workers", "2", "--json"]) == 0
-    import json
-
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["executor"].startswith("shared-memory")
-
-
 def test_campaign_stream_matches_monolithic(capsys):
     assert main(["campaign", "--dies", "20", "--samples", "512",
                  "--seed", "3", "--json"]) == 0
