@@ -21,9 +21,11 @@ Proofs for the batched campaign engine:
   bit-identical codes; the before/after per-die stage timings land in
   the machine-readable ``BENCH_4.json`` artifact;
 * **certified front half** -- the engine's fast spec front half
-  (basis-synthesized traces, threshold-table encode, exact recompute
-  of uncertified dies) returns the exact public kernels' codes at
-  least 2x faster on traces+encode;
+  (golden-relative column selection, basis-synthesized traces,
+  threshold-table encode, exact recompute of uncertified dies)
+  returns the exact public kernels' codes at least 2x faster on
+  traces+encode, computes at most 25% of the columns per die on a
+  sigma = 0.03 lot, and stays exact on a sigma = 0.15 lot;
 * **stage-timing regression guard** -- per-die stage timings
   (trace/encode/signature/ndf) are compared against the committed
   baseline ``benchmarks/baselines/campaign_stages.json`` with a
@@ -503,67 +505,98 @@ def test_certified_front_half_vs_exact(bench_setup, report_writer):
     """Certified front half vs the exact public kernels, same codes.
 
     The engine's fast front half for spec chunks
-    (:func:`~repro.campaign.batch.certified_spec_codes`: a basis
-    product per row block plus per-column threshold compares, exact
-    recompute of whatever the certificate cannot cover) against
-    :func:`batch_biquad_traces` + :func:`batch_codes` on the same
-    chunks.  The codes must be equal and traces+encode at least 2x
-    faster.  Both sides run warm (basis and table built once per
-    process, like the engine's steady state); the one-off table build
-    is reported next to them.
+    (:func:`~repro.campaign.batch.certified_spec_codes`: golden-relative
+    column selection, a basis product per row block plus per-column
+    threshold compares, exact recompute of whatever the certificate
+    cannot cover) against :func:`batch_biquad_traces` +
+    :func:`batch_codes` on the same chunks.  The codes must be equal
+    and traces+encode at least 2x faster.  Both sides run warm (basis,
+    table and golden frame built once per process, like the engine's
+    steady state); the one-off table build is reported next to them.
+
+    Two gates do not depend on the runner's speed: on the sigma = 0.03
+    lot the ``columns`` span attribute must average at most 25% of the
+    samples per die (a count, so it repeats exactly on a loaded
+    runner), and a sigma = 0.15 lot -- wide enough that many blocks
+    are dense -- must return the exact codes too.
     """
-    from repro.campaign.batch import certified_spec_codes, trace_basis
+    from repro.campaign.batch import (
+        certified_spec_codes,
+        golden_frame,
+        trace_basis,
+    )
     from repro.monitor.bank_encode import build_threshold_table
+    from repro.obs.trace import span, tracing
 
     n = FRONT_N
-    engine = bench_setup.campaign_engine(samples_per_period=2048,
+    samples = 2048
+    engine = bench_setup.campaign_engine(samples_per_period=samples,
                                          cache=GoldenCache())
     golden = engine.golden()
     encoder = engine.config.encoder
     stimulus = bench_setup.stimulus
     population = montecarlo_dies(bench_setup.golden_spec, n,
                                  sigma_f0=0.03, seed=47)
+    wide = montecarlo_dies(bench_setup.golden_spec, min(n, 1000),
+                           sigma_f0=0.15, seed=48)
     chunk = engine.config.chunk_size
     build_start = time.perf_counter()
     table = build_threshold_table(encoder, golden.x)
     build_s = time.perf_counter() - build_start
     basis = trace_basis(stimulus, golden.times)
     assert table is not None
+    frame = golden_frame(bench_setup.golden_spec, stimulus, golden.times,
+                         golden.x, [encoder], [table], basis)
 
-    def run_exact():
+    def run_exact(specs):
         start = time.perf_counter()
         codes = []
-        for lo in range(0, n, chunk):
-            y = batch_biquad_traces(population.specs[lo:lo + chunk],
+        for lo in range(0, len(specs), chunk):
+            y = batch_biquad_traces(specs[lo:lo + chunk],
                                     stimulus, golden.times)
             codes.append(batch_codes(encoder, golden.x, y))
             SCRATCH.give(y)
         return time.perf_counter() - start, np.concatenate(codes)
 
-    def run_certified():
+    def run_certified(specs, **stage):
         start = time.perf_counter()
         codes, fallback = [], 0
-        for lo in range(0, n, chunk):
+        for lo in range(0, len(specs), chunk):
             planes, rows = certified_spec_codes(
-                population.specs[lo:lo + chunk], stimulus, golden.times,
-                golden.x, [encoder], [table], basis)
+                specs[lo:lo + chunk], stimulus, golden.times,
+                golden.x, [encoder], [table], basis, frame, **stage)
             codes.append(planes[0])
             fallback += rows.size
         return (time.perf_counter() - start, np.concatenate(codes),
                 fallback)
 
-    exact = min((run_exact() for __ in range(3)), key=lambda r: r[0])
-    certified = min((run_certified() for __ in range(3)),
+    exact = min((run_exact(population.specs) for __ in range(3)),
+                key=lambda r: r[0])
+    certified = min((run_certified(population.specs) for __ in range(3)),
                     key=lambda r: r[0])
     identical = bool(np.array_equal(exact[1], certified[1]))
     speedup = exact[0] / certified[0]
     required = 2.0
+
+    with tracing() as tracer:
+        run_certified(population.specs,
+                      stage=lambda name, **a: span("stage." + name, **a))
+    encodes = [r.attributes for r in tracer.records()
+               if r.name == "stage.encode"
+               and r.attributes.get("path") == "certified"]
+    columns_share = sum(a["columns"] * a["dies"] for a in encodes) \
+        / (n * samples)
+    max_share = 0.25
+    wide_identical = bool(np.array_equal(run_exact(wide.specs)[1],
+                                         run_certified(wide.specs)[1]))
 
     rows = [["dies", str(n)],
             ["exact traces+encode", f"{exact[0] / n * 1e6:.1f} us/die"],
             ["certified traces+encode",
              f"{certified[0] / n * 1e6:.1f} us/die"],
             ["fallback dies", str(certified[2])],
+            ["columns computed per die",
+             f"{columns_share * 100:.1f}% of {samples}"],
             ["table build (once per process)", f"{build_s * 1e3:.1f} ms"],
             ["speedup", f"{speedup:.2f}x"]]
     comparisons = [
@@ -571,6 +604,12 @@ def test_certified_front_half_vs_exact(bench_setup, report_writer):
                    f"{speedup:.2f}x", match=speedup >= required),
         Comparison("zone codes", "equal", str(identical),
                    match=identical),
+        Comparison("columns computed per die",
+                   f"<= {max_share * 100:.0f}%",
+                   f"{columns_share * 100:.1f}%",
+                   match=columns_share <= max_share),
+        Comparison("zone codes, sigma = 0.15 lot", "equal",
+                   str(wide_identical), match=wide_identical),
     ]
     report_writer("campaign_certified_front_half", "\n".join([
         banner(f"CAMPAIGN: certified front half vs exact ({n} dies)"),
@@ -580,17 +619,21 @@ def test_certified_front_half_vs_exact(bench_setup, report_writer):
     ]))
     _write_json("campaign_certified_front_half", {
         "dies": n,
-        "samples_per_period": 2048,
+        "samples_per_period": samples,
         "per_die_s": {"exact": exact[0] / n,
                       "certified": certified[0] / n},
         "speedup": speedup,
         "fallback_dies": certified[2],
+        "columns_share": columns_share,
         "table_build_s": build_s,
         "codes_equal": identical,
+        "wide_codes_equal": wide_identical,
     })
 
     assert identical
     assert speedup >= required
+    assert columns_share <= max_share
+    assert wide_identical
 
 
 def test_stage_timings_vs_committed_baseline(bench_setup,

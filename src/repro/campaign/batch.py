@@ -39,12 +39,21 @@ arrays and a packed signature representation:
   :func:`batch_signatures`/:func:`batch_ndf` remain as the unpacked
   per-die reference implementations;
 * :func:`certified_spec_codes` is the engine's fast front half for
-  spec chunks: a ``(rows, 2K+1) @ (2K+1, T)`` product against a
-  per-configuration :func:`trace_basis` synthesizes each row block to
-  within a proven per-die bound (:func:`trace_error_bound`), and the
-  block is encoded against per-column y thresholds
-  (:class:`~repro.monitor.bank_encode.ZoneThresholdTable`) while it is
-  still in cache.
+  spec chunks, golden-relative: a die's proven reach from the golden
+  trace (:func:`trace_reach`) against each column's margin to the
+  nearest band edge (:class:`GoldenFrame`) shows where its code must
+  equal the golden code; only the rest -- a prefix of the columns
+  sorted by margin -- is synthesized, by a ``(rows, 2K+1) @ (2K+1,
+  width)`` product against the permuted :func:`trace_basis` to within
+  a proven per-die bound (:func:`trace_error_bound`), and encoded
+  against per-column y thresholds
+  (:class:`~repro.monitor.bank_encode.ZoneThresholdTable`) while the
+  block is still in cache.
+
+Spec populations enter every kernel as
+:class:`~repro.filters.biquad.SpecArrays` (a spec list converts
+through :func:`~repro.filters.biquad.spec_arrays`), which is also how
+spec chunks travel to pool workers.
 
 The exact kernels replicate the floating-point expression order of the
 per-die path (same complex quotient and ``hypot``/``arctan2`` rounding
@@ -57,7 +66,9 @@ signatures, NDFs and verdicts to a serial :class:`SignatureTester` with
 codes: a sample is only encoded from the table when its distance to
 every threshold exceeds ``eps`` plus the threshold's proven band, and
 every other die is recomputed on the exact kernels, so its code planes
-equal the exact ones (``docs/paper_map.md`` gives the derivation).
+equal the exact ones; the columns it skips carry the golden's exact
+codes by the same band argument (``docs/paper_map.md`` gives both
+derivations).
 The campaign equivalence tests assert the end result for every
 population kind and executor.
 """
@@ -66,7 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,14 +87,16 @@ from repro.core.signature import Signature
 from repro.core.signature_batch import SignatureBatch
 from repro.core.zones import ZoneEncoder
 from repro.filters.biquad import (
+    BIQUAD_KINDS,
     BiquadSpec,
+    SpecArrays,
     batch_transfer_arrays,
     spec_arrays,
 )
 from repro.monitor.bank_encode import (
+    BLOCK_SAMPLES,
     UNIT_ROUNDOFF,
     ZoneThresholdTable,
-    block_rows,
     monitor_bank_codes,
 )
 from repro.obs.trace import NULL_SPAN
@@ -175,7 +188,7 @@ def batch_through_eval(stimulus: Multitone,
     return total
 
 
-def batch_biquad_traces(specs: Sequence[BiquadSpec],
+def batch_biquad_traces(specs: Union[Sequence[BiquadSpec], SpecArrays],
                         stimulus: Multitone,
                         times: np.ndarray) -> np.ndarray:
     """Response stack of a Biquad spec population, fully vectorized.
@@ -185,41 +198,43 @@ def batch_biquad_traces(specs: Sequence[BiquadSpec],
     reference flow -- without constructing a single per-die object:
     the closed-form transfer of all N dies evaluates per tone as one
     real-array broadcast and the trace accumulates through
-    :func:`batch_through_eval`.
+    :func:`batch_through_eval`.  ``specs`` is a spec list or its
+    :class:`~repro.filters.biquad.SpecArrays`.
     """
     times = np.asarray(times, dtype=float)
-    if not specs:
+    arrays = spec_arrays(specs)
+    if not len(arrays):
         return np.empty((0, times.size))
-    tone_transfers, dc_re = _biquad_transfers(specs, stimulus)
+    tone_transfers, dc_re = _biquad_transfers(arrays, stimulus)
     return batch_through_eval(stimulus, tone_transfers, dc_re, times)
 
 
-def _biquad_transfers(specs: Sequence[BiquadSpec], stimulus: Multitone
+def _biquad_transfers(arrays: SpecArrays, stimulus: Multitone
                       ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]],
                                  np.ndarray]:
     """Per-tone ``(real, imag)`` transfers and DC gains of N specs.
 
-    The parameters stack once for all tone frequencies plus DC; a
-    mixed-kind population stacks once per kind group.  H(0) of a
+    The stacked parameters serve every tone frequency plus DC; a
+    mixed-kind population evaluates once per kind group.  H(0) of a
     Biquad is exactly real (the quotient's imaginary part is a signed
     zero), so Multitone.through's DC-realness guard can never trip on
     the spec paths.
     """
-    n = len(specs)
-    kind_list = [spec.kind for spec in specs]
+    n = len(arrays)
     tone_transfers = [(np.empty(n), np.empty(n))
                       for __ in stimulus.tones]
     dc_re = np.empty(n)
-    for kind in set(kind_list):
-        idx = [i for i, k in enumerate(kind_list) if k is kind]
-        omega0, q, gain = spec_arrays([specs[i] for i in idx])
+    for code in np.unique(arrays.kind):
+        idx = np.flatnonzero(arrays.kind == code)
+        group = arrays[idx]
+        kind = BIQUAD_KINDS[code]
         for slot, tone in enumerate(stimulus.tones):
-            h_re, h_im = batch_transfer_arrays(omega0, q, gain, kind,
-                                               tone.freq_hz)
+            h_re, h_im = batch_transfer_arrays(
+                group.omega0, group.q, group.gain, kind, tone.freq_hz)
             tone_transfers[slot][0][idx] = h_re
             tone_transfers[slot][1][idx] = h_im
-        dc_re[idx], __ = batch_transfer_arrays(omega0, q, gain, kind,
-                                               0.0)
+        dc_re[idx], __ = batch_transfer_arrays(
+            group.omega0, group.q, group.gain, kind, 0.0)
     return tone_transfers, dc_re
 
 
@@ -474,7 +489,7 @@ def trace_error_bound(offsets: np.ndarray, amps: np.ndarray,
     return 2.0 * (exact + fast)
 
 
-def spec_trace_coefficients(specs: Sequence[BiquadSpec],
+def spec_trace_coefficients(specs: Union[Sequence[BiquadSpec], SpecArrays],
                             stimulus: Multitone, basis: TraceBasis
                             ) -> Tuple[np.ndarray, np.ndarray]:
     """``(N, 2K+1)`` synthesis coefficients and per-die bounds ``eps``.
@@ -486,8 +501,9 @@ def spec_trace_coefficients(specs: Sequence[BiquadSpec],
     (A cos P) sin w t + (A sin P) cos w t``, so ``coef @ basis.matrix``
     is the trace stack to within ``eps`` (:func:`trace_error_bound`).
     """
-    tone_transfers, dc_re = _biquad_transfers(specs, stimulus)
-    n, tones = len(specs), len(stimulus.tones)
+    arrays = spec_arrays(specs)
+    tone_transfers, dc_re = _biquad_transfers(arrays, stimulus)
+    n, tones = len(arrays), len(stimulus.tones)
     coef = np.empty((n, 2 * tones + 1))
     amps = np.empty((tones, n))
     phases = np.empty((tones, n))
@@ -501,66 +517,253 @@ def spec_trace_coefficients(specs: Sequence[BiquadSpec],
     return coef, trace_error_bound(offsets, amps, phases, basis.wt_max)
 
 
+def trace_reach(coef: np.ndarray, eps: np.ndarray,
+                golden_coef: np.ndarray, golden_eps: float) -> np.ndarray:
+    """Per-die bound ``r`` on ``max_j |y_exact[j] - y_golden[j]|`` (volts).
+
+    ``coef``/``eps`` are a chunk's :func:`spec_trace_coefficients`
+    outputs, ``golden_coef``/``golden_eps`` the golden's own row.  Let
+    ``Y = off + sum_k A_k sin(w_k t + P_k)`` be a die's real trace (the
+    floats ``off``, ``A``, ``P`` that both synthesis paths share) and
+    ``a_k = A_k cos P_k``, ``b_k = A_k sin P_k`` its real coefficients:
+
+    * ``Y_i - Y_g = d_off + sum_k (d_a_k sin w_k t + d_b_k cos w_k t)``
+      and ``|d_a sin + d_b cos| <= hypot(d_a, d_b)``, so at every
+      instant ``|Y_i - Y_g| <= D_i = |d_off| + sum_k hypot(d_a_k,
+      d_b_k)``;
+    * the exact path's sample is within ``eps`` of ``Y`` (``eps``
+      covers the exact path's error and more), so ``|y_i - y_g| <= D_i
+      + eps_i + eps_g`` on every column;
+    * ``D_i`` is evaluated on the float rows: an entry ``fl(A cos P)``
+      is within ``|A| (e + u (1 + e))`` of ``a`` (as in
+      :func:`trace_error_bound`; offsets are shared exactly), so each
+      ``hypot`` term grows by at most ``2 (|A_i| + |A_g|) (e + u (1 +
+      e))``, with ``|A| <= 2 (|fl(a)| + |fl(b)|)``;
+    * the subtractions round once (``u``), ``hypot`` within ``2u``, and
+      the sums of ``K + 4`` non-negative terms within ``gamma_{K+4}``;
+      the factor ``1 + 4 (K + 8) u`` covers them all, and the final
+      ``nextafter`` the rounding of that product.
+
+    Non-finite coefficients give a non-finite reach.
+    """
+    u = UNIT_ROUNDOFF
+    e = SIN_ULPS * 2.0 * UNIT_ROUNDOFF
+    tones = (coef.shape[1] - 1) // 2
+    diff = coef - golden_coef
+    distance = np.abs(diff[:, -1])
+    magnitude = np.zeros(coef.shape[0])
+    for k in range(tones):
+        distance = distance + np.hypot(diff[:, 2 * k], diff[:, 2 * k + 1])
+        magnitude = magnitude + (np.abs(coef[:, 2 * k])
+                                 + np.abs(coef[:, 2 * k + 1])
+                                 + abs(golden_coef[2 * k])
+                                 + abs(golden_coef[2 * k + 1]))
+    slack = 4.0 * (e + u * (1.0 + e)) * magnitude
+    reach = (distance + slack + eps + golden_eps) \
+        * (1.0 + 4.0 * (tones + 8) * u)
+    return np.nextafter(reach, np.inf)
+
+
+@dataclass(frozen=True)
+class GoldenFrame:
+    """The golden side of the golden-relative certificate.
+
+    Built once per configuration by :func:`golden_frame`:
+
+    * ``coef``/``eps``: the golden's own coefficient row and bound;
+    * ``trace``/``codes``: the golden's exact trace and, per channel,
+      its exact ``uint8`` codes (from the exact kernels, never from a
+      cache keyed on a rounded fingerprint);
+    * ``margins[j]``: how far the golden sample of column ``j`` is
+      from the nearest band edge of any boundary of any channel's
+      table, or from a window edge, rounded down (0 inside a band or
+      outside the window);
+    * ``order``: the columns by ascending margin, ``sorted_margins``
+      their margins and ``basis`` the synthesis basis permuted into
+      that order.
+
+    A die within reach ``r`` of the golden (:func:`trace_reach`) has
+    the golden's exact code on every column with ``margins[j] > r``, so
+    only the prefix ``order[:widths(r)]`` needs synthesis and compare.
+    """
+
+    coef: np.ndarray
+    eps: float
+    trace: np.ndarray
+    codes: Tuple[np.ndarray, ...]
+    margins: np.ndarray
+    order: np.ndarray
+    sorted_margins: np.ndarray
+    basis: np.ndarray
+
+    def widths(self, reach: np.ndarray) -> np.ndarray:
+        """Uncertain columns per die: ``#{j : margins[j] <= reach}``.
+
+        Every column where the reach is not finite.
+        """
+        reach = np.asarray(reach, dtype=float)
+        counts = np.searchsorted(self.sorted_margins, reach, side="right")
+        return np.where(np.isfinite(reach), counts, self.order.size)
+
+
+def golden_frame(golden_spec: BiquadSpec, stimulus: Multitone,
+                 times: np.ndarray, x: np.ndarray,
+                 encoders: Sequence[ZoneEncoder],
+                 tables: Sequence[ZoneThresholdTable],
+                 basis: TraceBasis) -> GoldenFrame:
+    """The :class:`GoldenFrame` of ``golden_spec`` against ``tables``.
+
+    ``tables[c]`` must be channel ``c``'s threshold table on the grid
+    ``x``.  A margin is the distance from the golden sample to an edge
+    it lies strictly outside of (``lower - y`` below a band, ``y -
+    upper`` above it, ``inf`` for a column without a flip), rounded
+    down by one ``nextafter`` step; a sample inside a band, outside the
+    window or not finite gets 0, so its column is always computed.
+    """
+    times = np.asarray(times, dtype=float)
+    coef, eps = spec_trace_coefficients([golden_spec], stimulus, basis)
+    exact = batch_biquad_traces([golden_spec], stimulus, times)
+    trace = exact[0].copy()
+    codes = tuple(np.asarray(monitor_bank_codes(encoder, x, exact)[0],
+                             dtype=np.uint8) for encoder in encoders)
+    SCRATCH.give(exact)
+    margins = np.full(trace.shape, np.inf)
+    with np.errstate(invalid="ignore"):
+        for table in tables:
+            low, high = table.window
+            margins = np.minimum(margins, np.minimum(trace - low,
+                                                     high - trace))
+            edge = np.where(trace < table.lower, table.lower - trace,
+                            np.where(trace > table.upper,
+                                     trace - table.upper, 0.0))
+            margins = np.minimum(margins, edge.min(axis=0))
+        margins = np.nextafter(margins, -np.inf)
+        margins = np.where(np.isfinite(trace) & (margins > 0.0), margins,
+                           0.0)
+    order = np.argsort(margins, kind="stable")
+    permuted = np.ascontiguousarray(basis.matrix[:, order])
+    for array in (margins, order, permuted, trace, *codes):
+        array.setflags(write=False)
+    sorted_margins = margins[order]
+    sorted_margins.setflags(write=False)
+    return GoldenFrame(coef[0], float(eps[0]), trace, codes, margins,
+                       order, sorted_margins, permuted)
+
+
 def _untimed(name: str, **attributes: object):
     return NULL_SPAN
 
 
-def certified_spec_codes(specs: Sequence[BiquadSpec], stimulus: Multitone,
-                         times: np.ndarray, x: np.ndarray,
-                         encoders: Sequence[ZoneEncoder],
+def _block_stop(widths: np.ndarray, start: int) -> int:
+    """End of the row block at ``start`` of width-sorted rows.
+
+    The block takes rows while rows times its largest width stays
+    within :data:`~repro.monitor.bank_encode.BLOCK_SAMPLES` (at least
+    one row): ascending widths make that a prefix.
+    """
+    fits = np.arange(1, widths.size - start + 1) * widths[start:] \
+        <= BLOCK_SAMPLES
+    return start + max(1, int(np.count_nonzero(fits)))
+
+
+def certified_spec_codes(specs: Union[Sequence[BiquadSpec], SpecArrays],
+                         stimulus: Multitone, times: np.ndarray,
+                         x: np.ndarray, encoders: Sequence[ZoneEncoder],
                          tables: Sequence[ZoneThresholdTable],
-                         basis: TraceBasis, stage=_untimed
+                         basis: TraceBasis, frame: GoldenFrame,
+                         stage=_untimed
                          ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Certified ``uint8`` code planes of a Biquad spec chunk.
 
-    The fast front half: per row block of
-    :func:`~repro.monitor.bank_encode.block_rows` dies, one ``(rows,
-    2K+1) @ (2K+1, T)`` product synthesizes the traces
-    (:func:`spec_trace_coefficients`) and every channel's threshold
-    table encodes them while the block is still in cache
+    The fast front half, golden-relative: each die's reach ``r``
+    (:func:`trace_reach`) against ``frame`` gives its uncertain columns
+    ``frame.order[:u]`` (:meth:`GoldenFrame.widths`); every other
+    column provably carries the golden's exact code.  Dies sorted by
+    ``u`` form row blocks of at most
+    :data:`~repro.monitor.bank_encode.BLOCK_SAMPLES` samples; each
+    block synthesizes only its widest row's prefix -- one ``(rows,
+    2K+1) @ (2K+1, width)`` product against the permuted basis
+    (:func:`spec_trace_coefficients`) -- and every channel's threshold
+    table encodes it while it is still in cache
     (:meth:`ZoneThresholdTable.encode_block`, with the chunk's largest
-    ``eps``).  Dies with an uncertified sample, a sample outside the
-    window, or an ``eps`` above :data:`MAX_TRACE_EPS` are recomputed on
-    the exact path -- :func:`batch_biquad_traces` plus
+    ``eps``), into rows pre-filled with the golden codes.  A block as
+    wide as the grid is the dense block: original column order, whole
+    rows.  Dies with an uncertified sample, a computed sample outside
+    the window, or an ``eps`` above :data:`MAX_TRACE_EPS` are
+    recomputed on the exact path -- :func:`batch_biquad_traces` plus
     :func:`monitor_bank_codes` per channel -- so every returned plane
     equals the exact codes row for row.
 
     ``stage(name, **attributes)`` returns a context manager wrapped
     around each step (the engine's timing/span hook); the certified
-    ``encode`` steps report ``fallback_rows`` through its ``set``.
-    Returns ``(planes, fallback_row_indices)``.
+    ``encode`` steps report ``columns`` (synthesized and compared per
+    row) and, through its ``set``, ``fallback_rows``.  Returns
+    ``(planes, fallback_row_indices)``.
     """
     times = np.asarray(times, dtype=float)
-    n, samples = len(specs), times.size
+    arrays = spec_arrays(specs)
+    n, samples = len(arrays), times.size
     planes = [np.empty((n, samples), dtype=np.uint8) for __ in tables]
     if n == 0:
         return planes, np.empty(0, dtype=np.intp)
     with stage("traces", dies=n, path="certified"):
-        coef, eps = spec_trace_coefficients(specs, stimulus, basis)
+        coef, eps = spec_trace_coefficients(arrays, stimulus, basis)
+        widths = frame.widths(trace_reach(coef, eps, frame.coef,
+                                          frame.eps))
+        rank = np.argsort(widths, kind="stable")
+        widths, coef, eps = widths[rank], coef[rank], eps[rank]
     certified = eps <= MAX_TRACE_EPS  # NaN-safe
     eps_max = float(eps[certified].max()) if certified.any() else 0.0
-    bands = [table.bands(eps_max) for table in tables]
-    rows = block_rows(samples)
-    block_buf = SCRATCH.take((min(rows, n), samples))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = block_buf[:stop - start]
-        with stage("traces", dies=stop - start, path="certified"):
-            np.matmul(coef[start:stop], basis.matrix, out=block)
-        with stage("encode", dies=stop - start,
-                   path="certified") as step:
-            for table, band, plane in zip(tables, bands, planes):
-                certified[start:stop] &= table.encode_block(
-                    block, band, plane[start:stop])
+    narrow = int(widths[widths < samples].max(initial=0))
+    columns = frame.order[:narrow]
+    narrow_bands = [table.bands(eps_max, columns) for table in tables]
+    dense_bands = ([table.bands(eps_max) for table in tables]
+                   if widths[-1] == samples else None)
+    capacity = max(BLOCK_SAMPLES, samples)
+    block_buf = SCRATCH.take(capacity)
+    code_buf = SCRATCH.take(capacity, dtype=np.uint8)
+    index_buf = SCRATCH.take(capacity, dtype=np.intp)
+    start = 0
+    while start < n:
+        stop = _block_stop(widths, start)
+        rows, width = rank[start:stop], int(widths[stop - 1])
+        size = (stop - start) * width
+        block = block_buf[:size].reshape(stop - start, width)
+        codes = code_buf[:size].reshape(block.shape)
+        dense = width == samples
+        if width:
+            with stage("traces", dies=stop - start, path="certified"):
+                np.matmul(coef[start:stop], basis.matrix if dense
+                          else frame.basis[:, :width], out=block)
+        with stage("encode", dies=stop - start, path="certified",
+                   columns=width) as step:
+            if width and not dense:
+                flat = index_buf[:size].reshape(block.shape)
+                np.add((rows * samples)[:, None], columns[:width],
+                       out=flat)
+            for c, (table, plane) in enumerate(zip(tables, planes)):
+                if dense:
+                    certified[start:stop] &= table.encode_block(
+                        block, dense_bands[c], codes)
+                    plane[rows] = codes
+                    continue
+                plane[rows] = frame.codes[c]
+                if width:
+                    lo, hi, y_min, y_max = narrow_bands[c]
+                    certified[start:stop] &= table.encode_block(
+                        block, (lo[:, :width], hi[:, :width], y_min,
+                                y_max), codes)
+                    plane.reshape(-1)[flat.reshape(-1)] = \
+                        codes.reshape(-1)
             step.set(fallback_rows=int(
                 np.count_nonzero(~certified[start:stop])))
-    SCRATCH.give(block_buf)
-    fallback = np.flatnonzero(~certified)
+        start = stop
+    SCRATCH.give(block_buf, code_buf, index_buf)
+    fallback = np.sort(rank[~certified])
     if fallback.size:
         k = int(fallback.size)
         with stage("traces", dies=k, path="exact"):
-            exact = batch_biquad_traces([specs[i] for i in fallback],
-                                        stimulus, times)
+            exact = batch_biquad_traces(arrays[fallback], stimulus, times)
         with stage("encode", dies=k, path="exact"):
             for encoder, plane in zip(encoders, planes):
                 plane[fallback] = monitor_bank_codes(encoder, x, exact)

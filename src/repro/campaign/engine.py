@@ -10,7 +10,7 @@ instead of once per die through
   configuration and content-cached (:mod:`repro.campaign.cache`);
 * the hot path is array-resident end to end: spec populations
   synthesize their ``(N, samples)`` trace stacks straight from stacked
-  ``(omega0, q, gain)`` parameter arrays (no per-die
+  ``(omega0, q, gain, kind)`` parameter arrays (no per-die
   ``BiquadFilter``/``Multitone`` objects), fault-dictionary netlists
   solve as one stacked MNA sweep, the fused shared-branch encoder
   emits packed codes (:mod:`repro.campaign.batch`), and each chunk
@@ -19,14 +19,17 @@ instead of once per die through
   flat fleet-NDF kernel -- per-die ``Signature`` objects exist only
   at the diagnosis edges;
 * spec chunks of :data:`CERTIFIED_MIN_ROWS` dies or more take the
-  certified front half: one basis product per row block synthesizes
-  the traces, cached per-column y thresholds encode them, and only the
-  dies the error bound cannot certify re-run on the exact kernels --
-  the codes, and everything after them, stay the exact ones
-  (``docs/paper_map.md``);
+  certified front half: a cached golden frame and each die's proven
+  reach from the golden trace pick the columns where its code can
+  differ from the golden's, one basis product per row block
+  synthesizes only those, cached per-column y thresholds encode them
+  into golden-filled rows, and only the dies the error bound cannot
+  certify re-run on the exact kernels -- the codes, and everything
+  after them, stay the exact ones (``docs/paper_map.md``);
 * an executor layer chunks the population serially or over a process
   pool (:mod:`repro.campaign.executors`) with deterministic per-die
   seeding, so every executor yields bit-identical verdict vectors;
+  spec chunks travel as parameter arrays, never as pickled specs;
 * every clean campaign runs one parts loop: a monolithic run is one
   part, a stream (:meth:`CampaignEngine.run_stream`, or a generator of
   chunks passed to :meth:`run`) one part per chunk, keeping RSS
@@ -70,6 +73,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.campaign.batch import (
+    GoldenFrame,
     TraceBasis,
     batch_biquad_traces,
     batch_codes,
@@ -77,6 +81,7 @@ from repro.campaign.batch import (
     batch_multitone_eval,
     batch_netlist_traces,
     certified_spec_codes,
+    golden_frame,
     sample_times,
     trace_basis,
 )
@@ -105,7 +110,7 @@ from repro.core.scratch import SCRATCH
 from repro.core.signature import Signature
 from repro.core.signature_batch import SignatureBatch
 from repro.core.zones import ZoneEncoder
-from repro.filters.biquad import BiquadFilter, BiquadSpec
+from repro.filters.biquad import BiquadFilter, BiquadSpec, spec_arrays
 from repro.monitor.bank_encode import (
     ZoneThresholdTable,
     build_threshold_table,
@@ -285,6 +290,25 @@ def _trace_basis(config: CampaignConfig,
         lambda: trace_basis(config.stimulus, golden.times))
 
 
+def _golden_frame(config: CampaignConfig, golden: GoldenArtifacts,
+                  tables: Sequence[ZoneThresholdTable],
+                  basis: TraceBasis) -> GoldenFrame:
+    """The golden-relative certificate's golden side (in memory only).
+
+    Keyed like the threshold tables, on the exact kernel inputs of
+    every channel, plus the golden spec: two banks a rounding apart
+    share a golden cache entry but never a frame, whose golden codes
+    come from each bank's own exact kernel.
+    """
+    key = ("golden_frame", stimulus_key(config.stimulus),
+           int(config.samples_per_period), spec_key(config.golden_spec),
+           tuple(kernel_key(encoder)
+                 for encoder in _channel_encoders(config)))
+    return _FRONT_HALF_CACHE.get_or_compute(key, lambda: golden_frame(
+        config.golden_spec, config.stimulus, golden.times, golden.x,
+        _channel_encoders(config), tables, basis))
+
+
 def _count_fallback(dies: int) -> None:
     """Dies the certificate could not cover (recomputed exactly).
 
@@ -376,12 +400,16 @@ def _spec_chunk_ndfs(payload, cache: Optional[GoldenCache] = None
                                 Optional[SignatureBatch], int]:
     """NDFs of a chunk of Biquad design points, object-free.
 
-    ``payload`` is ``(config, specs, collect)``.  When every channel
+    ``payload`` is ``(config, specs, collect)``, the specs as
+    :class:`~repro.filters.biquad.SpecArrays` (parameter arrays pickle
+    cheaply) or a spec list (the kernels convert it through
+    :func:`~repro.filters.biquad.spec_arrays`).  When every channel
     has a threshold table, the front half is the certified one
-    (:func:`~repro.campaign.batch.certified_spec_codes`:
-    basis-synthesized traces encoded by per-column y thresholds, exact
-    recompute of every die the error bound cannot certify); otherwise
-    the exact closed-form synthesis
+    (:func:`~repro.campaign.batch.certified_spec_codes`: only the
+    columns where a die can differ from the golden are synthesized and
+    encoded by per-column y thresholds, and every die the error bound
+    cannot certify is recomputed exactly); otherwise the exact
+    closed-form synthesis
     (:func:`~repro.campaign.batch.batch_biquad_traces`) feeds the
     fused encoders.  Either way the codes, and so everything after
     them, are the exact ones.  The fourth output counts the dies the
@@ -394,9 +422,11 @@ def _spec_chunk_ndfs(payload, cache: Optional[GoldenCache] = None
     with _stage(timing, "golden"):
         golden = _golden_artifacts(config, cache)
         tables = _zone_tables(config, golden, len(specs))
-        basis = (_trace_basis(config, golden)
-                 if all(table is not None for table in tables) else None)
-    if basis is None:
+        certified = all(table is not None for table in tables)
+        if certified:
+            basis = _trace_basis(config, golden)
+            frame = _golden_frame(config, golden, tables, basis)
+    if not certified:
         with _stage(timing, "traces", dies=len(specs)):
             y = batch_biquad_traces(specs, config.stimulus, golden.times)
         values, batch = _score_code_stack(config, golden, golden.x, y,
@@ -405,7 +435,7 @@ def _spec_chunk_ndfs(payload, cache: Optional[GoldenCache] = None
         return values, timing, batch, 0
     planes, fallback = certified_spec_codes(
         specs, config.stimulus, golden.times, golden.x,
-        _channel_encoders(config), tables, basis,
+        _channel_encoders(config), tables, basis, frame,
         stage=lambda name, **attributes: _stage(timing, name,
                                                 **attributes))
     values, batch = _score_codes(config, golden, planes, timing, collect,
@@ -1001,8 +1031,9 @@ class CampaignEngine:
             [seed, NOISE_SEED_DOMAIN]).spawn(n)
         size = self._pool_chunk_size(
             n, max(1, self.config.chunk_size // repeats))
+        specs = spec_arrays(population.specs)
         outputs = self._map(_noise_chunk_ndfs, [
-            (self.config, tuple(population.specs[lo:lo + size]),
+            (self.config, specs[lo:lo + size],
              tuple(children[lo:lo + size]), repeats, three_sigma)
             for lo in range(0, n, size)])
         timing: Dict[str, float] = {}
@@ -1179,8 +1210,9 @@ class CampaignEngine:
         """Screen one part: NDFs, stage timings, batches, fallbacks.
 
         Spec and trace rows chunk over the executor through
-        :meth:`_map`: specs travel directly (picklable frozen
-        dataclasses), so no per-die CUT object exists on any path.
+        :meth:`_map`: specs travel as parameter arrays
+        (:class:`~repro.filters.biquad.SpecArrays`), so no per-die
+        object is pickled and no CUT object exists on any path.
         Cut and encoder populations run in process.  The third output
         lists the chunks' packed batches in die order (each None
         unless ``collect``); the last sums the dies the certified
@@ -1199,7 +1231,7 @@ class CampaignEngine:
         if isinstance(part, EncoderPopulation):
             return self._run_encoders(part, collect)
         if isinstance(part, SpecPopulation):
-            rows, worker = tuple(part.specs), _spec_chunk_ndfs
+            rows, worker = spec_arrays(part.specs), _spec_chunk_ndfs
         else:
             rows, worker = part.y_stack, _trace_rows_ndfs
         size = self._pool_chunk_size(len(rows), self.config.chunk_size)

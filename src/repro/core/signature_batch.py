@@ -130,16 +130,17 @@ class SignatureBatch:
         if t > 1 and np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         # Run heads: the first sample of every row plus every sample
-        # whose code differs from its predecessor.  np.nonzero on the
-        # (N, T) mask is row-major, so the flat outputs are already in
-        # CSR order.
+        # whose code differs from its predecessor.  The flat indices of
+        # the (N, T) mask are row-major, so they are already in CSR
+        # order; one divmod splits them into rows and columns.
         heads = np.ones(stack.shape, dtype=bool)
         if t > 1:
             heads[:, 1:] = stack[:, 1:] != stack[:, :-1]
-        rows, cols = np.nonzero(heads)
-        counts = np.count_nonzero(heads, axis=1)
+        flat = np.flatnonzero(heads)
+        rows, cols = np.divmod(flat, t)
+        counts = np.bincount(rows, minlength=n)
         row_offsets = np.concatenate([[0], np.cumsum(counts)])
-        run_codes = stack[rows, cols].astype(np.int64)
+        run_codes = np.take(stack, flat).astype(np.int64)
         head_times = times[cols]
         # Each run lasts until the next head in its row; the last run of
         # a row until the period.  Same subtractions as the scalar

@@ -202,23 +202,49 @@ def _cpython_complex_quot(num_r: np.ndarray, num_i: np.ndarray,
     return np.where(first, q1_r, q2_r), np.where(first, q1_i, q2_i)
 
 
-def spec_arrays(specs: Sequence[BiquadSpec]
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked ``(omega0, q, gain)`` parameter arrays of a population.
+#: The kind of each :class:`SpecArrays` code (its index here).
+BIQUAD_KINDS: Tuple[BiquadKind, ...] = tuple(BiquadKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(BIQUAD_KINDS)}
 
-    ``omega0`` replicates :attr:`BiquadSpec.omega0` exactly
-    (``2.0 * pi * f0``), so downstream array math matches the per-die
-    scalar path bit for bit.
+
+@dataclass(frozen=True)
+class SpecArrays:
+    """A spec population as stacked parameter arrays.
+
+    ``omega0`` replicates :attr:`BiquadSpec.omega0` exactly (``2.0 * pi
+    * f0``), so downstream array math matches the per-die scalar path
+    bit for bit; ``kind`` holds ``int8`` codes into
+    :data:`BIQUAD_KINDS`.  Four arrays pickle far cheaper than the
+    spec objects they stand for, so spec chunks travel to pool workers
+    in this form.  Indexing (a slice, an index array) selects dies.
     """
+
+    omega0: np.ndarray
+    q: np.ndarray
+    gain: np.ndarray
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.omega0.shape[0])
+
+    def __getitem__(self, index) -> "SpecArrays":
+        return SpecArrays(self.omega0[index], self.q[index],
+                          self.gain[index], self.kind[index])
+
+
+def spec_arrays(specs: Union[Sequence[BiquadSpec], SpecArrays]
+                ) -> SpecArrays:
+    """Stacked parameter arrays of a population (arrays pass through)."""
+    if isinstance(specs, SpecArrays):
+        return specs
     n = len(specs)
-    omega0 = np.empty(n)
-    q = np.empty(n)
-    gain = np.empty(n)
-    for i, spec in enumerate(specs):
-        omega0[i] = 2.0 * math.pi * spec.f0_hz
-        q[i] = spec.q
-        gain[i] = spec.gain
-    return omega0, q, gain
+    f0 = np.fromiter((spec.f0_hz for spec in specs), float, n)
+    return SpecArrays(
+        2.0 * math.pi * f0,
+        np.fromiter((spec.q for spec in specs), float, n),
+        np.fromiter((spec.gain for spec in specs), float, n),
+        np.fromiter((_KIND_CODES[spec.kind] for spec in specs), np.int8,
+                    n))
 
 
 def batch_transfer_arrays(omega0: np.ndarray, q: np.ndarray,
@@ -278,5 +304,6 @@ def batch_transfer(specs: Sequence[BiquadSpec], freq_hz: float
             out_r[idx] = sub_r
             out_i[idx] = sub_i
         return out_r, out_i
-    omega0, q, gain = spec_arrays(specs)
-    return batch_transfer_arrays(omega0, q, gain, kinds[0], freq_hz)
+    arrays = spec_arrays(specs)
+    return batch_transfer_arrays(arrays.omega0, arrays.q, arrays.gain,
+                                 kinds[0], freq_hz)

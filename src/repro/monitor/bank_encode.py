@@ -527,7 +527,7 @@ class ZoneThresholdTable:
             mask = (mask << 1) | int(bit)
         return mask
 
-    def bands(self, eps: float
+    def bands(self, eps: float, columns: Optional[np.ndarray] = None
               ) -> Tuple[np.ndarray, np.ndarray, float, float]:
         """Comparison planes for samples known to within ``eps`` volts.
 
@@ -537,10 +537,15 @@ class ZoneThresholdTable:
         upper``, and ``y_min <= s <= y_max`` proves ``y`` inside the
         window.  (``fl(a)`` lies within half an ulp of ``a``, and one
         ``nextafter`` step moves past it in the safe direction.)
+        With ``columns`` the planes cover only those grid columns, in
+        that order.
         """
         eps = float(eps)
-        lo = np.nextafter(self.lower - eps, -np.inf)
-        hi = np.nextafter(self.upper + eps, np.inf)
+        lower, upper = self.lower, self.upper
+        if columns is not None:
+            lower, upper = lower[:, columns], upper[:, columns]
+        lo = np.nextafter(lower - eps, -np.inf)
+        hi = np.nextafter(upper + eps, np.inf)
         y_min = float(np.nextafter(self.window[0] + eps, np.inf))
         y_max = float(np.nextafter(self.window[1] - eps, -np.inf))
         return lo, hi, y_min, y_max
@@ -558,8 +563,13 @@ class ZoneThresholdTable:
         window; ``out`` holds valid codes for certified rows only.
         """
         lo, hi, y_min, y_max = bands
-        maybe = SCRATCH.take(y.shape, dtype=np.uint8)
-        bits = SCRATCH.take(y.shape, dtype=np.uint8)
+        # Flat pooled buffers of at least a block: the golden-relative
+        # encoder's blocks vary in shape, and the pool matches shapes.
+        size = y.size
+        maybe_buf = SCRATCH.take(max(size, BLOCK_SAMPLES), dtype=np.uint8)
+        bits_buf = SCRATCH.take(max(size, BLOCK_SAMPLES), dtype=np.uint8)
+        maybe = maybe_buf[:size].reshape(y.shape)
+        bits = bits_buf[:size].reshape(y.shape)
         flags = bits.view(bool)
         np.greater_equal(y, lo[0], out=maybe.view(bool))
         np.greater(y, hi[0], out=out.view(bool))
@@ -582,7 +592,7 @@ class ZoneThresholdTable:
         mask = self.mask
         if mask:
             np.bitwise_xor(out, mask, out=out)
-        SCRATCH.give(maybe, bits)
+        SCRATCH.give(maybe_buf, bits_buf)
         return certified
 
 

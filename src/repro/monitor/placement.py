@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from repro.core.testflow import SignatureTester
 from repro.core.zones import ZoneEncoder
@@ -156,6 +155,8 @@ class BiasPlacementOptimizer:
         """Run Nelder-Mead from the current bank."""
         x0 = self.initial_vector()
         initial = self.objective(x0)
+        from scipy import optimize as _optimize  # off the import path
+
         result = _optimize.minimize(
             lambda v: -self.objective(v), x0, method="Nelder-Mead",
             options={"maxiter": max_iterations, "xatol": 5e-3,

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import signal as _signal
 
 from repro.signals.lissajous import LissajousTrace
 from repro.signals.waveform import Waveform
@@ -41,6 +40,10 @@ class BandLimiter:
 
     def apply(self, waveform: Waveform) -> Waveform:
         """Filtered copy of one waveform (causal, steady-state start)."""
+        # scipy.signal costs about a second to import; only this one
+        # pole filter needs it, so it stays off the package import path.
+        from scipy import signal as _signal
+
         if not waveform.is_uniform(rtol=1e-6):
             raise ValueError("band limiting needs a uniform time base")
         dt = waveform.sample_interval

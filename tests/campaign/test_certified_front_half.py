@@ -10,20 +10,28 @@ tests attack the proof rather than the happy path:
   equal ``encoder.code`` and exactly the driven dies fall back;
 * the trace bound ``eps`` holds on random low-, band- and high-pass
   specs and mixed-kind chunks;
+* the golden-relative certificate: the reach bounds every die's
+  distance to the golden trace, margins are edge distances rounded
+  down, reaches placed ulps either side of a margin pick exactly the
+  columns with ``m_j <= r``, narrow and dense blocks return the exact
+  planes, and non-finite dies fall back;
 * routing: banks the table rule excludes, per-die Monte-Carlo banks,
   2-D ``x`` stacks, trace rows and small chunks keep the exact kernel;
-* tables are cached under the bank's exact kernel inputs: banks a
-  rounding apart never share one;
+* tables and golden frames are cached under the banks' exact kernel
+  inputs: banks a rounding apart never share one;
+* pool chunks travel as ``SpecArrays``, never as pickled specs;
 * the ``front_half_fallback_rows_total`` counter (in the process that
   owns the campaign, whatever the executor) and the ``fallback_rows``
   span attribute count the recomputed dies.
 """
 
 import dataclasses
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.straight_zoning import (
@@ -44,15 +52,23 @@ from repro.campaign import engine as engine_module
 from repro.campaign.cache import encoder_key
 from repro.campaign.checkpoint import StreamCheckpoint
 from repro.campaign.engine import CERTIFIED_MIN_ROWS
+from repro.campaign import batch as batch_module
 from repro.campaign.batch import (
     certified_spec_codes,
+    golden_frame,
     sample_times,
     spec_trace_coefficients,
     trace_basis,
+    trace_reach,
 )
 from repro.core.testflow import SignatureTester
 from repro.core.zones import ZoneEncoder
-from repro.filters.biquad import BiquadFilter, BiquadKind, BiquadSpec
+from repro.filters.biquad import (
+    BiquadFilter,
+    BiquadKind,
+    BiquadSpec,
+    SpecArrays,
+)
 from repro.monitor.bank_encode import (
     TABLE_WINDOW,
     _from_keys,
@@ -243,14 +259,273 @@ def test_certified_spec_codes_equal_exact_mixed_kinds(grid):
     tables = [build_threshold_table(e, x) for e in encoders]
     assert all(t is not None for t in tables)
     assert len(specs) > block_rows(SAMPLES)
+    basis = trace_basis(PAPER_STIMULUS, times)
     planes, fallback = certified_spec_codes(
-        specs, PAPER_STIMULUS, times, x, encoders, tables,
-        trace_basis(PAPER_STIMULUS, times))
+        specs, PAPER_STIMULUS, times, x, encoders, tables, basis,
+        golden_frame(PAPER_BIQUAD, PAPER_STIMULUS, times, x, encoders,
+                     tables, basis))
     exact = batch_biquad_traces(specs, PAPER_STIMULUS, times)
     for encoder, plane in zip(encoders, planes):
         assert plane.dtype == np.uint8
         assert np.array_equal(plane, monitor_bank_codes(encoder, x, exact))
     assert len(specs) - 1 in fallback.tolist()
+
+
+# ----------------------------------------------------------------------
+# The golden-relative certificate
+# ----------------------------------------------------------------------
+def _frame_parts(grid, encoders):
+    times, x, __ = grid
+    tables = [build_threshold_table(encoder, x) for encoder in encoders]
+    assert all(table is not None for table in tables)
+    basis = trace_basis(PAPER_STIMULUS, times)
+    frame = golden_frame(PAPER_BIQUAD, PAPER_STIMULUS, times, x, encoders,
+                         tables, basis)
+    return tables, basis, frame
+
+
+def _exact_planes(specs, encoders, grid):
+    times, x, __ = grid
+    exact = batch_biquad_traces(specs, PAPER_STIMULUS, times)
+    return [monitor_bank_codes(encoder, x, exact) for encoder in encoders]
+
+
+class _StageLog:
+    """A ``stage`` hook that records every step's attributes."""
+
+    def __init__(self):
+        self.steps = []
+
+    def __call__(self, name, **attributes):
+        self.steps.append((name, attributes))
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def set(self, **attributes):
+        self.steps[-1][1].update(attributes)
+
+    def columns(self):
+        return [a["columns"] for name, a in self.steps
+                if name == "encode" and a.get("path") == "certified"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=_KINDS, seed=st.integers(0, 2 ** 16),
+       samples=st.sampled_from([64, 256, 1000]))
+def test_reach_bounds_the_distance_to_golden(kind, seed, samples):
+    """``D_i + eps_i + eps_g`` covers every exact sample's distance.
+
+    Random dies of one kind with f0 and Q within +-40% of a golden of
+    that kind.
+    """
+    rng = np.random.default_rng(seed)
+    golden = dataclasses.replace(PAPER_BIQUAD, kind=kind)
+    specs = [dataclasses.replace(
+        golden, f0_hz=golden.f0_hz * float(rng.uniform(0.6, 1.4)),
+        q=golden.q * float(rng.uniform(0.6, 1.4))) for __ in range(16)]
+    times = sample_times(PAPER_STIMULUS.period(), samples)
+    basis = trace_basis(PAPER_STIMULUS, times)
+    coef, eps = spec_trace_coefficients(specs, PAPER_STIMULUS, basis)
+    golden_coef, golden_eps = spec_trace_coefficients(
+        [golden], PAPER_STIMULUS, basis)
+    reach = trace_reach(coef, eps, golden_coef[0], float(golden_eps[0]))
+    exact = batch_biquad_traces(specs, PAPER_STIMULUS, times)
+    golden_trace = batch_biquad_traces([golden], PAPER_STIMULUS, times)[0]
+    observed = np.max(np.abs(exact - golden_trace), axis=1)
+    assert np.all(observed <= reach)
+
+
+def test_reach_bounds_wide_lots(grid):
+    """sigma = 0.15 lots: the bound holds and stays tight."""
+    times, __, golden = grid
+    basis = trace_basis(PAPER_STIMULUS, times)
+    golden_coef, golden_eps = spec_trace_coefficients(
+        [PAPER_BIQUAD], PAPER_STIMULUS, basis)
+    for seed in (1, 2):
+        dies = montecarlo_dies(PAPER_BIQUAD, 300, sigma_f0=0.15, seed=seed)
+        coef, eps = spec_trace_coefficients(dies.specs, PAPER_STIMULUS,
+                                            basis)
+        reach = trace_reach(coef, eps, golden_coef[0],
+                            float(golden_eps[0]))
+        exact = batch_biquad_traces(dies.specs, PAPER_STIMULUS, times)
+        observed = np.max(np.abs(exact - golden), axis=1)
+        assert np.all(observed <= reach)
+        assert np.median(reach / observed) < 1.1
+
+
+def test_frame_margins_and_golden_codes(grid):
+    """Margins are edge distances rounded down; codes are exact."""
+    times, x, golden = grid
+    encoder = table1_encoder()
+    (table,), __, frame = _frame_parts(grid, [encoder])
+    assert np.array_equal(frame.trace, golden)
+    assert np.array_equal(frame.codes[0], monitor_bank_codes(
+        encoder, x, golden[None, :])[0])
+    assert np.array_equal(frame.sorted_margins, frame.margins[frame.order])
+    assert np.all(np.diff(frame.sorted_margins) >= 0)
+    assert np.all(np.isfinite(frame.margins))  # the window caps them
+    # Any sample within m of the golden one stays on the golden's side
+    # of every band edge and inside the window; m is the distance.
+    m, y = frame.margins, golden
+    below, above = y < table.lower, y > table.upper
+    assert np.all(below | above | (m == 0.0))
+    assert np.all(np.where(below, y + m <= table.lower, True))
+    assert np.all(np.where(above, y - m >= table.upper, True))
+    assert np.all(y - m >= TABLE_WINDOW[0])
+    assert np.all(y + m <= TABLE_WINDOW[1])
+    distance = np.minimum(
+        np.where(below, table.lower - y, np.where(above, y - table.upper,
+                                                  0.0)).min(axis=0),
+        np.minimum(y - TABLE_WINDOW[0], TABLE_WINDOW[1] - y))
+    assert np.all(m <= distance)
+    assert np.allclose(m, distance, rtol=1e-12, atol=0.0)
+    assert frame.widths(np.array([np.nan, np.inf])).tolist() == \
+        [SAMPLES, SAMPLES]
+    assert frame.widths(np.array([0.0]))[0] == np.count_nonzero(
+        frame.margins <= 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_reach_a_few_ulps_around_a_margin(grid, data):
+    """Reaches placed ulps either side of a margin: planes stay exact.
+
+    Raising a die's reach is always sound (it only computes more
+    columns), so every die of a small lot gets the reach ``m_q + k``
+    ulps for a margin ``m_q`` above all their true reaches.  The
+    uncertain prefix must then hold exactly the columns with ``m_j <=
+    r`` -- column ``q`` joins it at ``k = 0`` -- and the planes must
+    equal the exact kernel's codes.
+    """
+    times, x, __ = grid
+    encoders = [table1_encoder(), ZoneEncoder(table1_bank()[::-1])]
+    tables, basis, frame = _frame_parts(grid, encoders)
+    dies = montecarlo_dies(PAPER_BIQUAD, 12, sigma_f0=0.03,
+                           seed=data.draw(st.integers(0, 2 ** 16)))
+    coef, eps = spec_trace_coefficients(dies.specs, PAPER_STIMULUS, basis)
+    true_reach = trace_reach(coef, eps, frame.coef, frame.eps)
+    above = np.flatnonzero(frame.sorted_margins > true_reach.max())
+    assume(above.size > 0)
+    q = int(above[data.draw(st.integers(0, above.size - 1))])
+    k = data.draw(st.integers(-3, 3))
+    target = float(_from_keys(int(_to_keys(frame.sorted_margins[q])) + k))
+    target = max(target, float(true_reach.max()))
+    log = _StageLog()
+    with mock.patch.object(batch_module, "trace_reach",
+                           lambda *args: np.full(len(dies), target)):
+        planes, __ = certified_spec_codes(
+            dies.specs, PAPER_STIMULUS, times, x, encoders, tables,
+            basis, frame, stage=log)
+    expected_width = int(np.count_nonzero(frame.margins <= target))
+    assert set(log.columns()) == {expected_width}
+    assert (expected_width > q) == (target >= frame.sorted_margins[q])
+    for plane, exact in zip(planes, _exact_planes(dies.specs, encoders,
+                                                  grid)):
+        assert np.array_equal(plane, exact)
+
+
+@pytest.mark.parametrize("sigma", [0.03, 0.15])
+def test_golden_relative_planes_equal_exact(grid, sigma):
+    """Narrow and dense blocks of one chunk, two channels."""
+    times, x, __ = grid
+    encoders = [table1_encoder(), second_signature_bank(-0.10, 1e-5)]
+    tables, basis, frame = _frame_parts(grid, encoders)
+    dies = montecarlo_dies(PAPER_BIQUAD, 400, sigma_f0=sigma, seed=21)
+    log = _StageLog()
+    planes, fallback = certified_spec_codes(
+        dies.specs, PAPER_STIMULUS, times, x, encoders, tables, basis,
+        frame, stage=log)
+    columns = log.columns()
+    assert min(columns) < SAMPLES
+    if sigma > 0.1:
+        assert max(columns) == SAMPLES  # some blocks are dense
+    assert fallback.size == 0
+    for plane, exact in zip(planes, _exact_planes(dies.specs, encoders,
+                                                  grid)):
+        assert np.array_equal(plane, exact)
+
+
+def test_wide_and_two_channel_lots_match_exact_path():
+    """sigma = 0.15 and two-channel lots: NDFs and verdicts are exact."""
+    encoders = [table1_encoder(), second_signature_bank(-0.10, 1e-5)]
+    engine = CampaignEngine.from_parts(encoders[0], PAPER_STIMULUS,
+                                       PAPER_BIQUAD,
+                                       samples_per_period=SAMPLES,
+                                       cache=GoldenCache())
+    times = engine.golden().times
+    for sigma, channels in ((0.15, encoders[:1]), (0.15, encoders),
+                            (0.03, encoders)):
+        dies = montecarlo_dies(PAPER_BIQUAD, 3 * CERTIFIED_MIN_ROWS,
+                               sigma_f0=sigma, seed=31)
+        y = batch_biquad_traces(dies.specs, PAPER_STIMULUS, times)
+        exact = engine.run(trace_population(y), band=0.05,
+                           encoders=channels)
+        result = engine.run(dies, band=0.05, encoders=channels)
+        assert np.array_equal(result.ndfs, exact.ndfs)
+        assert np.array_equal(result.verdicts, exact.verdicts)
+        if len(channels) > 1:
+            assert np.array_equal(result.channel_ndfs, exact.channel_ndfs)
+        assert np.array_equal(result.ndfs[:8],
+                              _per_die_ndfs(dies.specs[:8], channels[0]))
+
+
+def test_banks_a_rounding_apart_never_share_a_frame(grid):
+    """Same golden key, different kernel keys: two frames, each exact."""
+    times, x, __ = grid
+    base, nudged = table1_encoder(), _nudged_encoder(1e-12)
+    dies = montecarlo_dies(PAPER_BIQUAD, CERTIFIED_MIN_ROWS,
+                           sigma_f0=0.03, seed=14)
+    frames = []
+    for encoder in (base, nudged):
+        engine = CampaignEngine.from_parts(encoder, PAPER_STIMULUS,
+                                           PAPER_BIQUAD,
+                                           samples_per_period=SAMPLES,
+                                           cache=GoldenCache())
+        config, golden = engine.config, engine.golden()
+        tables = engine_module._zone_tables(config, golden, len(dies))
+        basis = engine_module._trace_basis(config, golden)
+        frame = engine_module._golden_frame(config, golden, tables, basis)
+        assert frame is engine_module._golden_frame(config, golden,
+                                                    tables, basis)
+        planes, __ = certified_spec_codes(
+            dies.specs, PAPER_STIMULUS, times, x, [encoder], tables,
+            basis, frame)
+        assert np.array_equal(planes[0], _exact_planes(
+            dies.specs, [encoder], grid)[0])
+        assert np.array_equal(frame.codes[0], monitor_bank_codes(
+            encoder, x, frame.trace[None, :])[0])
+        frames.append(frame)
+    assert base.fingerprint() == nudged.fingerprint()
+    assert frames[0] is not frames[1]
+    assert not np.array_equal(frames[0].margins, frames[1].margins)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_coefficients_fall_back(grid):
+    """A die whose transfer overflows takes the exact path."""
+    times, x, __ = grid
+    encoder = table1_encoder()
+    tables, basis, frame = _frame_parts(grid, [encoder])
+    specs = list(montecarlo_dies(PAPER_BIQUAD, 40, sigma_f0=0.03,
+                                 seed=15).specs)
+    specs.insert(17, BiquadSpec(1e200, 1.0))
+    coef, eps = spec_trace_coefficients(specs, PAPER_STIMULUS, basis)
+    assert not np.all(np.isfinite(coef[17]))
+    reach = trace_reach(coef, eps, frame.coef, frame.eps)
+    assert not np.isfinite(reach[17])
+    assert frame.widths(reach)[17] == SAMPLES
+    log = _StageLog()
+    planes, fallback = certified_spec_codes(
+        specs, PAPER_STIMULUS, times, x, [encoder], tables, basis, frame,
+        stage=log)
+    assert fallback.tolist() == [17]
+    assert np.array_equal(planes[0], _exact_planes(specs, [encoder],
+                                                   grid)[0])
 
 
 # ----------------------------------------------------------------------
@@ -509,6 +784,60 @@ def test_fallback_counter_counts_in_the_parent(registry, executor_cls):
     assert len(_certified_records(tracer, "stage.traces")) >= 2
     assert _fallback_total(registry) == 2.0
     assert np.array_equal(result.ndfs, _per_die_ndfs(population.specs))
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """A process pool that keeps every payload it ships."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.payloads = []
+
+    def map(self, worker, chunks):
+        chunks = list(chunks)
+        self.payloads.extend(chunks)
+        return super().map(worker, chunks)
+
+
+def _mixed_kind_lot(count, seed):
+    rng = np.random.default_rng(seed)
+    kinds = list(BiquadKind)
+    specs = [dataclasses.replace(
+        PAPER_BIQUAD, f0_hz=PAPER_BIQUAD.f0_hz * float(rng.normal(1, 0.03)),
+        kind=kinds[i % len(kinds)]) for i in range(count)]
+    return SpecPopulation(specs, np.zeros(count), np.zeros(count),
+                          [f"die{i}" for i in range(count)])
+
+
+def test_pool_ships_spec_chunks_as_parameter_arrays(registry):
+    """Mixed-kind and forced-fallback lots: pool == serial, no specs sent.
+
+    Each pool payload carries the chunk as ``SpecArrays``; beyond the
+    config (which holds the golden spec) nothing pickles a
+    ``BiquadSpec``.
+    """
+    lots = [_mixed_kind_lot(2 * CERTIFIED_MIN_ROWS + 5, seed=16),
+            _lot_with_loud_dies(2 * CERTIFIED_MIN_ROWS, seed=17)]
+    serial = CampaignEngine.from_parts(table1_encoder(), PAPER_STIMULUS,
+                                       PAPER_BIQUAD,
+                                       samples_per_period=SAMPLES,
+                                       cache=GoldenCache())
+    expected = [serial.run(lot, band=0.05) for lot in lots]
+    with _RecordingPool(2) as pool:
+        pooled = CampaignEngine.from_parts(table1_encoder(), PAPER_STIMULUS,
+                                           PAPER_BIQUAD,
+                                           samples_per_period=SAMPLES,
+                                           cache=GoldenCache(),
+                                           executor=pool)
+        results = [pooled.run(lot, band=0.05) for lot in lots]
+    for result, reference in zip(results, expected):
+        assert np.array_equal(result.ndfs, reference.ndfs)
+        assert np.array_equal(result.verdicts, reference.verdicts)
+    assert _fallback_total(registry) == 4.0  # 2 loud dies, both runs
+    assert len(pool.payloads) == 4  # two certified chunks per lot
+    for payload in pool.payloads:
+        assert isinstance(payload[1], SpecArrays)
+        assert b"BiquadSpec" not in pickle.dumps(payload[1:])
 
 
 def test_checkpoint_carries_fallback_dies():

@@ -40,12 +40,18 @@ def populations(draw, max_rows=6):
 
 
 @st.composite
-def code_stacks(draw, max_rows=5, samples=24, max_code=7):
-    """Random sampled code stacks on a shared uniform grid."""
+def code_stacks(draw, max_rows=5, max_samples=64, max_code=7):
+    """Random sampled code stacks on a shared uniform grid.
+
+    The sample count (one sample up) and the code dtype (the certified
+    encoder's ``uint8`` planes, the exact kernel's ``int64``) vary too.
+    """
     n = draw(st.integers(min_value=1, max_value=max_rows))
+    samples = draw(st.integers(min_value=1, max_value=max_samples))
+    dtype = draw(st.sampled_from([np.uint8, np.int64]))
     stack = np.asarray(
         [[draw(st.integers(min_value=0, max_value=max_code))
-          for _ in range(samples)] for _ in range(n)])
+          for _ in range(samples)] for _ in range(n)], dtype=dtype)
     times = PERIOD * np.arange(samples) / samples
     return times, stack
 

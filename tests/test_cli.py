@@ -443,3 +443,28 @@ def test_campaign_autotuned_sharded_runs(capsys):
     serial = json.loads(capsys.readouterr().out)
     for key in ("pass", "fail", "threshold", "ndf_mean", "ndf_p95"):
         assert sharded[key] == serial[key], key
+
+
+def test_cli_import_loads_no_scipy():
+    """``import repro.cli`` stays off scipy (about a second of import).
+
+    scipy is imported inside the three functions that use it
+    (``BandLimiter.apply``, the placement optimizer, the regression
+    solve).  A fresh interpreter counts the modules, so the check is
+    a count, not a timing.
+    """
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys, repro.cli; print(sum(m == 'scipy' or "
+             "m.startswith('scipy.') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
