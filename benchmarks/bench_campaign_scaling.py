@@ -517,8 +517,8 @@ def test_certified_front_half_vs_exact(bench_setup, report_writer):
     Two gates do not depend on the runner's speed: on the sigma = 0.03
     lot the ``columns`` span attribute must average at most 25% of the
     samples per die (a count, so it repeats exactly on a loaded
-    runner), and a sigma = 0.15 lot -- wide enough that many blocks
-    are dense -- must return the exact codes too.
+    runner), and a sigma = 0.15 lot -- wide enough that some blocks
+    span every column -- must return the exact codes too.
     """
     from repro.campaign.batch import (
         certified_spec_codes,

@@ -571,33 +571,31 @@ class GoldenFrame:
     Built once per configuration by :func:`golden_frame`:
 
     * ``coef``/``eps``: the golden's own coefficient row and bound;
-    * ``trace``/``codes``: the golden's exact trace and, per channel,
-      its exact ``uint8`` codes (from the exact kernels, never from a
-      cache keyed on a rounded fingerprint);
-    * ``margins[j]``: how far the golden sample of column ``j`` is
-      from the nearest band edge of any boundary of any channel's
-      table, or from a window edge, rounded down (0 inside a band or
-      outside the window);
-    * ``order``: the columns by ascending margin, ``sorted_margins``
-      their margins and ``basis`` the synthesis basis permuted into
-      that order.
+    * ``codes``: per channel, the golden's exact ``uint8`` codes (from
+      the exact kernels, never from a cache keyed on a rounded
+      fingerprint);
+    * ``order``: the columns by ascending margin -- how far the golden
+      sample of a column is from the nearest band edge of any boundary
+      of any channel's table, or from a window edge, rounded down (0
+      inside a band or outside the window);
+    * ``sorted_margins``: those margins in that order, and ``basis``
+      the synthesis basis permuted into it.
 
     A die within reach ``r`` of the golden (:func:`trace_reach`) has
-    the golden's exact code on every column with ``margins[j] > r``, so
-    only the prefix ``order[:widths(r)]`` needs synthesis and compare.
+    the golden's exact code on every column whose margin exceeds
+    ``r``, so only the prefix ``order[:widths(r)]`` needs synthesis and
+    compare.
     """
 
     coef: np.ndarray
     eps: float
-    trace: np.ndarray
     codes: Tuple[np.ndarray, ...]
-    margins: np.ndarray
     order: np.ndarray
     sorted_margins: np.ndarray
     basis: np.ndarray
 
     def widths(self, reach: np.ndarray) -> np.ndarray:
-        """Uncertain columns per die: ``#{j : margins[j] <= reach}``.
+        """Uncertain columns per die: how many margins are ``<= reach``.
 
         Every column where the reach is not finite.
         """
@@ -623,10 +621,9 @@ def golden_frame(golden_spec: BiquadSpec, stimulus: Multitone,
     times = np.asarray(times, dtype=float)
     coef, eps = spec_trace_coefficients([golden_spec], stimulus, basis)
     exact = batch_biquad_traces([golden_spec], stimulus, times)
-    trace = exact[0].copy()
+    trace = exact[0]
     codes = tuple(np.asarray(monitor_bank_codes(encoder, x, exact)[0],
                              dtype=np.uint8) for encoder in encoders)
-    SCRATCH.give(exact)
     margins = np.full(trace.shape, np.inf)
     with np.errstate(invalid="ignore"):
         for table in tables:
@@ -640,14 +637,14 @@ def golden_frame(golden_spec: BiquadSpec, stimulus: Multitone,
         margins = np.nextafter(margins, -np.inf)
         margins = np.where(np.isfinite(trace) & (margins > 0.0), margins,
                            0.0)
+    SCRATCH.give(exact)
     order = np.argsort(margins, kind="stable")
-    permuted = np.ascontiguousarray(basis.matrix[:, order])
-    for array in (margins, order, permuted, trace, *codes):
-        array.setflags(write=False)
     sorted_margins = margins[order]
-    sorted_margins.setflags(write=False)
-    return GoldenFrame(coef[0], float(eps[0]), trace, codes, margins,
-                       order, sorted_margins, permuted)
+    permuted = np.ascontiguousarray(basis.matrix[:, order])
+    for array in (order, sorted_margins, permuted, *codes):
+        array.setflags(write=False)
+    return GoldenFrame(coef[0], float(eps[0]), codes, order,
+                       sorted_margins, permuted)
 
 
 def _untimed(name: str, **attributes: object):
@@ -686,9 +683,9 @@ def certified_spec_codes(specs: Union[Sequence[BiquadSpec], SpecArrays],
     (:func:`spec_trace_coefficients`) -- and every channel's threshold
     table encodes it while it is still in cache
     (:meth:`ZoneThresholdTable.encode_block`, with the chunk's largest
-    ``eps``), into rows pre-filled with the golden codes.  A block as
-    wide as the grid is the dense block: original column order, whole
-    rows.  Dies with an uncertified sample, a computed sample outside
+    ``eps``), into rows pre-filled with the golden codes; a block as
+    wide as the grid takes the same path.  Dies with an uncertified
+    sample, a computed sample outside
     the window, or an ``eps`` above :data:`MAX_TRACE_EPS` are
     recomputed on the exact path -- :func:`batch_biquad_traces` plus
     :func:`monitor_bank_codes` per channel -- so every returned plane
@@ -714,11 +711,8 @@ def certified_spec_codes(specs: Union[Sequence[BiquadSpec], SpecArrays],
         widths, coef, eps = widths[rank], coef[rank], eps[rank]
     certified = eps <= MAX_TRACE_EPS  # NaN-safe
     eps_max = float(eps[certified].max()) if certified.any() else 0.0
-    narrow = int(widths[widths < samples].max(initial=0))
-    columns = frame.order[:narrow]
-    narrow_bands = [table.bands(eps_max, columns) for table in tables]
-    dense_bands = ([table.bands(eps_max) for table in tables]
-                   if widths[-1] == samples else None)
+    columns = frame.order[:int(widths[-1])]
+    bands = [table.bands(eps_max, columns) for table in tables]
     capacity = max(BLOCK_SAMPLES, samples)
     block_buf = SCRATCH.take(capacity)
     code_buf = SCRATCH.take(capacity, dtype=np.uint8)
@@ -730,26 +724,18 @@ def certified_spec_codes(specs: Union[Sequence[BiquadSpec], SpecArrays],
         size = (stop - start) * width
         block = block_buf[:size].reshape(stop - start, width)
         codes = code_buf[:size].reshape(block.shape)
-        dense = width == samples
+        flat = index_buf[:size].reshape(block.shape)
         if width:
             with stage("traces", dies=stop - start, path="certified"):
-                np.matmul(coef[start:stop], basis.matrix if dense
-                          else frame.basis[:, :width], out=block)
+                np.matmul(coef[start:stop], frame.basis[:, :width],
+                          out=block)
         with stage("encode", dies=stop - start, path="certified",
                    columns=width) as step:
-            if width and not dense:
-                flat = index_buf[:size].reshape(block.shape)
-                np.add((rows * samples)[:, None], columns[:width],
-                       out=flat)
-            for c, (table, plane) in enumerate(zip(tables, planes)):
-                if dense:
-                    certified[start:stop] &= table.encode_block(
-                        block, dense_bands[c], codes)
-                    plane[rows] = codes
-                    continue
-                plane[rows] = frame.codes[c]
+            np.add((rows * samples)[:, None], columns[:width], out=flat)
+            for table, golden, (lo, hi, y_min, y_max), plane in zip(
+                    tables, frame.codes, bands, planes):
+                plane[rows] = golden
                 if width:
-                    lo, hi, y_min, y_max = narrow_bands[c]
                     certified[start:stop] &= table.encode_block(
                         block, (lo[:, :width], hi[:, :width], y_min,
                                 y_max), codes)

@@ -13,8 +13,8 @@ tests attack the proof rather than the happy path:
 * the golden-relative certificate: the reach bounds every die's
   distance to the golden trace, margins are edge distances rounded
   down, reaches placed ulps either side of a margin pick exactly the
-  columns with ``m_j <= r``, narrow and dense blocks return the exact
-  planes, and non-finite dies fall back;
+  columns with ``m_j <= r``, narrow and full-width blocks return the
+  exact planes, and non-finite dies fall back;
 * routing: banks the table rule excludes, per-die Monte-Carlo banks,
   2-D ``x`` stacks, trace rows and small chunks keep the exact kernel;
 * tables and golden frames are cached under the banks' exact kernel
@@ -284,6 +284,13 @@ def _frame_parts(grid, encoders):
     return tables, basis, frame
 
 
+def _column_margins(frame):
+    """A frame's margins back in grid column order."""
+    margins = np.empty_like(frame.sorted_margins)
+    margins[frame.order] = frame.sorted_margins
+    return margins
+
+
 def _exact_planes(specs, encoders, grid):
     times, x, __ = grid
     exact = batch_biquad_traces(specs, PAPER_STIMULUS, times)
@@ -363,15 +370,14 @@ def test_frame_margins_and_golden_codes(grid):
     times, x, golden = grid
     encoder = table1_encoder()
     (table,), __, frame = _frame_parts(grid, [encoder])
-    assert np.array_equal(frame.trace, golden)
     assert np.array_equal(frame.codes[0], monitor_bank_codes(
         encoder, x, golden[None, :])[0])
-    assert np.array_equal(frame.sorted_margins, frame.margins[frame.order])
+    assert np.array_equal(np.sort(frame.order), np.arange(SAMPLES))
     assert np.all(np.diff(frame.sorted_margins) >= 0)
-    assert np.all(np.isfinite(frame.margins))  # the window caps them
+    m, y = _column_margins(frame), golden
+    assert np.all(np.isfinite(m))  # the window caps them
     # Any sample within m of the golden one stays on the golden's side
     # of every band edge and inside the window; m is the distance.
-    m, y = frame.margins, golden
     below, above = y < table.lower, y > table.upper
     assert np.all(below | above | (m == 0.0))
     assert np.all(np.where(below, y + m <= table.lower, True))
@@ -386,8 +392,7 @@ def test_frame_margins_and_golden_codes(grid):
     assert np.allclose(m, distance, rtol=1e-12, atol=0.0)
     assert frame.widths(np.array([np.nan, np.inf])).tolist() == \
         [SAMPLES, SAMPLES]
-    assert frame.widths(np.array([0.0]))[0] == np.count_nonzero(
-        frame.margins <= 0.0)
+    assert frame.widths(np.array([0.0]))[0] == np.count_nonzero(m <= 0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -421,7 +426,8 @@ def test_reach_a_few_ulps_around_a_margin(grid, data):
         planes, __ = certified_spec_codes(
             dies.specs, PAPER_STIMULUS, times, x, encoders, tables,
             basis, frame, stage=log)
-    expected_width = int(np.count_nonzero(frame.margins <= target))
+    expected_width = int(np.count_nonzero(_column_margins(frame)
+                                          <= target))
     assert set(log.columns()) == {expected_width}
     assert (expected_width > q) == (target >= frame.sorted_margins[q])
     for plane, exact in zip(planes, _exact_planes(dies.specs, encoders,
@@ -431,7 +437,7 @@ def test_reach_a_few_ulps_around_a_margin(grid, data):
 
 @pytest.mark.parametrize("sigma", [0.03, 0.15])
 def test_golden_relative_planes_equal_exact(grid, sigma):
-    """Narrow and dense blocks of one chunk, two channels."""
+    """Narrow and full-width blocks of one chunk, two channels."""
     times, x, __ = grid
     encoders = [table1_encoder(), second_signature_bank(-0.10, 1e-5)]
     tables, basis, frame = _frame_parts(grid, encoders)
@@ -443,7 +449,7 @@ def test_golden_relative_planes_equal_exact(grid, sigma):
     columns = log.columns()
     assert min(columns) < SAMPLES
     if sigma > 0.1:
-        assert max(columns) == SAMPLES  # some blocks are dense
+        assert max(columns) == SAMPLES  # some blocks span every column
     assert fallback.size == 0
     for plane, exact in zip(planes, _exact_planes(dies.specs, encoders,
                                                   grid)):
@@ -476,7 +482,7 @@ def test_wide_and_two_channel_lots_match_exact_path():
 
 def test_banks_a_rounding_apart_never_share_a_frame(grid):
     """Same golden key, different kernel keys: two frames, each exact."""
-    times, x, __ = grid
+    times, x, golden_trace = grid
     base, nudged = table1_encoder(), _nudged_encoder(1e-12)
     dies = montecarlo_dies(PAPER_BIQUAD, CERTIFIED_MIN_ROWS,
                            sigma_f0=0.03, seed=14)
@@ -498,11 +504,12 @@ def test_banks_a_rounding_apart_never_share_a_frame(grid):
         assert np.array_equal(planes[0], _exact_planes(
             dies.specs, [encoder], grid)[0])
         assert np.array_equal(frame.codes[0], monitor_bank_codes(
-            encoder, x, frame.trace[None, :])[0])
+            encoder, x, golden_trace[None, :])[0])
         frames.append(frame)
     assert base.fingerprint() == nudged.fingerprint()
     assert frames[0] is not frames[1]
-    assert not np.array_equal(frames[0].margins, frames[1].margins)
+    assert not np.array_equal(_column_margins(frames[0]),
+                              _column_margins(frames[1]))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
