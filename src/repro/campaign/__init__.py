@@ -51,7 +51,6 @@ from repro.campaign.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
     SharedMemoryExecutor,
-    chunked,
 )
 from repro.campaign.result import CampaignResult, NoiseCampaignResult
 from repro.campaign.scenarios import (
@@ -94,7 +93,6 @@ __all__ = [
     "ProcessPoolExecutor",
     "SerialExecutor",
     "SharedMemoryExecutor",
-    "chunked",
     "CampaignResult",
     "NoiseCampaignResult",
     "CutListPopulation",

@@ -40,8 +40,6 @@ index order reproduces the monolithic arrays byte for byte).
 
 from __future__ import annotations
 
-import io
-import json
 import os
 from typing import Dict, Iterable, List, Optional
 
@@ -50,10 +48,13 @@ import numpy as np
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
 from repro.obs.trace import span
-from repro.store import atomic_write_bytes
+from repro.store import atomic_write_bytes, pack_archive, unpack_archive
 
 #: Checkpoint format version (bumped on incompatible changes).
 CHECKPOINT_VERSION = 1
+
+#: Name of the archive's JSON meta member (part of the file format).
+_META = "meta"
 
 
 class CheckpointMismatch(ValueError):
@@ -157,8 +158,6 @@ class StreamCheckpoint:
         base64-encoded, in ``progress``/``done`` messages) and land
         on the far side byte-for-byte equal to a local save.
         """
-        empty = np.empty(0)
-        buffer = io.BytesIO()
         meta = {
             "version": CHECKPOINT_VERSION,
             "config_key": self.config_key,
@@ -171,11 +170,9 @@ class StreamCheckpoint:
             "chunks_done": self.chunks_done,
             "complete": self.complete,
         }
-        np.savez_compressed(
-            buffer, meta=np.asarray(json.dumps(meta)),
-            ndfs=self.values(empty), f0=self.f0_deviations(),
-            q=self.q_deviations())
-        return buffer.getvalue()
+        arrays = {"ndfs": self.values(np.empty(0)),
+                  "f0": self.f0_deviations(), "q": self.q_deviations()}
+        return pack_archive(arrays, meta, _META)
 
     def save(self, path: str) -> None:
         """Persist atomically (tmp + fsync + rename).
@@ -195,9 +192,7 @@ class StreamCheckpoint:
     @classmethod
     def from_bytes(cls, data: bytes) -> "StreamCheckpoint":
         """Inverse of :meth:`to_bytes` (same checks as :meth:`load`)."""
-        with np.load(io.BytesIO(data),
-                     allow_pickle=False) as archive:
-            return cls._from_archive(archive, "<bytes>")
+        return cls._from_archive(data, "<bytes>")
 
     @classmethod
     def load(cls, path: str) -> "StreamCheckpoint":
@@ -208,12 +203,14 @@ class StreamCheckpoint:
         an unreadable archive propagates its decode error (use
         :meth:`load_if_valid` for the degrade-to-restart path).
         """
-        with np.load(path, allow_pickle=False) as archive:
-            return cls._from_archive(archive, path)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return cls._from_archive(data, path)
 
     @classmethod
-    def _from_archive(cls, archive, source: str) -> "StreamCheckpoint":
-        meta = json.loads(str(archive["meta"]))
+    def _from_archive(cls, data: bytes, source: str
+                      ) -> "StreamCheckpoint":
+        arrays, meta = unpack_archive(data, _META)
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointMismatch(
                 f"checkpoint {source!r} has version "
@@ -221,11 +218,10 @@ class StreamCheckpoint:
                 f"{CHECKPOINT_VERSION}")
         state = cls(meta["config_key"], meta["threshold"],
                     start_index=int(meta.get("start_index", 0)))
-        ndfs = archive["ndfs"]
-        if ndfs.size:
-            state.value_parts.append(ndfs)
-            state.f0_parts.append(archive["f0"])
-            state.q_parts.append(archive["q"])
+        if arrays["ndfs"].size:
+            state.value_parts.append(arrays["ndfs"])
+            state.f0_parts.append(arrays["f0"])
+            state.q_parts.append(arrays["q"])
         state.labels = list(meta["labels"])
         state.timing = {k: float(v)
                         for k, v in meta["timing"].items()}

@@ -820,7 +820,12 @@ class CampaignEngine:
         if not streamed:
             parts = [parts]
         threshold = self._resolve_threshold(request.band)
-        config_key = repr(self.config.golden_key())
+        # golden_key() names channel 0's bank only, so a multi-channel
+        # checkpoint keys on every channel's; a single-channel key is
+        # the plain golden key.
+        keys = tuple(self.config.channel_config(k).golden_key()
+                     for k in range(self.config.num_channels))
+        config_key = repr(keys[0] if len(keys) == 1 else keys)
         state = None
         if request.checkpoint is not None:
             if request.keep_signatures:

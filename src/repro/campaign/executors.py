@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, List, Optional, TypeVar
 
 from repro.obs.trace import (SpanRecord, TraceContext, context_tracer,
                              current_trace_context, current_tracer,
@@ -48,19 +48,6 @@ def _traced_chunk_call(payload):
     finally:
         install_tracer(previous)
     return result, stamped_records(tracer)
-
-
-def chunked(items: Sequence[T], chunk_size: int) -> List[Sequence[T]]:
-    """Split any sliceable sequence into order-preserving chunks.
-
-    Works on lists, tuples and numpy arrays alike (array chunks are
-    zero-copy row views); only ``len()`` and basic slicing are
-    required of ``items``.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk size must be >= 1")
-    return [items[i:i + chunk_size]
-            for i in range(0, len(items), chunk_size)]
 
 
 class SerialExecutor:

@@ -17,7 +17,7 @@ compatible ones into a single front-half pass, and per-client metadata
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.core.decision import DecisionBand
@@ -154,14 +154,6 @@ class ScreeningRequest:
         if self.shard_autotune_s is not None \
                 and self.shard_autotune_s <= 0:
             raise ValueError("shard_autotune_s must be positive")
-
-    def with_population(self, population) -> "ScreeningRequest":
-        """Copy of this request over a different population.
-
-        The batcher uses this to re-target a client's request at its
-        packed slice bookkeeping without touching the policy fields.
-        """
-        return replace(self, population=population)
 
 
 __all__ = ["MODES", "ScreeningRequest"]

@@ -33,9 +33,9 @@ dictionary can actually tell apart.
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +50,16 @@ from repro.filters.faults import (
 )
 from repro.filters.towthomas import TowThomasValues
 from repro.obs.trace import span
+from repro.store import (
+    atomic_write_bytes,
+    pack_archive,
+    signature_from_runs,
+    signature_runs,
+    unpack_archive,
+)
+
+#: Name of a dictionary file's JSON meta member (part of the format).
+_META = "meta"
 
 #: Parametric deviation classes compiled into the default dictionary:
 #: clearly-failing shifts of each behavioural parameter, one class per
@@ -180,19 +190,27 @@ class FaultDictionary:
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
-    def save(self, path) -> str:
-        """Serialize to a ``.npz`` archive (portable, content-complete).
+    def to_arrays(self) -> Tuple[Dict[str, np.ndarray], Dict]:
+        """The dictionary as archive ``(arrays, meta)``.
 
-        Everything needed to rebuild the dictionary travels in the
-        archive: the packed CSR arrays, the golden signature's runs,
-        the feature matrix and a JSON header with the fault universe.
-        Returns the actual file path written: ``numpy.savez`` appends
-        ``.npz`` to bare names, so the suffix is normalized here
-        rather than silently diverging from the requested path.
+        This is the one dictionary codec: :meth:`save`, each channel
+        of :meth:`MultiFaultDictionary.save` and the artifact store all
+        write it.  The arrays are the packed CSR rows, NDFs, features
+        and the golden signature's runs; ``meta`` holds the scalars and
+        the fault universe.
         """
-        path = str(path)
-        if not path.endswith(".npz"):
-            path += ".npz"
+        golden_codes, golden_durations = signature_runs(
+            self.golden_signature)
+        arrays = {
+            "codes": self.batch.codes,
+            "durations": self.batch.durations,
+            "row_offsets": self.batch.row_offsets,
+            "periods": self.batch.periods,
+            "ndfs": self.ndfs,
+            "features": self.features,
+            "golden_codes": golden_codes,
+            "golden_durations": golden_durations,
+        }
         meta = {
             "num_bits": int(self.num_bits),
             "period": float(self.period),
@@ -203,17 +221,35 @@ class FaultDictionary:
                         "deviation": float(fault.deviation)}
                        for fault in self.faults],
         }
-        np.savez_compressed(
-            path,
-            codes=self.batch.codes, durations=self.batch.durations,
-            row_offsets=self.batch.row_offsets,
-            periods=self.batch.periods,
-            ndfs=self.ndfs, features=self.features,
-            golden_codes=np.asarray(self.golden_signature.codes(),
-                                    dtype=np.int64),
-            golden_durations=self.golden_signature.durations(),
-            meta=np.asarray(json.dumps(meta)))
-        return path
+        return arrays, meta
+
+    @classmethod
+    def from_arrays(cls, arrays: Dict[str, np.ndarray],
+                    meta: Dict) -> "FaultDictionary":
+        """Inverse of :meth:`to_arrays`."""
+        period = float(meta["period"])
+        batch = SignatureBatch(arrays["codes"], arrays["durations"],
+                               arrays["row_offsets"], arrays["periods"])
+        faults = [Fault(FaultKind(entry["kind"]), entry["target"],
+                        entry["deviation"]) for entry in meta["faults"]]
+        return cls(batch=batch, ndfs=arrays["ndfs"],
+                   features=arrays["features"], faults=faults,
+                   golden_signature=signature_from_runs(
+                       arrays["golden_codes"],
+                       arrays["golden_durations"], period),
+                   num_bits=int(meta["num_bits"]), period=period,
+                   threshold=meta["threshold"])
+
+    def save(self, path) -> str:
+        """Serialize to a ``.npz`` archive (portable, content-complete).
+
+        Everything needed to rebuild the dictionary travels in the
+        archive (:meth:`to_arrays`).  The write is atomic: a crash
+        mid-save leaves the previous file.  Returns the actual file
+        path written: ``.npz`` is appended to bare names, as
+        ``numpy.savez`` does.
+        """
+        return _write_archive(path, *self.to_arrays())
 
     @classmethod
     def load(cls, path) -> "FaultDictionary":
@@ -222,31 +258,31 @@ class FaultDictionary:
         Accepts the path with or without the ``.npz`` suffix (save
         normalizes to ``.npz``).
         """
-        import os
+        return cls.from_arrays(*_read_archive(path))
 
-        path = str(path)
-        if not os.path.exists(path) and not path.endswith(".npz") \
-                and os.path.exists(path + ".npz"):
-            path += ".npz"
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            batch = SignatureBatch(archive["codes"],
-                                   archive["durations"],
-                                   archive["row_offsets"],
-                                   archive["periods"])
-            golden = Signature.from_pairs(
-                zip(archive["golden_codes"].tolist(),
-                    archive["golden_durations"].tolist()),
-                meta["period"])
-            faults = [Fault(FaultKind(entry["kind"]), entry["target"],
-                            entry["deviation"])
-                      for entry in meta["faults"]]
-            return cls(batch=batch, ndfs=archive["ndfs"],
-                       features=archive["features"], faults=faults,
-                       golden_signature=golden,
-                       num_bits=meta["num_bits"],
-                       period=meta["period"],
-                       threshold=meta["threshold"])
+
+def _write_archive(path, arrays: Dict[str, np.ndarray], meta: Dict
+                   ) -> str:
+    """Atomically write a dictionary file; the path written.
+
+    Bare names gain the ``.npz`` suffix.
+    """
+    path = str(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    atomic_write_bytes(path, pack_archive(arrays, meta, _META))
+    return path
+
+
+def _read_archive(path) -> Tuple[Dict[str, np.ndarray], Dict]:
+    """``(arrays, meta)`` of a dictionary file, found by the name
+    given or, for a bare name, that name plus ``.npz``."""
+    path = str(path)
+    if not os.path.exists(path) and not path.endswith(".npz") \
+            and os.path.exists(path + ".npz"):
+        path += ".npz"
+    with open(path, "rb") as handle:
+        return unpack_archive(handle.read(), _META)
 
 
 @dataclass
@@ -320,54 +356,31 @@ class MultiFaultDictionary:
     def save(self, path) -> str:
         """Serialize all K channels into one ``.npz`` archive.
 
-        Mirrors :meth:`FaultDictionary.save`: channel ``k``'s packed
-        CSR arrays, NDFs, features and golden runs travel under
-        ``ch{k}_``-prefixed names, and one JSON header carries the
-        shared fault universe plus per-channel scalars and encoder
+        Channel ``k``'s :meth:`FaultDictionary.to_arrays` arrays travel
+        under ``ch{k}_``-prefixed names, and one JSON header carries
+        the shared fault universe plus per-channel scalars and encoder
         fingerprints.  Encoders themselves are *not* serialized (they
         are live objects); :meth:`load` re-attaches the ones you pass
-        it after checking their fingerprints against the header.
-        Returns the actual path written (``.npz`` suffix normalized).
+        it after checking their fingerprints against the header.  The
+        write is atomic, like :meth:`FaultDictionary.save`, and returns
+        the actual path written (``.npz`` suffix normalized).
         """
         from repro.campaign.cache import encoder_key
 
-        path = str(path)
-        if not path.endswith(".npz"):
-            path += ".npz"
         arrays = {}
         channel_meta = []
-        for k, channel in enumerate(self.channels):
-            prefix = f"ch{k}_"
-            arrays[prefix + "codes"] = channel.batch.codes
-            arrays[prefix + "durations"] = channel.batch.durations
-            arrays[prefix + "row_offsets"] = channel.batch.row_offsets
-            arrays[prefix + "periods"] = channel.batch.periods
-            arrays[prefix + "ndfs"] = channel.ndfs
-            arrays[prefix + "features"] = channel.features
-            arrays[prefix + "golden_codes"] = np.asarray(
-                channel.golden_signature.codes(), dtype=np.int64)
-            arrays[prefix + "golden_durations"] = \
-                channel.golden_signature.durations()
-            encoder = self.encoders[k]
-            channel_meta.append({
-                "num_bits": int(channel.num_bits),
-                "period": float(channel.period),
-                "threshold": (None if channel.threshold is None
-                              else float(channel.threshold)),
-                "encoder_fingerprint": (None if encoder is None
-                                        else encoder_key(encoder)),
-            })
-        meta = {
-            "num_channels": len(self.channels),
-            "channels": channel_meta,
-            "faults": [{"kind": fault.kind.value,
-                        "target": fault.target,
-                        "deviation": float(fault.deviation)}
-                       for fault in self.faults],
-        }
-        np.savez_compressed(path, meta=np.asarray(json.dumps(meta)),
-                            **arrays)
-        return path
+        for k, (channel, encoder) in enumerate(zip(self.channels,
+                                                   self.encoders)):
+            channel_arrays, entry = channel.to_arrays()
+            faults = entry.pop("faults")
+            arrays.update((f"ch{k}_{name}", value)
+                          for name, value in channel_arrays.items())
+            entry["encoder_fingerprint"] = (None if encoder is None
+                                            else encoder_key(encoder))
+            channel_meta.append(entry)
+        meta = {"num_channels": len(self.channels),
+                "channels": channel_meta, "faults": faults}
+        return _write_archive(path, arrays, meta)
 
     @classmethod
     def load(cls, path, encoders=None) -> "MultiFaultDictionary":
@@ -382,56 +395,36 @@ class MultiFaultDictionary:
         ``engine.run(..., encoders=...)`` then needs the real banks
         from elsewhere.
         """
-        import os
-
         from repro.campaign.cache import encoder_key
 
-        path = str(path)
-        if not os.path.exists(path) and not path.endswith(".npz") \
-                and os.path.exists(path + ".npz"):
-            path += ".npz"
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            num_channels = int(meta["num_channels"])
-            if encoders is not None:
-                encoders = list(encoders)
-                if len(encoders) != num_channels:
+        arrays, meta = _read_archive(path)
+        num_channels = int(meta["num_channels"])
+        if encoders is not None:
+            encoders = list(encoders)
+            if len(encoders) != num_channels:
+                raise ValueError(
+                    f"archive holds {num_channels} channels but "
+                    f"{len(encoders)} encoders were given")
+        channels = []
+        for k in range(num_channels):
+            entry = meta["channels"][k]
+            if encoders is not None and encoders[k] is not None:
+                saved = entry.get("encoder_fingerprint")
+                live = encoder_key(encoders[k])
+                if saved is not None and saved != live:
                     raise ValueError(
-                        f"archive holds {num_channels} channels but "
-                        f"{len(encoders)} encoders were given")
-            faults = [Fault(FaultKind(entry["kind"]), entry["target"],
-                            entry["deviation"])
-                      for entry in meta["faults"]]
-            channels = []
-            for k in range(num_channels):
-                prefix = f"ch{k}_"
-                entry = meta["channels"][k]
-                if encoders is not None and encoders[k] is not None:
-                    saved = entry.get("encoder_fingerprint")
-                    live = encoder_key(encoders[k])
-                    if saved is not None and saved != live:
-                        raise ValueError(
-                            f"channel {k} encoder fingerprint "
-                            f"mismatch: archive has {saved!r}, "
-                            f"given bank has {live!r}")
-                batch = SignatureBatch(archive[prefix + "codes"],
-                                       archive[prefix + "durations"],
-                                       archive[prefix + "row_offsets"],
-                                       archive[prefix + "periods"])
-                golden = Signature.from_pairs(
-                    zip(archive[prefix + "golden_codes"].tolist(),
-                        archive[prefix + "golden_durations"].tolist()),
-                    entry["period"])
-                channels.append(FaultDictionary(
-                    batch=batch, ndfs=archive[prefix + "ndfs"],
-                    features=archive[prefix + "features"],
-                    faults=faults, golden_signature=golden,
-                    num_bits=entry["num_bits"],
-                    period=entry["period"],
-                    threshold=entry["threshold"]))
-            return cls(channels,
-                       encoders if encoders is not None
-                       else [None] * num_channels)
+                        f"channel {k} encoder fingerprint "
+                        f"mismatch: archive has {saved!r}, "
+                        f"given bank has {live!r}")
+            prefix = f"ch{k}_"
+            channels.append(FaultDictionary.from_arrays(
+                {name[len(prefix):]: value
+                 for name, value in arrays.items()
+                 if name.startswith(prefix)},
+                {**entry, "faults": meta["faults"]}))
+        return cls(channels,
+                   encoders if encoders is not None
+                   else [None] * num_channels)
 
 
 def compile_multi_fault_dictionary(engine, encoders,

@@ -66,6 +66,9 @@ STORE_ENV_VAR = "REPRO_STORE"
 #: Index format version (bumped on incompatible layout changes).
 INDEX_VERSION = 1
 
+#: Name of a payload's JSON meta member (part of the payload format).
+_META = "__meta__"
+
 
 def default_store_root() -> str:
     """``$REPRO_STORE`` when set, else ``~/.repro/store``."""
@@ -131,6 +134,35 @@ def atomic_write_bytes(path: str, data: bytes,
             except OSError:  # pragma: no cover
                 pass
     _fsync_directory(directory)
+
+
+def pack_archive(arrays: Dict[str, np.ndarray], meta: Dict,
+                 meta_name: str) -> bytes:
+    """One persisted artifact as compressed ``.npz`` bytes.
+
+    ``meta`` travels as a JSON string member named ``meta_name`` (each
+    format's own constant), ahead of ``arrays``.  Every artifact the
+    package persists -- store payloads, checkpoints, dictionary files
+    -- is written through here.
+    """
+    buffer = io.BytesIO()
+    np.savez_compressed(
+        buffer, **{meta_name: np.asarray(json.dumps(meta))}, **arrays)
+    return buffer.getvalue()
+
+
+def unpack_archive(data: bytes, meta_name: str
+                   ) -> Tuple[Dict[str, np.ndarray], Dict]:
+    """Inverse of :func:`pack_archive`: ``(arrays, meta)``.
+
+    Archives are read with ``allow_pickle=False``: a persisted file is
+    data, never code.  An undecodable archive raises.
+    """
+    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
+        meta = json.loads(str(archive[meta_name]))
+        arrays = {name: archive[name] for name in archive.files
+                  if name != meta_name}
+    return arrays, meta
 
 
 @dataclass(frozen=True)
@@ -275,13 +307,8 @@ class ArtifactStore:
         kid = key_id(key)
         kind = str(key[0]) if isinstance(key, tuple) and key else "raw"
         with span("store.put", kind=kind):
-            buffer = io.BytesIO()
-            np.savez_compressed(
-                buffer,
-                __meta__=np.asarray(json.dumps(meta if meta is not None
-                                               else {})),
-                **arrays)
-            data = buffer.getvalue()
+            data = pack_archive(arrays, meta if meta is not None else {},
+                                _META)
             digest = hashlib.sha256(data).hexdigest()
             filename = kid + ".npz"
             path = os.path.join(self.objects_dir, filename)
@@ -331,12 +358,7 @@ class ArtifactStore:
                 sp.set(outcome="quarantined")
                 return None
             try:
-                with np.load(io.BytesIO(data),
-                             allow_pickle=False) as archive:
-                    meta = json.loads(str(archive["__meta__"]))
-                    arrays = {name: archive[name]
-                              for name in archive.files
-                              if name != "__meta__"}
+                arrays, meta = unpack_archive(data, _META)
             except Exception:
                 # Checksum matched but the archive is undecodable
                 # (e.g. a truncated payload whose checksum was
@@ -443,13 +465,15 @@ class _Codec:
     decode: Callable
 
 
-def _signature_arrays(signature) -> Tuple[np.ndarray, np.ndarray]:
+def signature_runs(signature) -> Tuple[np.ndarray, np.ndarray]:
+    """A signature's ``(codes, durations)`` runs as archive arrays."""
     return (np.asarray(signature.codes(), dtype=np.int64),
             np.asarray(signature.durations(), dtype=float))
 
 
-def _signature_from_arrays(codes: np.ndarray, durations: np.ndarray,
-                           period: float):
+def signature_from_runs(codes: np.ndarray, durations: np.ndarray,
+                        period: float):
+    """Inverse of :func:`signature_runs`."""
     from repro.core.signature import Signature
 
     return Signature.from_pairs(
@@ -457,7 +481,7 @@ def _signature_from_arrays(codes: np.ndarray, durations: np.ndarray,
 
 
 def _encode_golden(artifacts) -> Tuple[Dict[str, np.ndarray], Dict]:
-    codes, durations = _signature_arrays(artifacts.signature)
+    codes, durations = signature_runs(artifacts.signature)
     arrays = {
         "times": artifacts.times,
         "x": artifacts.x,
@@ -473,8 +497,8 @@ def _decode_golden(arrays: Dict[str, np.ndarray], meta: Dict):
     from repro.campaign.cache import GoldenArtifacts
 
     period = float(meta["period"])
-    signature = _signature_from_arrays(arrays["sig_codes"],
-                                       arrays["sig_durations"], period)
+    signature = signature_from_runs(arrays["sig_codes"],
+                                    arrays["sig_durations"], period)
     return GoldenArtifacts(
         times=arrays["times"], x=arrays["x"], y=arrays["y"],
         codes=arrays["codes"], signature=signature, period=period)
@@ -492,47 +516,10 @@ def _decode_calibration(arrays: Dict[str, np.ndarray], meta: Dict):
     return ThresholdCalibration(arrays["deviations"], arrays["ndfs"])
 
 
-def _encode_dictionary(dictionary) -> Tuple[Dict[str, np.ndarray], Dict]:
-    codes, durations = _signature_arrays(dictionary.golden_signature)
-    arrays = {
-        "codes": dictionary.batch.codes,
-        "durations": dictionary.batch.durations,
-        "row_offsets": dictionary.batch.row_offsets,
-        "periods": dictionary.batch.periods,
-        "ndfs": dictionary.ndfs,
-        "features": dictionary.features,
-        "golden_codes": codes,
-        "golden_durations": durations,
-    }
-    meta = {
-        "num_bits": int(dictionary.num_bits),
-        "period": float(dictionary.period),
-        "threshold": (None if dictionary.threshold is None
-                      else float(dictionary.threshold)),
-        "faults": [{"kind": fault.kind.value, "target": fault.target,
-                    "deviation": float(fault.deviation)}
-                   for fault in dictionary.faults],
-    }
-    return arrays, meta
-
-
 def _decode_dictionary(arrays: Dict[str, np.ndarray], meta: Dict):
-    from repro.core.signature_batch import SignatureBatch
     from repro.diagnosis.dictionary import FaultDictionary
-    from repro.filters.faults import Fault, FaultKind
 
-    period = float(meta["period"])
-    batch = SignatureBatch(arrays["codes"], arrays["durations"],
-                           arrays["row_offsets"], arrays["periods"])
-    golden = _signature_from_arrays(arrays["golden_codes"],
-                                    arrays["golden_durations"], period)
-    faults = [Fault(FaultKind(entry["kind"]), entry["target"],
-                    entry["deviation"]) for entry in meta["faults"]]
-    return FaultDictionary(
-        batch=batch, ndfs=arrays["ndfs"], features=arrays["features"],
-        faults=faults, golden_signature=golden,
-        num_bits=int(meta["num_bits"]), period=period,
-        threshold=meta["threshold"])
+    return FaultDictionary.from_arrays(arrays, meta)
 
 
 #: Persistable cache-key kinds (key[0]) and their codecs.  Multi-channel
@@ -540,7 +527,8 @@ def _decode_dictionary(arrays: Dict[str, np.ndarray], meta: Dict):
 _CODECS: Dict[str, _Codec] = {
     "golden": _Codec(_encode_golden, _decode_golden),
     "calibration": _Codec(_encode_calibration, _decode_calibration),
-    "fault_dictionary": _Codec(_encode_dictionary, _decode_dictionary),
+    "fault_dictionary": _Codec(lambda dictionary: dictionary.to_arrays(),
+                               _decode_dictionary),
 }
 
 
@@ -562,5 +550,9 @@ __all__ = [
     "atomic_write_bytes",
     "default_store_root",
     "key_id",
+    "pack_archive",
     "persistable_kinds",
+    "signature_from_runs",
+    "signature_runs",
+    "unpack_archive",
 ]

@@ -9,7 +9,6 @@ from repro.campaign import (
     GoldenCache,
     ProcessPoolExecutor,
     SerialExecutor,
-    chunked,
     montecarlo_dies,
     stream_montecarlo_dies,
     trace_population,
@@ -28,28 +27,6 @@ def _config(chunk_size=16):
     return CampaignConfig(table1_encoder(), PAPER_STIMULUS,
                           PAPER_BIQUAD, samples_per_period=512,
                           chunk_size=chunk_size)
-
-
-def test_chunked_preserves_order_and_content():
-    items = list(range(10))
-    chunks = chunked(items, 3)
-    assert [list(c) for c in chunks] == [[0, 1, 2], [3, 4, 5],
-                                         [6, 7, 8], [9]]
-    assert chunked([], 3) == []
-    with pytest.raises(ValueError):
-        chunked(items, 0)
-
-
-def test_chunked_accepts_numpy_arrays():
-    """Arrays chunk into zero-copy row views, 1-D and 2-D alike."""
-    flat = np.arange(7)
-    chunks = chunked(flat, 3)
-    assert [c.tolist() for c in chunks] == [[0, 1, 2], [3, 4, 5], [6]]
-    assert all(c.base is flat for c in chunks)
-    stack = np.arange(12).reshape(4, 3)
-    rows = chunked(stack, 3)
-    assert [c.shape for c in rows] == [(3, 3), (1, 3)]
-    assert np.array_equal(np.vstack(rows), stack)
 
 
 def test_serial_executor_maps_in_order():

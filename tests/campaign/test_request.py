@@ -52,14 +52,6 @@ def test_request_rejects_unknown_mode():
         ScreeningRequest(mode="batch")
 
 
-def test_with_population_replaces_only_population():
-    request = ScreeningRequest(band=0.1, keep_signatures=True)
-    other = request.with_population([1, 2, 3])
-    assert other.population == (1, 2, 3) or other.population == [1, 2, 3]
-    assert other.band == 0.1
-    assert other.keep_signatures
-
-
 # ----------------------------------------------------------------------
 # submit() dispatch vs the legacy entry points
 # ----------------------------------------------------------------------

@@ -245,3 +245,49 @@ def test_multi_load_rejects_wrong_encoders(multi_dictionary,
         MultiFaultDictionary.load(
             path,
             encoders=list(reversed(multi_dictionary.encoders)))
+
+
+@pytest.mark.parametrize("kind", ["single", "multi"])
+def test_save_is_atomic(kind, dictionary, multi_dictionary, tmp_path,
+                        monkeypatch):
+    """A save that dies before its rename leaves the earlier file
+
+    loadable and no temp file behind."""
+    import os
+
+    from repro.diagnosis import MultiFaultDictionary
+
+    saved = dictionary if kind == "single" else multi_dictionary
+    cls = FaultDictionary if kind == "single" else MultiFaultDictionary
+    path = saved.save(tmp_path / "dictionary.npz")
+    with open(path, "rb") as handle:
+        before = handle.read()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before rename")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="simulated"):
+            saved.save(path)
+    with open(path, "rb") as handle:
+        assert handle.read() == before
+    assert cls.load(path).labels == saved.labels
+    assert sorted(os.listdir(tmp_path)) == ["dictionary.npz"]
+
+
+def test_multi_load_strips_exact_channel_prefix(dictionary, tmp_path):
+    """With eleven channels, ``ch1_`` must not pick up ``ch10_``."""
+    from dataclasses import replace
+
+    from repro.diagnosis import MultiFaultDictionary
+
+    channels = [replace(dictionary, ndfs=dictionary.ndfs + k)
+                for k in range(11)]
+    multi = MultiFaultDictionary(channels, [None] * 11)
+    loaded = MultiFaultDictionary.load(multi.save(tmp_path / "wide"))
+    assert loaded.num_channels == 11
+    for k in range(11):
+        assert np.array_equal(loaded.channel(k).ndfs, channels[k].ndfs)
+        assert np.array_equal(loaded.channel(k).batch.codes,
+                              dictionary.batch.codes)

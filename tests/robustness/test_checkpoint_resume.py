@@ -185,3 +185,59 @@ def test_checkpointed_stream_rejects_keep_signatures(small_engine,
         small_engine.run_stream(_chunks(), band="auto",
                                 keep_signatures=True,
                                 checkpoint=str(tmp_path / "ck.npz"))
+
+
+# ----------------------------------------------------------------------
+# Multi-channel checkpoints name every channel's bank
+# ----------------------------------------------------------------------
+def _banks(second):
+    from repro.monitor.configurations import table1_encoder
+    from repro.monitor.second_signature import candidate_by_name
+
+    return [table1_encoder(), candidate_by_name(second).encoder]
+
+
+def _crash_two_channel(engine, ck, second):
+    with inject("stream.chunk.crash", times=1, after=1):
+        with pytest.raises(FaultInjected):
+            engine.run_stream(_chunks(), band="auto",
+                              encoders=_banks(second), checkpoint=ck)
+
+
+def test_multi_channel_resume_rejects_another_second_bank(small_engine,
+                                                          tmp_path):
+    """The checkpoint key covers the extra channels too: resuming
+
+    under a different second bank would splice two banks' NDFs."""
+    ck = str(tmp_path / "campaign.npz")
+    _crash_two_channel(small_engine, ck, "bias-0.10")
+    with pytest.raises(CheckpointMismatch):
+        small_engine.run_stream(_chunks(), band="auto",
+                                encoders=_banks("bias+0.10"),
+                                checkpoint=ck)
+
+
+def test_multi_channel_checkpoint_rejects_single_channel_resume(
+        small_engine, tmp_path):
+    ck = str(tmp_path / "campaign.npz")
+    _crash_two_channel(small_engine, ck, "bias-0.10")
+    with pytest.raises(CheckpointMismatch):
+        small_engine.resume(ck, _chunks())
+
+
+def test_multi_channel_resume_under_same_banks_is_bit_identical(
+        small_engine, tmp_path):
+    ck = str(tmp_path / "campaign.npz")
+    reference = small_engine.run_stream(_chunks(), band="auto",
+                                        encoders=_banks("bias-0.10"))
+    _crash_two_channel(small_engine, ck, "bias-0.10")
+    assert StreamCheckpoint.load(ck).next_index == 2 * CHUNK
+    resumed = small_engine.run_stream(_chunks(), band="auto",
+                                      encoders=_banks("bias-0.10"),
+                                      checkpoint=ck)
+    _assert_identical(resumed, reference)
+    assert resumed.num_channels == 2
+    np.testing.assert_array_equal(resumed.channel_ndfs,
+                                  reference.channel_ndfs)
+    np.testing.assert_array_equal(resumed.channel_verdicts,
+                                  reference.channel_verdicts)

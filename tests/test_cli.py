@@ -219,6 +219,19 @@ def test_diagnose_json_and_save_load(capsys, tmp_path):
                for m in loaded["diagnosis"]["matches"])
 
 
+def test_diagnose_load_reports_what_save_compiled(capsys, tmp_path):
+    """A saved dictionary loads back into the same report."""
+    import json
+
+    path = str(tmp_path / "dictionary.npz")
+    flags = ["diagnose", "--samples", "256", "--per-fault", "0", "--json"]
+    assert main(flags + ["--save", path]) == 0
+    compiled = json.loads(capsys.readouterr().out)
+    assert compiled.pop("saved") == path
+    assert main(flags + ["--load", path]) == 0
+    assert json.loads(capsys.readouterr().out) == compiled
+
+
 def test_diagnose_catastrophic_only(capsys):
     import json
 
