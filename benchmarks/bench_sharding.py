@@ -32,6 +32,18 @@ PR 10 adds the transport comparison:
   for the socket run land in ``BENCH_10.json`` so protocol-volume
   regressions show up in the committed baseline.
 
+The checkpoint codec gate:
+
+* **checkpoint bytes cost** -- a shard worker saves its whole growing
+  checkpoint after every chunk, so ``test_checkpoint_bytes_cost``
+  rebuilds the 40 states a 10,000-die stream in 256-die chunks saves
+  and sums ``StreamCheckpoint.to_bytes`` over them.  The sum must stay
+  within ``CHECKPOINT_COST_SHARE`` of the same stream's wall time
+  without a checkpoint.  Its sizes are fixed (they ignore
+  ``SHARD_BENCH_N``): the cost grows with the dies saved, so a reduced
+  fleet would show nothing.  fsync is left out; it depends on the
+  disk, not the codec.
+
 Sizes honour ``SHARD_BENCH_N`` (fleet, default 20000),
 ``SHARD_BENCH_CHUNK`` (worker chunk, default 512),
 ``SHARD_BENCH_SHARDS`` (comma list, default ``1,2,4``),
@@ -54,7 +66,11 @@ import time
 
 import numpy as np
 
-from repro.campaign import CampaignEngine, stream_montecarlo_dies
+from repro.campaign import (
+    CampaignEngine,
+    StreamCheckpoint,
+    stream_montecarlo_dies,
+)
 from repro.monitor.configurations import table1_encoder
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.obs.metrics import default_registry
@@ -79,6 +95,14 @@ SEED = 0
 #: large enough that compute dwarfs worker startup.
 SPEEDUP_MIN_DIES = 5000
 SPEEDUP_FACTOR = 2.0
+
+#: The checkpoint cost gate's fixed shard: dies, chunk, samples.
+CHECKPOINT_DIES = 10000
+CHECKPOINT_CHUNK = 256
+CHECKPOINT_SAMPLES = 512
+#: Encoding every per-chunk checkpoint may cost at most this share of
+#: the shard's screening wall time.
+CHECKPOINT_COST_SHARE = 0.25
 
 
 def _assert_bit_identical(result, reference) -> None:
@@ -312,3 +336,72 @@ def test_socket_vs_pipe_transport_overhead():
     assert socket_s <= pipe_s * TCP_TOLERANCE + STARTUP_S, (
         f"TCP campaign took {socket_s:.2f}s vs pipe {pipe_s:.2f}s "
         f"(allowed factor {TCP_TOLERANCE} + {STARTUP_S}s dial-in)")
+
+
+def test_checkpoint_bytes_cost():
+    """Encoding a shard's per-chunk checkpoints stays a small share of
+    screening it.
+
+    A shard worker saves after every chunk, each time the whole state
+    so far.  The gate rebuilds those states from one uncheckpointed
+    stream and times ``to_bytes`` over all of them.
+    """
+    engine = CampaignEngine.from_parts(
+        table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
+        samples_per_period=CHECKPOINT_SAMPLES)
+    engine.golden()
+    threshold = engine.band().threshold
+    fleet = MonteCarloFleet(PAPER_BIQUAD, CHECKPOINT_DIES,
+                            sigma_f0=SIGMA, seed=SEED,
+                            chunk_size=CHECKPOINT_CHUNK)
+    # Warm the per-process front-half tables outside the timed run.
+    engine.run_stream(fleet.chunks(0, CHECKPOINT_CHUNK), band=threshold)
+
+    start = time.perf_counter()
+    result = engine.run_stream(fleet.chunks(0, CHECKPOINT_DIES),
+                               band=threshold)
+    stream_s = time.perf_counter() - start
+
+    state = StreamCheckpoint(repr(engine.config.golden_key()),
+                             result.threshold)
+    timing = {key: 0.0 for key in result.timing}
+    encode_s = 0.0
+    saves = 0
+    size = 0
+    for lo in range(0, CHECKPOINT_DIES, CHECKPOINT_CHUNK):
+        hi = min(lo + CHECKPOINT_CHUNK, CHECKPOINT_DIES)
+        state.extend(result.ndfs[lo:hi], result.f0_deviations[lo:hi],
+                     result.q_deviations[lo:hi],
+                     list(result.labels[lo:hi]), timing)
+        start = time.perf_counter()
+        size = len(state.to_bytes())
+        encode_s += time.perf_counter() - start
+        saves += 1
+    assert saves == 40
+    assert StreamCheckpoint.from_bytes(state.to_bytes()).labels \
+        == list(result.labels)
+
+    share = encode_s / stream_s
+    payload = {
+        "dies": CHECKPOINT_DIES,
+        "chunk": CHECKPOINT_CHUNK,
+        "samples_per_period": CHECKPOINT_SAMPLES,
+        "saves": saves,
+        "stream_s": stream_s,
+        "encode_s": encode_s,
+        "share": share,
+        "gate_share": CHECKPOINT_COST_SHARE,
+        "last_checkpoint_bytes": size,
+    }
+    REPORT_DIR.mkdir(exist_ok=True)
+    path = REPORT_DIR / "checkpoint_cost.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                    + "\n")
+    print(f"\ncheckpoint cost: {saves} saves of a {CHECKPOINT_DIES}-die "
+          f"shard encode in {encode_s * 1e3:.1f} ms vs "
+          f"{stream_s * 1e3:.1f} ms screening ({share:.3f}x, last "
+          f"archive {size} B)\n[report saved to {path}]")
+    assert share <= CHECKPOINT_COST_SHARE, (
+        f"encoding {saves} per-chunk checkpoints took "
+        f"{encode_s:.3f}s, {share:.2f}x the {stream_s:.3f}s stream "
+        f"(allowed {CHECKPOINT_COST_SHARE}x)")

@@ -40,6 +40,7 @@ index order reproduces the monolithic arrays byte for byte).
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Dict, Iterable, List, Optional
 
@@ -51,10 +52,32 @@ from repro.obs.trace import span
 from repro.store import atomic_write_bytes, pack_archive, unpack_archive
 
 #: Checkpoint format version (bumped on incompatible changes).
-CHECKPOINT_VERSION = 1
+#: Version-1 files, which keep the labels inside the JSON meta, still
+#: load.
+CHECKPOINT_VERSION = 2
 
 #: Name of the archive's JSON meta member (part of the file format).
 _META = "meta"
+
+#: Name of the member holding the labels as a UTF-8 JSON list (v2).
+_LABELS = "labels"
+
+
+def _encode_labels(labels: List[str]) -> np.ndarray:
+    """Labels as one ``uint8`` array: the UTF-8 bytes of a JSON list.
+
+    A string member would make numpy store fixed-width UTF-32, padded
+    to the longest label; JSON bytes cost one byte per ASCII character
+    and round-trip any ``str`` exactly (``json.dumps`` escapes what is
+    not ASCII, lone surrogates included).
+    """
+    return np.frombuffer(json.dumps(labels).encode("utf-8"),
+                         dtype=np.uint8)
+
+
+def _decode_labels(member: np.ndarray) -> List[str]:
+    """Inverse of :func:`_encode_labels`."""
+    return json.loads(member.tobytes().decode("utf-8"))
 
 
 class CheckpointMismatch(ValueError):
@@ -164,14 +187,14 @@ class StreamCheckpoint:
             "threshold": self.threshold,
             "start_index": self.start_index,
             "next_index": self.next_index,
-            "labels": self.labels,
             "timing": self.timing,
             "fallback_dies": self.fallback_dies,
             "chunks_done": self.chunks_done,
             "complete": self.complete,
         }
         arrays = {"ndfs": self.values(np.empty(0)),
-                  "f0": self.f0_deviations(), "q": self.q_deviations()}
+                  "f0": self.f0_deviations(), "q": self.q_deviations(),
+                  _LABELS: _encode_labels(self.labels)}
         return pack_archive(arrays, meta, _META)
 
     def save(self, path: str) -> None:
@@ -181,11 +204,14 @@ class StreamCheckpoint:
         resumed process pays no per-chunk overhead reading them back;
         a crash at any instant leaves the previous checkpoint intact.
         The ``checkpoint.write.tear`` fault point simulates the torn
-        write the rename discipline prevents.
+        write the rename discipline prevents.  The span's ``bytes``
+        attribute is the archive size written.
         """
         with span("checkpoint.save", next_index=self.next_index,
-                  complete=self.complete):
-            atomic_write_bytes(path, self.to_bytes(),
+                  complete=self.complete) as current:
+            data = self.to_bytes()
+            current.set(bytes=len(data))
+            atomic_write_bytes(path, data,
                                tear_fault="checkpoint.write.tear")
         default_registry().counter("checkpoint_saves_total").inc()
 
@@ -211,18 +237,20 @@ class StreamCheckpoint:
     def _from_archive(cls, data: bytes, source: str
                       ) -> "StreamCheckpoint":
         arrays, meta = unpack_archive(data, _META)
-        if meta.get("version") != CHECKPOINT_VERSION:
+        version = meta.get("version")
+        if version not in (1, CHECKPOINT_VERSION):
             raise CheckpointMismatch(
-                f"checkpoint {source!r} has version "
-                f"{meta.get('version')!r}, expected "
-                f"{CHECKPOINT_VERSION}")
+                f"checkpoint {source!r} has version {version!r}, "
+                f"expected 1 or {CHECKPOINT_VERSION}")
         state = cls(meta["config_key"], meta["threshold"],
                     start_index=int(meta.get("start_index", 0)))
         if arrays["ndfs"].size:
             state.value_parts.append(arrays["ndfs"])
             state.f0_parts.append(arrays["f0"])
             state.q_parts.append(arrays["q"])
-        state.labels = list(meta["labels"])
+        # Version 1 kept the labels inside the JSON meta.
+        state.labels = (list(meta["labels"]) if version == 1
+                        else _decode_labels(arrays[_LABELS]))
         state.timing = {k: float(v)
                         for k, v in meta["timing"].items()}
         state.fallback_dies = int(meta.get("fallback_dies", 0))

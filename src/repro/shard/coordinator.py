@@ -42,11 +42,14 @@ Lifecycle metrics land in the process-default registry
 ``shard_reassigned_total`` / ``shard_merge_seconds``, plus
 ``shard_bytes_total`` per transport direction and
 ``shard_rtt_seconds`` -- the assign-to-done round trip per shard,
-which is also what feeds the autotuner); with tracing on, the whole
-campaign nests under a ``shard.campaign`` span whose
-``shard.dispatch`` children carry ``(shard, worker, attempt)`` -- a
-re-dispatch is visible as ``attempt > 1`` -- and worker-side spans
-come home pid- and host-stamped through the ``done`` message.
+which is also what feeds the autotuner -- and
+``shard_worker_startup_seconds``, spawn to ``hello`` per pipe
+worker); with tracing on, the whole campaign nests under a
+``shard.campaign`` span whose ``shard.dispatch`` children carry
+``(shard, worker, attempt)`` -- a re-dispatch is visible as
+``attempt > 1`` -- and worker-side spans come home pid- and
+host-stamped through the ``done`` message.  Stopping the workers
+afterwards is the ``shard.shutdown`` span.
 
 The drill hook: ``REPRO_SHARD_WORKER_FAULTS`` in the coordinator's
 environment is forwarded (as ``REPRO_FAULTS``) to the *first* spawned
@@ -108,6 +111,10 @@ WORKER_FAULTS_ENV = "REPRO_SHARD_WORKER_FAULTS"
 #: replacement -- worker to dial in.
 STARTUP_GRACE = 60.0
 
+#: Seconds each worker gets to exit after ``shutdown`` before it is
+#: killed.  Every worker is told first, so the grace runs concurrently.
+SHUTDOWN_GRACE = 5.0
+
 
 class ShardWorkerError(RuntimeError):
     """A worker reported a non-recoverable error or a shard ran out
@@ -119,7 +126,7 @@ class _Worker:
 
     __slots__ = ("index", "transport", "shard", "last_seen",
                  "last_progress", "hello_seen", "generation",
-                 "assigned_at", "host")
+                 "assigned_at", "host", "spawned_at")
 
     def __init__(self, index: int, transport: Transport,
                  generation: int) -> None:
@@ -132,6 +139,8 @@ class _Worker:
         self.generation = generation
         self.assigned_at = 0.0
         self.host: Optional[str] = None
+        #: Pipe workers only: monotonic time the process was spawned.
+        self.spawned_at: Optional[float] = None
 
     @property
     def idle(self) -> bool:
@@ -289,6 +298,7 @@ class ShardCoordinator:
     def _spawn(self, slot: int, generation: int) -> _Worker:
         stderr_path = os.path.join(
             self._workdir, f"worker_{slot}_g{generation}.stderr.log")
+        spawned_at = time.monotonic()
         with open(stderr_path, "w") as stderr_file:
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro", "shard-worker"],
@@ -297,6 +307,7 @@ class ShardCoordinator:
                 env=self._worker_env(), text=True, bufsize=1)
         transport = PipeTransport(proc, stderr_path)
         worker = self._admit(slot, transport, generation)
+        worker.spawned_at = spawned_at
         log_event("shard.worker.spawned", slot=slot,
                   generation=generation, pid=proc.pid)
         return worker
@@ -553,6 +564,10 @@ class ShardCoordinator:
                 if kind == "hello":
                     worker.hello_seen = True
                     worker.host = message.get("host")
+                    if worker.spawned_at is not None:
+                        default_registry().histogram(
+                            "shard_worker_startup_seconds").observe(
+                            worker.last_seen - worker.spawned_at)
                 elif kind == "progress":
                     worker.last_progress = time.monotonic()
                     shard = worker.shard
@@ -666,21 +681,33 @@ class ShardCoordinator:
         return merged
 
     def _shutdown_workers(self) -> None:
-        for worker in self._workers.values():
-            transport = worker.transport
-            if not transport.alive():
-                continue
-            if not self._send(worker, shutdown_message()):
-                transport.kill()
-                continue
-            try:
-                transport.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                transport.kill()
-            else:
-                transport.close()
+        """Stop every worker, waiting out one exit instead of the sum.
+
+        ``shutdown`` goes to every live worker before any wait starts;
+        each then gets :data:`SHUTDOWN_GRACE` seconds from that send
+        to exit and is killed if it has not.
+        """
+        with span("shard.shutdown", workers=len(self._workers)):
+            stopping: List[Transport] = []
+            for worker in self._workers.values():
+                transport = worker.transport
+                if not transport.alive():
+                    continue
+                if self._send(worker, shutdown_message()):
+                    stopping.append(transport)
+                else:
+                    transport.kill()
+            deadline = time.monotonic() + SHUTDOWN_GRACE
+            for transport in stopping:
+                try:
+                    transport.wait(
+                        timeout=max(0.0, deadline - time.monotonic()))
+                except subprocess.TimeoutExpired:
+                    transport.kill()
+                else:
+                    transport.close()
         self._workers.clear()
 
 
-__all__ = ["STARTUP_GRACE", "ShardCoordinator", "ShardWorkerError",
-           "WORKER_FAULTS_ENV"]
+__all__ = ["SHUTDOWN_GRACE", "STARTUP_GRACE", "ShardCoordinator",
+           "ShardWorkerError", "WORKER_FAULTS_ENV"]

@@ -138,16 +138,20 @@ def atomic_write_bytes(path: str, data: bytes,
 
 def pack_archive(arrays: Dict[str, np.ndarray], meta: Dict,
                  meta_name: str) -> bytes:
-    """One persisted artifact as compressed ``.npz`` bytes.
+    """One persisted artifact as ``.npz`` bytes with stored members.
 
     ``meta`` travels as a JSON string member named ``meta_name`` (each
     format's own constant), ahead of ``arrays``.  Every artifact the
     package persists -- store payloads, checkpoints, dictionary files
-    -- is written through here.
+    -- is written through here.  Members are stored, not deflated: a
+    shard worker saves its whole checkpoint after every chunk, and
+    deflating it would cost more than screening the chunk.
+    ``np.load`` reads stored and deflated members alike, so deflated
+    files written by older code still load.
     """
     buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer, **{meta_name: np.asarray(json.dumps(meta))}, **arrays)
+    np.savez(buffer, **{meta_name: np.asarray(json.dumps(meta))},
+             **arrays)
     return buffer.getvalue()
 
 
@@ -300,9 +304,9 @@ class ArtifactStore:
             meta: Optional[Dict] = None) -> str:
         """Persist one artifact; returns its key id.
 
-        ``arrays`` land in one compressed ``.npz`` alongside a JSON
-        ``meta`` record; the payload is written atomically and its
-        sha256 recorded in the index.
+        ``arrays`` land in one ``.npz`` (:func:`pack_archive`, stored
+        members) alongside a JSON ``meta`` record; the payload is
+        written atomically and its sha256 recorded in the index.
         """
         kid = key_id(key)
         kind = str(key[0]) if isinstance(key, tuple) and key else "raw"
