@@ -15,7 +15,9 @@ The ``shard_reassigned_total`` metric must tick.
 
 **Phase B -- CLI equivalence.**  ``repro campaign --shards N --json``
 and ``--shards 1 --json`` must answer identically (everything except
-wall-clock timings and the shard stats themselves).
+wall-clock timings and the shard stats themselves), and so must
+``--shards N --second-signature bias-0.10_level1e-05 --json`` and the
+unsharded ``--second-signature`` run: a second channel shards too.
 
 **Phase C -- loopback-TCP partition drill.**  The coordinator listens
 on ``127.0.0.1`` and two ``repro shard-worker --connect`` processes
@@ -39,6 +41,9 @@ import json
 import os
 import subprocess
 import sys
+
+#: Pinned second monitor bank of the two-channel CLI comparison.
+SECOND_BANK = "bias-0.10_level1e-05"
 
 
 def _parse_args() -> argparse.Namespace:
@@ -123,29 +128,43 @@ def phase_a_kill_drill(args) -> None:
           f"{resumed[0]['args']['hi']}))")
 
 
-def phase_b_cli_equivalence(args) -> None:
-    """--shards N and --shards 1 answer identically over the CLI."""
-    def run(shards: int) -> dict:
-        command = [sys.executable, "-m", "repro", "campaign",
-                   "--dies", str(args.dies), "--seed", str(args.seed),
-                   "--sigma", str(args.sigma),
-                   "--samples", str(args.samples),
-                   "--shards", str(shards), "--json"]
-        if shards > 1:
-            command += ["--shard-chunk", str(args.chunk)]
-        out = subprocess.run(command, capture_output=True, text=True,
-                             timeout=600)
-        assert out.returncode == 0, out.stderr
-        payload = json.loads(out.stdout)
-        payload.pop("timing")
-        payload.pop("executor")
+def _campaign_json(args, options) -> dict:
+    """``repro campaign --json`` minus timings, executor and shard stats."""
+    command = [sys.executable, "-m", "repro", "campaign",
+               "--dies", str(args.dies), "--seed", str(args.seed),
+               "--sigma", str(args.sigma),
+               "--samples", str(args.samples), *options, "--json"]
+    out = subprocess.run(command, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    payload.pop("timing")
+    payload.pop("executor")
+    if "--shards" in options:
         payload.pop("shards")
-        return payload
+    return payload
+
+
+def phase_b_cli_equivalence(args) -> None:
+    """--shards N and --shards 1 answer identically over the CLI, and
+    a sharded two-channel run answers like the unsharded one."""
+    def run(shards: int, *options: str) -> dict:
+        placement = ["--shards", str(shards)]
+        if shards > 1:
+            placement += ["--shard-chunk", str(args.chunk)]
+        return _campaign_json(args, [*placement, *options])
 
     many, one = run(args.shards), run(1)
     assert many == one, (many, one)
     print(f"phase B ok: --shards {args.shards} == --shards 1 "
           f"({args.dies} dies over the CLI)")
+    second = ["--second-signature", SECOND_BANK]
+    many, unsharded = run(args.shards, *second), \
+        _campaign_json(args, second)
+    assert len(many["channels"]) == 2, many
+    assert many == unsharded, (many, unsharded)
+    print(f"phase B ok: --shards {args.shards} --second-signature "
+          f"{SECOND_BANK} == unsharded")
 
 
 def phase_c_tcp_partition_drill(args) -> None:

@@ -23,6 +23,8 @@ arrays and a packed signature representation:
   :func:`batch_responses` propagates one stimulus through N linear CUTs
   object by object -- both retained as the per-die reference the
   equivalence tests and benchmarks compare the fused kernels against;
+* :func:`cut_traces` is the one path from a list of CUT objects to a
+  trace stack, through the kernels above;
 * :func:`batch_codes` pushes the whole ``(N, samples)`` point stack
   through the zone encoder at once -- monitor banks take the fused
   shared-branch path of
@@ -88,6 +90,7 @@ from repro.core.signature_batch import SignatureBatch
 from repro.core.zones import ZoneEncoder
 from repro.filters.biquad import (
     BIQUAD_KINDS,
+    BiquadFilter,
     BiquadSpec,
     SpecArrays,
     batch_transfer_arrays,
@@ -350,6 +353,34 @@ def batch_responses(cuts: Sequence, stimulus: Multitone) -> List[Multitone]:
     per-object loop.
     """
     return [cut.response(stimulus) for cut in cuts]
+
+
+def cut_traces(cuts: Sequence, stimulus: Multitone,
+               times: np.ndarray) -> np.ndarray:
+    """``(N, T)`` response stack of a CUT list: the one CUT-to-trace path.
+
+    First match wins: same-topology linear netlists solve as one
+    stacked MNA sweep (:func:`batch_netlist_traces`); plain
+    :class:`~repro.filters.biquad.BiquadFilter` lists take the closed
+    form (:func:`batch_biquad_traces`; exact type, as a subclass may
+    override ``response()``); anything else stacks each cut's
+    ``response()`` (:func:`batch_multitone_eval`), which the first two
+    match bit for bit.  A cut without ``response()`` has no trace on
+    the shared grid and raises ``TypeError``.
+    """
+    cuts = list(cuts)
+    y = batch_netlist_traces(cuts, stimulus, times)
+    if y is not None:
+        return y
+    if cuts and all(type(cut) is BiquadFilter for cut in cuts):
+        return batch_biquad_traces([cut.spec for cut in cuts], stimulus,
+                                   times)
+    if not all(hasattr(cut, "response") for cut in cuts):
+        raise TypeError(
+            "cut lists need CUTs with response(); screen lissajous-only "
+            "CUTs (transient netlists) die by die with "
+            "repro.core.testflow.SignatureTester")
+    return batch_multitone_eval(batch_responses(cuts, stimulus), times)
 
 
 def batch_codes(encoder: ZoneEncoder, x: np.ndarray,

@@ -11,8 +11,10 @@ instead of once per die through
 * the hot path is array-resident end to end: spec populations
   synthesize their ``(N, samples)`` trace stacks straight from stacked
   ``(omega0, q, gain, kind)`` parameter arrays (no per-die
-  ``BiquadFilter``/``Multitone`` objects), fault-dictionary netlists
-  solve as one stacked MNA sweep, the fused shared-branch encoder
+  ``BiquadFilter``/``Multitone`` objects), a cut list becomes trace
+  rows through one kernel (:func:`~repro.campaign.batch.cut_traces`:
+  fault-dictionary netlists solve as one stacked MNA sweep) and then
+  scores like a measured trace stack, the fused shared-branch encoder
   emits packed codes (:mod:`repro.campaign.batch`), and each chunk
   flows into one packed
   :class:`~repro.core.signature_batch.SignatureBatch` scored by the
@@ -40,12 +42,12 @@ instead of once per die through
 * :meth:`CampaignEngine.run_noise` repeats every die's measurement
   under fresh Section IV-C noise as one ``(N * repeats, samples)``
   stack with per-die deterministic seeding;
-* multi-signature screening (``run(..., encoders=[enc0, enc1])``)
-  re-encodes the same trace stacks through extra monitor banks --
-  per-channel NDFs/verdicts plus a combined OR-verdict, channel 0
-  bit-identical to the single-channel flow (see ``docs/paper_map.md``
-  for the contract and ``docs/ambiguity.md`` for why a second channel
-  exists).
+* multi-signature screening (``run(..., encoders=[enc0, enc1])``;
+  sharded runs too) re-encodes the same trace stacks through extra
+  monitor banks -- per-channel NDFs/verdicts plus a combined
+  OR-verdict, channel 0 bit-identical to the single-channel flow (see
+  ``docs/paper_map.md`` for the contract and ``docs/ambiguity.md`` for
+  why a second channel exists).
 
 Worked example (mirrors ``examples/campaign_fleet.py``)::
 
@@ -78,9 +80,8 @@ from repro.campaign.batch import (
     batch_biquad_traces,
     batch_codes,
     batch_extract,
-    batch_multitone_eval,
-    batch_netlist_traces,
     certified_spec_codes,
+    cut_traces,
     golden_frame,
     sample_times,
     trace_basis,
@@ -110,7 +111,7 @@ from repro.core.scratch import SCRATCH
 from repro.core.signature import Signature
 from repro.core.signature_batch import SignatureBatch
 from repro.core.zones import ZoneEncoder
-from repro.filters.biquad import BiquadFilter, BiquadSpec, spec_arrays
+from repro.filters.biquad import BiquadSpec, spec_arrays
 from repro.monitor.bank_encode import (
     ZoneThresholdTable,
     build_threshold_table,
@@ -443,45 +444,15 @@ def _spec_chunk_ndfs(payload, cache: Optional[GoldenCache] = None
     return values, timing, batch, int(fallback.size)
 
 
-def _response_chunk_ndfs(config: CampaignConfig, cuts: Sequence,
-                         cache: GoldenCache, collect: bool = False
-                         ) -> Tuple[np.ndarray, Dict[str, float],
-                                    Optional[SignatureBatch]]:
-    """NDFs of a chunk of linear CUTs (objects with ``response``).
-
-    Same-topology netlist stacks (fault dictionaries) synthesize
-    through the stacked-MNA kernel
-    (:func:`~repro.campaign.batch.batch_netlist_traces`); anything
-    else falls back to the per-cut ``response()`` reference loop.
-    """
-    timing: Dict[str, float] = {}
-    with _stage(timing, "golden"):
-        golden = _golden_artifacts(config, cache)
-    with _stage(timing, "traces", dies=len(cuts)):
-        y = batch_netlist_traces(cuts, config.stimulus, golden.times)
-        # Exact-type check: a BiquadFilter subclass may override
-        # response(), which the closed-form synthesis would bypass.
-        if y is None and cuts and all(type(cut) is BiquadFilter
-                                      for cut in cuts):
-            y = batch_biquad_traces([cut.spec for cut in cuts],
-                                    config.stimulus, golden.times)
-        if y is None:
-            responses = [cut.response(config.stimulus) for cut in cuts]
-            y = batch_multitone_eval(responses, golden.times)
-    values, batch = _score_code_stack(config, golden, golden.x, y,
-                                      timing, collect, cache)
-    SCRATCH.give(y)
-    return values, timing, batch
-
-
 def _trace_rows_ndfs(payload, cache: Optional[GoldenCache] = None
                      ) -> Tuple[np.ndarray, Dict[str, float],
                                 Optional[SignatureBatch], int]:
-    """NDFs of a slice of measured traces on the shared grid.
+    """NDFs of a slice of trace rows on the shared grid.
 
-    ``payload`` is ``(config, y_rows, collect)``.  Measured rows are
-    encoded exactly, so no die is ever recomputed (the fourth output
-    is 0, as :func:`_spec_chunk_ndfs` reports it).
+    ``payload`` is ``(config, y_rows, collect)``: measured traces, or
+    the rows a cut list synthesized.  Rows are encoded exactly, so no
+    die is ever recomputed (the fourth output is 0, as
+    :func:`_spec_chunk_ndfs` reports it).
     """
     config, y_rows, collect = payload
     cache = _PROCESS_CACHE if cache is None else cache
@@ -716,7 +687,8 @@ class CampaignEngine:
         :class:`~repro.core.multi_signature_batch.MultiSignatureBatch`.
 
         The configured executor parallelizes *spec* populations (the
-        chunkable fast path) and trace stacks; cut and encoder
+        chunkable fast path), trace stacks and cut lists (their traces
+        synthesize in process, then chunk like a trace stack); encoder
         populations always run in process, and the result's
         ``executor`` field reports what actually ran.  A
         generator/iterator of population *chunks* streams exactly like
@@ -858,9 +830,9 @@ class CampaignEngine:
                 f"but the checkpoint resumes at {state.next_index}: "
                 f"dies {state.next_index}..{request.stream_offset - 1} "
                 "would be missing")
-        # Only spec populations carry ground-truth deviations; cut and
-        # encoder populations run in process (their per-die work is
-        # one vector op, not worth shipping to a pool).
+        # Only spec populations carry ground-truth deviations; encoder
+        # populations run in process (their per-die work is one vector
+        # op, not worth shipping to a pool).
         deviations = True
         executor = getattr(self.executor, "name", "custom")
         batches: List[Union[SignatureBatch, MultiSignatureBatch]] = []
@@ -878,7 +850,7 @@ class CampaignEngine:
                     raise TypeError("streamed campaigns consume spec "
                                     "population chunks")
                 deviations = False
-                if not isinstance(part, TracePopulation):
+                if isinstance(part, EncoderPopulation):
                     executor = "serial"
             n = len(part)
             seen += n
@@ -1076,7 +1048,8 @@ class CampaignEngine:
         :meth:`run_stream` over the same fleet.  A worker that dies or
         stalls past the ``heartbeat`` deadline has its shard
         reassigned, resuming from the shard's last checkpoint -- never
-        from zero.  See ``docs/sharding.md``.
+        from zero.  See ``docs/sharding.md``.  Extra channels
+        (:meth:`with_encoders`) shard too; kept signatures do not.
 
         ``shard_size`` caps dies per shard, yielding more shards than
         workers -- finer-grained reassignment on worker loss.  The
@@ -1109,10 +1082,6 @@ class CampaignEngine:
             raise ValueError(
                 "sharded campaigns cannot keep signatures: the packed "
                 "batch is not part of the mergeable checkpoint state")
-        if self.config.extra_encoders:
-            raise ValueError(
-                "sharded campaigns are single-channel today; run "
-                "multi-signature screening through run()/run_stream()")
         start = time.perf_counter()
         fleet = as_fleet(request.population)
         threshold = self._resolve_threshold(request.band)
@@ -1150,11 +1119,7 @@ class CampaignEngine:
         if isinstance(population, (SpecPopulation, CutListPopulation,
                                    EncoderPopulation, TracePopulation)):
             return population
-        specs = list(population)
-        return SpecPopulation(
-            specs, np.full(len(specs), np.nan),
-            np.full(len(specs), np.nan),
-            [f"die{first_index + i:05d}" for i in range(len(specs))])
+        return SpecPopulation.from_specs(population, first_index)
 
     def _resolve_threshold(self, band) -> Optional[float]:
         if band is None:
@@ -1217,11 +1182,12 @@ class CampaignEngine:
         Spec and trace rows chunk over the executor through
         :meth:`_map`: specs travel as parameter arrays
         (:class:`~repro.filters.biquad.SpecArrays`), so no per-die
-        object is pickled and no CUT object exists on any path.
-        Cut and encoder populations run in process.  The third output
-        lists the chunks' packed batches in die order (each None
-        unless ``collect``); the last sums the dies the certified
-        front half recomputed exactly.
+        object is pickled.  A cut list becomes trace rows here
+        (:func:`~repro.campaign.batch.cut_traces`, in process) and
+        then chunks like any measured stack.  Encoder populations run
+        in process.  The third output lists the chunks' packed batches
+        in die order (each None unless ``collect``); the last sums the
+        dies the certified front half recomputed exactly.
         """
         if isinstance(part, EncoderPopulation) \
                 and self.config.extra_encoders:
@@ -1231,10 +1197,16 @@ class CampaignEngine:
                 "-- run them single-channel")
         if len(part) == 0:
             return self._empty_values(), {"golden": 0.0}, [], 0
-        if isinstance(part, CutListPopulation):
-            return self._run_cuts(part, collect)
         if isinstance(part, EncoderPopulation):
             return self._run_encoders(part, collect)
+        timing: Dict[str, float] = {}
+        stack = None
+        if isinstance(part, CutListPopulation):
+            with _stage(timing, "golden"):
+                times = self.golden().times
+            with _stage(timing, "traces", dies=len(part)):
+                stack = cut_traces(part.cuts, self.config.stimulus, times)
+            part = TracePopulation(stack, part.labels)
         if isinstance(part, SpecPopulation):
             rows, worker = spec_arrays(part.specs), _spec_chunk_ndfs
         else:
@@ -1243,87 +1215,13 @@ class CampaignEngine:
         outputs = self._map(worker, [
             (self.config, rows[lo:lo + size], collect)
             for lo in range(0, len(rows), size)])
-        timing: Dict[str, float] = {}
+        if stack is not None:
+            SCRATCH.give(stack)  # the codes are out; recycle the stack
         for output in outputs:
             _merge_timing(timing, output[1])
         values = np.concatenate([output[0] for output in outputs])
         return (values, timing, [output[2] for output in outputs],
                 sum(output[3] for output in outputs))
-
-    def _run_cuts(self, population: CutListPopulation,
-                  collect: bool = False
-                  ) -> Tuple[np.ndarray, Dict[str, float],
-                             List[Optional[SignatureBatch]], int]:
-        """Generic CUTs: batched when they expose ``response``.
-
-        Returns :meth:`_score`'s outputs for a non-empty population.
-        """
-        if all(hasattr(cut, "response") for cut in population.cuts):
-            values, timing, batch = _response_chunk_ndfs(
-                self.config, population.cuts, self.cache, collect)
-            return values, timing, [batch], 0
-        if self.config.extra_encoders:
-            raise ValueError(
-                "multi-signature campaigns need populations that take "
-                "the batched trace path (spec, trace, or netlist/"
-                "response cut populations); per-CUT lissajous "
-                "fallbacks only encode the primary channel")
-        # Fallback: per-CUT traces (e.g. transient-simulated CUTs) are
-        # stacked on their own shared grid, then the packed
-        # encode/score path runs once over the whole stack.  Each
-        # trace keeps its native time base (shifted to t = 0), exactly
-        # like the per-die flow.  Traces are generated one at a time
-        # and only the Y rows are retained (the stack the batch needs
-        # anyway), so memory stays O(stack), never O(N) full traces.
-        timing: Dict[str, float] = {}
-        with _stage(timing, "golden"):
-            golden = self.golden()
-        with _stage(timing, "traces", dies=len(population)):
-            first = population.cuts[0].lissajous(
-                self.config.stimulus, self.config.samples_per_period)
-            xs, first_y = first.points()
-            y_stack = np.empty((len(population), xs.size))
-            y_stack[0] = first_y
-            shared_grid = True
-            for i, cut in enumerate(population.cuts[1:], start=1):
-                trace = cut.lissajous(self.config.stimulus,
-                                      self.config.samples_per_period)
-                if not (trace.period == first.period
-                        and np.array_equal(trace.times, first.times)
-                        and np.array_equal(trace.points()[0], xs)):
-                    shared_grid = False
-                    break
-                y_stack[i] = trace.points()[1]
-        if shared_grid:
-            with _stage(timing, "encode", dies=len(population)):
-                codes = batch_codes(self.config.encoder, xs, y_stack)
-            with _stage(timing, "signature", dies=len(population)):
-                batch = batch_extract(first.times - first.times[0],
-                                      codes, first.period)
-            with _stage(timing, "ndf", dies=len(population)):
-                values = batch.ndf_to(golden.signature)
-            return values, timing, [batch if collect else None], 0
-        # Heterogeneous grids: score die by die, one trace resident at
-        # a time (rare -- mixed CUT families in one population).
-        from repro.core.ndf import ndf as _ndf
-        del y_stack
-        with _stage(timing, "encode+score", dies=len(population)):
-            values = np.empty(len(population))
-            signatures: List[Signature] = []
-            for i, cut in enumerate(population.cuts):
-                trace = cut.lissajous(self.config.stimulus,
-                                      self.config.samples_per_period)
-                txs, tys = trace.points()
-                codes = batch_codes(self.config.encoder, txs,
-                                    tys[None, :])[0]
-                observed = Signature.from_samples(
-                    trace.times - trace.times[0], codes, trace.period)
-                if collect:
-                    signatures.append(observed)
-                values[i] = _ndf(observed, golden.signature)
-        batch = (SignatureBatch.from_signatures(signatures)
-                 if collect else None)
-        return values, timing, [batch], 0
 
     def _run_encoders(self, population: EncoderPopulation,
                       collect: bool = False
@@ -1337,8 +1235,9 @@ class CampaignEngine:
         golden through each varied bank and therefore measured exactly
         zero).  Encoding still runs per bank (each bank draws its own
         boundaries), but the signatures of all banks pack into one
-        batch and score through the fleet-NDF kernel.  Returns
-        :meth:`_score`'s outputs for a non-empty population.
+        batch and score through the fleet-NDF kernel
+        (:func:`_score_codes`).  Returns :meth:`_score`'s outputs for a
+        non-empty population.
         """
         timing: Dict[str, float] = {}
         with _stage(timing, "golden"):
@@ -1347,9 +1246,6 @@ class CampaignEngine:
             code_stack = np.stack(
                 [batch_codes(encoder, golden.x, golden.y[None, :])[0]
                  for encoder in population.encoders])
-        with _stage(timing, "signature", dies=len(population)):
-            batch = batch_extract(golden.times, code_stack,
-                                  golden.period)
-        with _stage(timing, "ndf", dies=len(population)):
-            values = batch.ndf_to(golden.signature)
-        return values, timing, [batch if collect else None], 0
+        values, batch = _score_codes(self.config, golden, [code_stack],
+                                     timing, collect, self.cache)
+        return values, timing, [batch], 0

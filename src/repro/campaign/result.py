@@ -56,10 +56,9 @@ class CampaignResult:
     timing:
         Wall-clock seconds per engine section: always ``total``, plus
         ``golden`` and the stage timings of the batched pipeline
-        (``traces``, ``encode``, ``signature``, ``ndf``).  Two paths
-        emit extra sections instead: the heterogeneous-grid CUT
-        fallback records ``encode+score`` and noise campaigns add a
-        ``noise`` stage.
+        (``traces``, ``encode``, ``signature``, ``ndf``); noise
+        campaigns add a ``noise`` stage and sharded runs a ``merge``
+        section.
     executor:
         Name of the executor that ran the campaign.
     cache_info:

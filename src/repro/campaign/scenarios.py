@@ -9,12 +9,11 @@ A campaign screens one of four population kinds:
   synthesizes in one buffered pass
   (:func:`repro.campaign.batch.batch_biquad_traces`) -- no per-die
   filter or signal objects exist anywhere.
-* :class:`CutListPopulation` -- N arbitrary CUT objects.  Fault
-  dictionaries and other same-topology linear netlist stacks solve
-  through one batched MNA sweep per tone frequency
-  (:func:`repro.campaign.batch.batch_netlist_traces`); heterogeneous
-  cut lists fall back to per-CUT traces, and encoding/scoring always
-  run batched.
+* :class:`CutListPopulation` -- N linear CUT objects with
+  ``response()``.  :func:`repro.campaign.batch.cut_traces` turns them
+  into trace rows (fault dictionaries and other same-topology netlist
+  stacks through one batched MNA sweep per tone frequency), which then
+  score exactly like a :class:`TracePopulation`.
 * :class:`EncoderPopulation` -- one fault-free CUT observed through N
   varied monitor banks (process Monte Carlo, temperature corners).  The
   trace is computed once and re-encoded per bank.
@@ -69,6 +68,17 @@ class SpecPopulation:
                 or len(self.labels) != n):
             raise ValueError("metadata must align with the spec list")
 
+    @classmethod
+    def from_specs(cls, specs: Sequence[BiquadSpec],
+                   first_index: int = 0) -> "SpecPopulation":
+        """Raw specs with NaN deviations and labels ``die{i:05d}``
+        numbered from ``first_index``."""
+        specs = list(specs)
+        return cls(specs, np.full(len(specs), np.nan),
+                   np.full(len(specs), np.nan),
+                   [f"die{first_index + i:05d}"
+                    for i in range(len(specs))])
+
     def __len__(self) -> int:
         return len(self.specs)
 
@@ -79,7 +89,8 @@ class SpecPopulation:
 
 @dataclass
 class CutListPopulation:
-    """N arbitrary CUT objects (anything with ``lissajous``/``response``)."""
+    """N linear CUTs with ``response()`` (lissajous-only CUTs screen
+    die by die with :class:`repro.core.testflow.SignatureTester`)."""
 
     cuts: List[object]
     labels: List[str]

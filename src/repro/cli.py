@@ -563,10 +563,6 @@ def _cmd_campaign(setup, args) -> int:
             print("--shards runs its own checkpointed streams; drop "
                   "--stream/--repeats", file=sys.stderr)
             return 2
-        if args.second_signature is not None:
-            print("sharded campaigns are single-channel; drop "
-                  "--second-signature", file=sys.stderr)
-            return 2
         if args.scenario not in ("mc", "sweep", "grid"):
             print("--shards needs a streaming-capable population "
                   "(mc, sweep or grid)", file=sys.stderr)
@@ -583,7 +579,6 @@ def _cmd_campaign(setup, args) -> int:
     tracer = None
     faults = None
     second_name = None
-    encoders = None
     try:
         if args.second_signature is not None:
             try:
@@ -592,7 +587,9 @@ def _cmd_campaign(setup, args) -> int:
             except ValueError as error:
                 print(f"--second-signature: {error}", file=sys.stderr)
                 return 2
-            encoders = [engine.config.encoder, second]
+            # Every mode below screens both channels through this one
+            # engine (noise campaigns were refused above).
+            engine = engine.with_encoders([engine.config.encoder, second])
         if args.profile or args.trace_out:
             # Warm the golden/calibration outside the trace window so
             # the profile covers the screening run itself -- stage
@@ -624,13 +621,11 @@ def _cmd_campaign(setup, args) -> int:
                 setup.golden_spec, args.dies, chunk_size=args.chunk,
                 sigma_f0=args.sigma, seed=args.seed)
             result = engine.run_stream(
-                chunks, band="auto", encoders=encoders,
-                checkpoint=args.checkpoint,
+                chunks, band="auto", checkpoint=args.checkpoint,
                 checkpoint_every=args.checkpoint_every)
         else:
             population, faults = _campaign_population(setup, args)
-            result = engine.run(population, band="auto",
-                                encoders=encoders)
+            result = engine.run(population, band="auto")
     finally:
         if tracer is not None:
             from repro.obs import uninstall_tracer

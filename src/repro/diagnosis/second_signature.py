@@ -11,8 +11,8 @@ choice of that second view:
 1. start from a compiled dictionary's ambiguity groups
    (:func:`repro.diagnosis.ambiguity_groups`);
 2. synthesize the fault universe's traces **once** through the
-   campaign front half (the stacked-MNA sweep of
-   :func:`repro.campaign.batch.batch_netlist_traces`);
+   campaign's one CUT-to-trace kernel
+   (:func:`repro.campaign.batch.cut_traces`: a stacked-MNA sweep);
 3. re-encode those same traces through every candidate monitor bank
    (:func:`repro.monitor.second_signature.default_candidates`: Table I
    bias shifts and Y-level detectors, via the fused bank encoder) and
@@ -43,13 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.campaign.batch import (
-    batch_codes,
-    batch_extract,
-    batch_multitone_eval,
-    batch_netlist_traces,
-    batch_responses,
-)
+from repro.campaign.batch import batch_codes, batch_extract, cut_traces
 from repro.core.signature_batch import SignatureBatch
 from repro.diagnosis.analysis import ambiguity_groups, fault_distance_matrix
 from repro.diagnosis.dictionary import FaultDictionary
@@ -191,12 +185,8 @@ def _fault_trace_stack(engine, dictionary: FaultDictionary,
         values = TowThomasValues.from_spec(engine.config.golden_spec)
     cuts = [fault.apply_to_biquad(values)
             for fault in dictionary.faults]
-    stack = batch_netlist_traces(cuts, engine.config.stimulus,
-                                 golden.times)
-    if stack is None:
-        responses = batch_responses(cuts, engine.config.stimulus)
-        stack = batch_multitone_eval(responses, golden.times)
-    return golden.x, golden.times, golden.period, np.asarray(stack)
+    stack = cut_traces(cuts, engine.config.stimulus, golden.times)
+    return golden.x, golden.times, golden.period, stack
 
 
 def _intra_pairs(groups: Sequence[Sequence[int]]

@@ -19,8 +19,9 @@ solo run of its own lot -- the property
 Only one-shot ``run`` requests over spec populations coalesce;
 everything else (streams, noise campaigns, trace stacks, cut lists)
 passes straight through to the session.  Requests group by decision
-policy (resolved threshold, ``keep_signatures``, encoder list), so a
-diagnosing client never changes a screening client's result shape.
+policy (the per-channel thresholds their own banks resolve to,
+``keep_signatures``, encoder list), so a diagnosing client never
+changes a screening client's result shape.
 
 The batcher is also the service's load-shedding and deadline point:
 ``max_queue`` bounds how many requests may wait for a flush
@@ -218,22 +219,24 @@ class CoalescingBatcher:
         # them solo, so slice labels match the solo run's labels.
         if isinstance(population, (list, tuple)) and population:
             try:
-                from repro.campaign.engine import CampaignEngine
-
-                wrapped = CampaignEngine._as_population(list(population))
+                return SpecPopulation.from_specs(population)
             except (TypeError, ValueError):
                 return None
-            if isinstance(wrapped, SpecPopulation):
-                return wrapped
         return None
 
     def _group_key(self, request: ScreeningRequest) -> Tuple:
         """Requests sharing this key may share one engine pass."""
-        # Resolving "auto" here pins the group to one concrete
-        # threshold (cached after the first resolution), so verdicts
-        # of the combined pass match every member's solo verdicts.
-        threshold = self.session.engine._resolve_threshold(request.band)
-        return (threshold, request.keep_signatures, request.encoders)
+        # Resolving the band here pins the group to the concrete
+        # per-channel thresholds of the request's own banks (cached
+        # after the first calibration), so verdicts of the combined
+        # pass match every member's solo verdicts on every channel.
+        engine = self.session.engine
+        if request.encoders is not None:
+            engine = engine.with_encoders(request.encoders)
+        thresholds = engine.channel_thresholds(request.band)
+        if thresholds is not None:
+            thresholds = tuple(thresholds.tolist())
+        return (thresholds, request.keep_signatures, request.encoders)
 
     def _loop(self) -> None:
         while True:
@@ -297,11 +300,13 @@ class CoalescingBatcher:
                         break
                     dies += size
                     stop += 1
-                self._run_group(key[0], group[start:stop])
+                # Members share thresholds, so any member's band
+                # policy yields them; the pass runs the first one's.
+                self._run_group(group[start].request.band,
+                                group[start:stop])
                 start = stop
 
-    def _run_group(self, threshold: Optional[float],
-                   group: List[_Pending]) -> None:
+    def _run_group(self, band, group: List[_Pending]) -> None:
         try:
             combined = concatenate_populations(
                 [pending.population for pending in group])
@@ -314,7 +319,7 @@ class CoalescingBatcher:
                            if pending.request.request_id is not None]
             solo = group[0].request if len(group) == 1 else None
             request = ScreeningRequest(
-                population=combined, mode="run", band=threshold,
+                population=combined, mode="run", band=band,
                 keep_signatures=head.keep_signatures,
                 encoders=head.encoders,
                 client=solo.client if solo is not None else None,

@@ -29,8 +29,8 @@ The failure envelope is explicit (``docs/service.md``):
   ``Retry-After`` load shedding when full);
 - :meth:`ScreeningServer.drain` refuses new work (503) while letting
   in-flight requests finish -- the CLI wires it to SIGTERM;
-- ``store=`` persists warm artifacts across restarts
-  (``docs/persistence.md``).
+- :func:`build_server`'s ``store=`` persists warm artifacts across
+  restarts (``docs/persistence.md``).
 
 Request JSON (see ``docs/service.md`` for the full schema)::
 
@@ -262,13 +262,12 @@ class ScreeningServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: Tuple[str, int],
-                 session: Optional[ScreeningSession] = None,
+                 session: ScreeningSession,
                  rate: Optional[float] = None,
                  burst: Optional[float] = None,
                  window: float = 0.005,
                  max_dies: int = 100_000,
                  metrics: Optional[MetricsRegistry] = None,
-                 store=None,
                  deadline: Optional[float] = None,
                  max_queue: Optional[int] = None) -> None:
         if deadline is not None and deadline <= 0:
@@ -281,10 +280,7 @@ class ScreeningServer(ThreadingHTTPServer):
         self.started = time.time()
         #: Unix timestamp of the last 5xx answered (None = never).
         self.last_error: Optional[float] = None
-        if session is None:
-            session = ScreeningSession.from_paper(metrics=self.metrics,
-                                                  store=store)
-        elif session.metrics is None:
+        if session.metrics is None:
             session.metrics = self.metrics
         self.session = session
         self.limiter = RateLimiter(rate, burst)

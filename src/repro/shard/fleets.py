@@ -120,13 +120,8 @@ def as_fleet(obj, chunk_size: int = 256) -> ShardFleet:
         return PopulationFleet(obj, chunk_size=chunk_size)
     if hasattr(obj, "chunks") and hasattr(obj, "__len__"):
         return obj  # duck-typed custom fleet
-    import numpy as np
-
-    specs = list(obj)
-    population = SpecPopulation(
-        specs, np.full(len(specs), np.nan), np.full(len(specs), np.nan),
-        [f"die{i:05d}" for i in range(len(specs))])
-    return PopulationFleet(population, chunk_size=chunk_size)
+    return PopulationFleet(SpecPopulation.from_specs(obj),
+                           chunk_size=chunk_size)
 
 
 __all__ = ["MonteCarloFleet", "PopulationFleet", "ShardFleet",

@@ -11,7 +11,9 @@ from repro.campaign import (
     montecarlo_dies,
     montecarlo_monitor_banks,
     parameter_grid,
+    stream_montecarlo_dies,
     temperature_corners,
+    trace_population,
 )
 from repro.core.decision import DecisionBand
 from repro.core.testflow import SignatureTester
@@ -345,6 +347,27 @@ def test_noise_campaign_validates_arguments(engine):
     population = montecarlo_dies(PAPER_BIQUAD, 2)
     with pytest.raises(ValueError):
         engine.run_noise(population, repeats=0)
+
+
+def test_noise_campaign_rejects_non_spec_populations(engine):
+    traces = trace_population(engine.golden().y[None, :])
+    with pytest.raises(TypeError, match="spec populations"):
+        engine.run_noise(traces, repeats=2)
+
+
+def test_stream_starting_past_its_checkpoint_is_refused(engine,
+                                                         tmp_path):
+    """A stream that starts past the checkpoint's next index would
+    leave a gap in the merged result, so the engine names the dies."""
+    path = str(tmp_path / "stream.npz")
+    engine.run_stream(stream_montecarlo_dies(
+        PAPER_BIQUAD, 6, chunk_size=3, sigma_f0=0.03, seed=1),
+        band=None, checkpoint=path)
+    later = stream_montecarlo_dies(PAPER_BIQUAD, 12, chunk_size=3,
+                                   sigma_f0=0.03, seed=1, start=8)
+    with pytest.raises(ValueError, match=r"dies 6\.\.7 would be missing"):
+        engine.run_stream(later, band=None, checkpoint=path,
+                          stream_offset=8)
 
 
 def test_noise_campaign_executor_parity_bit_identical(engine):

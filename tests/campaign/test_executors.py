@@ -9,6 +9,7 @@ from repro.campaign import (
     GoldenCache,
     ProcessPoolExecutor,
     SerialExecutor,
+    fault_dictionary,
     montecarlo_dies,
     stream_montecarlo_dies,
     trace_population,
@@ -16,6 +17,7 @@ from repro.campaign import (
 from repro.campaign.engine import CERTIFIED_MIN_ROWS
 from repro.core.testflow import SignatureTester
 from repro.filters.biquad import BiquadFilter
+from repro.filters.towthomas import TowThomasValues
 from repro.monitor.configurations import table1_encoder
 from repro.obs.trace import tracing
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
@@ -150,6 +152,33 @@ def test_trace_stack_identical_across_transports():
     assert pooled.executor.startswith("process-pool")
     assert np.array_equal(serial.ndfs, pooled.ndfs)
     assert np.array_equal(serial.verdicts, pooled.verdicts)
+
+
+def test_fault_cut_list_pool_matches_serial():
+    """A cut list scores as trace rows on the configured executor: the
+    fault universe on a 2-process pool equals the serial run, kept
+    signatures included."""
+    population, __ = fault_dictionary(
+        TowThomasValues.from_spec(PAPER_BIQUAD))
+    serial = CampaignEngine(_config(chunk_size=5),
+                            cache=GoldenCache()).run(
+        population, band="auto", keep_signatures=True)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        pooled = CampaignEngine(_config(chunk_size=5),
+                                cache=GoldenCache(),
+                                executor=pool).run(
+            population, band="auto", keep_signatures=True)
+    assert serial.executor == "serial"
+    assert pooled.executor.startswith("process-pool")
+    assert np.array_equal(serial.ndfs, pooled.ndfs)
+    assert np.array_equal(serial.verdicts, pooled.verdicts)
+    assert list(serial.labels) == list(pooled.labels)
+    rows = serial.signature_batch.to_signatures()
+    assert len(rows) == len(population)
+    for ours, theirs in zip(rows,
+                            pooled.signature_batch.to_signatures()):
+        assert ours.period == theirs.period
+        assert ours.entries == theirs.entries
 
 
 def test_process_pool_rejects_bad_worker_count():

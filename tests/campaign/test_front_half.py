@@ -7,7 +7,8 @@ its per-die reference bit for bit:
   response kinds, including DC);
 * :func:`batch_biquad_traces` vs the per-die ``response()`` +
   :func:`batch_multitone_eval` flow;
-* :func:`batch_netlist_traces` vs per-cut netlist responses;
+* :func:`batch_netlist_traces` vs per-cut netlist responses, and
+  :func:`cut_traces`' closed-form route for plain Biquad filters;
 * the fused :func:`monitor_bank_codes` vs ``encoder.code`` and the
   retained PR 2 reference loop -- including hypothesis-driven random
   traces and Monte Carlo-varied banks;
@@ -157,6 +158,42 @@ def test_batch_netlist_traces_rejects_non_netlist(engine):
     cuts = [BiquadFilter(PAPER_BIQUAD)]
     assert batch_netlist_traces(cuts, PAPER_STIMULUS,
                                 golden.times) is None
+
+
+def test_cut_traces_closed_form_route(engine, monkeypatch):
+    """Plain BiquadFilter cuts synthesize in closed form, bit for bit
+    the per-cut response() loop (which must not run)."""
+    from repro.campaign import batch as batch_module
+
+    golden = engine.golden()
+    cuts = [BiquadFilter(spec) for spec in _mixed_specs(24, seed=7)]
+    responses = [cut.response(PAPER_STIMULUS) for cut in cuts]
+    reference = batch_multitone_eval(responses, golden.times)
+
+    def per_cut_route(cuts, stimulus):
+        raise AssertionError("plain Biquad cuts took the per-cut route")
+
+    monkeypatch.setattr(batch_module, "batch_responses", per_cut_route)
+    fused = batch_module.cut_traces(cuts, PAPER_STIMULUS, golden.times)
+    assert np.array_equal(fused, reference)
+
+
+class _LissajousOnlyCut:
+    """A CUT that offers a Lissajous trace but no ``response()``."""
+
+    def __init__(self, spec):
+        self._filter = BiquadFilter(spec)
+
+    def lissajous(self, stimulus, samples_per_period):
+        return self._filter.lissajous(stimulus, samples_per_period)
+
+
+def test_cut_list_without_response_names_signature_tester(engine):
+    population = CutListPopulation(
+        [BiquadFilter(PAPER_BIQUAD), _LissajousOnlyCut(PAPER_BIQUAD)],
+        ["behavioural", "lissajous-only"])
+    with pytest.raises(TypeError, match="SignatureTester"):
+        engine.run(population, band=None)
 
 
 # ----------------------------------------------------------------------

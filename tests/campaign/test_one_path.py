@@ -2,10 +2,11 @@
 
 A run over a list, an iterator of specs or a generator of chunks, a
 stream with or without a checkpoint, a multi-signature run, a pooled
-trace population and a sharded run all go through the same parts loop
-and the same result packager.  Each must return the NDFs, verdicts and
-labels of the serial monolithic run, and count as exactly one campaign
-in the process-default metrics registry.
+trace population and a sharded run, single- or two-channel, all go
+through the same parts loop and the same result packager.  Each must
+return the NDFs, verdicts and labels of the serial monolithic run (on
+channel 0 for two channels), and count as exactly one campaign in the
+process-default metrics registry.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def _pooled_traces(engine, tmp_path):
     return result
 
 
+def _sharded_two_encoders(engine, tmp_path):
+    result = engine.with_encoders(
+        [table1_encoder(), second_signature_bank(-0.10, 1e-5)]
+    ).run_sharded(
+        MonteCarloFleet(PAPER_BIQUAD, DIES, sigma_f0=SIGMA, seed=SEED,
+                        chunk_size=CHUNK), shards=2, heartbeat=15.0)
+    assert result.channel_ndfs.shape == (DIES, 2)
+    return result
+
+
 CASES = {
     "run-list": lambda engine, tmp_path: engine.run(
         list(_population().specs)),
@@ -80,6 +91,7 @@ CASES = {
     "sharded-pipe": lambda engine, tmp_path: engine.run_sharded(
         MonteCarloFleet(PAPER_BIQUAD, DIES, sigma_f0=SIGMA, seed=SEED,
                         chunk_size=CHUNK), shards=2, heartbeat=15.0),
+    "sharded-two-encoders": _sharded_two_encoders,
 }
 
 

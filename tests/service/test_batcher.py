@@ -11,6 +11,7 @@ from repro.campaign import (
     montecarlo_dies,
     trace_population,
 )
+from repro.monitor.second_signature import second_signature_bank
 from repro.service import (
     CoalescingBatcher,
     MetricsRegistry,
@@ -193,6 +194,64 @@ def test_auto_band_and_equal_threshold_share_a_pass(session):
         assert window["count"] == 1 and window["last"] == 2
         np.testing.assert_array_equal(pendings[0].result.ndfs,
                                       pendings[1].result.ndfs)
+    finally:
+        batcher.close()
+
+
+def test_coalesced_two_channel_requests_keep_channel_thresholds(
+        session):
+    """Every channel of a coalesced multi-signature pass keeps the
+    threshold its own bank calibrates, as in the solo runs."""
+    from repro.service.batcher import _Pending
+
+    encoders = [session.engine.config.encoder,
+                second_signature_bank(-0.10, 1e-5)]
+    lots = _lots(session.engine.config.golden_spec, seeds=(15, 16),
+                 dies=6)
+    solo = [session.submit(ScreeningRequest(population=lot,
+                                            encoders=encoders))
+            for lot in lots]
+    assert solo[0].channel_thresholds[0] != solo[0].channel_thresholds[1]
+    metrics = MetricsRegistry()
+    batcher = CoalescingBatcher(session, window=0.0, metrics=metrics)
+    try:
+        pendings = [_Pending(ScreeningRequest(population=lot,
+                                              encoders=encoders), lot)
+                    for lot in lots]
+        batcher._flush(pendings)
+        window = metrics.snapshot()["windows"]["coalesced_requests"]
+        assert window["count"] == 1 and window["last"] == 2
+        for reference, pending in zip(solo, pendings):
+            assert pending.error is None
+            np.testing.assert_array_equal(
+                reference.channel_thresholds,
+                pending.result.channel_thresholds)
+            np.testing.assert_array_equal(
+                reference.channel_verdicts,
+                pending.result.channel_verdicts)
+    finally:
+        batcher.close()
+
+
+def test_request_with_another_first_bank_gets_its_own_threshold(
+        session):
+    """A request screening through a bank that is not the session's
+    resolves "auto" on that bank, not on the session's."""
+    from repro.service.batcher import _Pending
+
+    lot = _lots(session.engine.config.golden_spec, seeds=(17,))[0]
+    request = ScreeningRequest(
+        population=lot, encoders=[second_signature_bank(-0.10, 1e-5)])
+    solo = session.submit(request)
+    assert solo.threshold != session.threshold()
+    batcher = CoalescingBatcher(session, window=0.0)
+    try:
+        pending = _Pending(request, lot)
+        batcher._flush([pending])
+        assert pending.error is None
+        assert pending.result.threshold == solo.threshold
+        np.testing.assert_array_equal(pending.result.verdicts,
+                                      solo.verdicts)
     finally:
         batcher.close()
 

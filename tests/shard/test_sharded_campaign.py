@@ -22,6 +22,7 @@ from repro.campaign import (
 from repro.campaign.engine import CERTIFIED_MIN_ROWS
 from repro.core.testflow import SignatureTester
 from repro.filters.biquad import BiquadFilter, BiquadSpec
+from repro.monitor.second_signature import second_signature_bank
 from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
@@ -100,6 +101,33 @@ def test_certified_shards_match_per_die_and_count_in_coordinator(
     np.testing.assert_array_equal(sharded.ndfs, reference)
     np.testing.assert_array_equal(sharded.verdicts, reference <= 0.05)
     assert registry.counter("front_half_fallback_rows_total").value == 2.0
+
+
+def test_two_channel_shards_match_monolithic(small_engine):
+    """A second signature channel shards: two shards of certified
+    chunks merge to the monolithic two-encoder run, channel by
+    channel."""
+    dies, chunk = 150, 70
+    assert chunk >= CERTIFIED_MIN_ROWS
+    multi = small_engine.with_encoders(
+        [small_engine.config.encoder, second_signature_bank(-0.10, 1e-5)])
+    reference = multi.run(montecarlo_dies(PAPER_BIQUAD, dies,
+                                          sigma_f0=SIGMA, seed=SEED),
+                          band="auto")
+    sharded = multi.run_sharded(_mc_fleet(count=dies, chunk=chunk),
+                                shards=2, band="auto",
+                                heartbeat=HEARTBEAT)
+    assert sharded.executor == "sharded[2]"
+    assert sharded.channel_ndfs.shape == (dies, 2)
+    np.testing.assert_array_equal(sharded.channel_ndfs,
+                                  reference.channel_ndfs)
+    np.testing.assert_array_equal(sharded.channel_verdicts,
+                                  reference.channel_verdicts)
+    np.testing.assert_array_equal(sharded.channel_thresholds,
+                                  reference.channel_thresholds)
+    assert sharded.channel_thresholds[0] != \
+        sharded.channel_thresholds[1]
+    _assert_same_result(sharded, reference)
 
 
 def test_single_shard_matches_multi(small_engine):
@@ -198,16 +226,11 @@ def test_coordinator_reuses_workers_across_shards(small_engine):
     assert merged.complete
 
 
-def test_sharded_request_rejects_signatures_and_channels(small_engine):
+def test_sharded_request_rejects_signatures(small_engine):
     fleet = _mc_fleet()
     with pytest.raises(ValueError, match="signatures"):
         small_engine.submit(ScreeningRequest(
             population=fleet, mode="sharded", keep_signatures=True))
-    encoder = small_engine.config.encoder
-    with pytest.raises(ValueError, match="single-channel"):
-        small_engine.submit(ScreeningRequest(
-            population=fleet, mode="sharded",
-            encoders=[encoder, encoder]))
 
 
 def test_request_validates_shard_fields():

@@ -393,6 +393,23 @@ def test_campaign_sharded_matches_serial(capsys):
         assert sharded[key] == serial[key], key
 
 
+def test_campaign_sharded_second_signature_matches_unsharded(capsys):
+    import json
+
+    args = ["campaign", "--dies", "12", "--seed", "1", "--sigma", "0.1",
+            "--samples", "512", "--second-signature",
+            "bias-0.10_level1e-05", "--json"]
+    assert main(args + ["--shards", "2", "--shard-chunk", "3"]) == 0
+    sharded = json.loads(capsys.readouterr().out)
+    assert main(args) == 0
+    unsharded = json.loads(capsys.readouterr().out)
+    assert sharded["executor"] == "sharded[2]"
+    assert len(sharded["channels"]) == 2
+    for key in ("pass", "fail", "threshold", "channels",
+                "combined_fail", "second_signature"):
+        assert sharded[key] == unsharded[key], key
+
+
 def test_campaign_shards_exclusions(capsys):
     assert main(["campaign", "--shards", "2", "--stream"]) == 2
     assert "checkpointed streams" in capsys.readouterr().err
@@ -404,9 +421,6 @@ def test_campaign_shards_exclusions(capsys):
     assert main(["campaign", "--shards", "2", "--scenario",
                  "corners"]) == 2
     assert "streaming-capable" in capsys.readouterr().err
-    assert main(["campaign", "--shards", "2",
-                 "--second-signature", "auto"]) == 2
-    assert "single-channel" in capsys.readouterr().err
     assert main(["campaign", "--shard-chunk", "4"]) == 2
     assert "--shards N" in capsys.readouterr().err
 
