@@ -90,7 +90,6 @@ from repro.core.signature_batch import SignatureBatch
 from repro.core.zones import ZoneEncoder
 from repro.filters.biquad import (
     BIQUAD_KINDS,
-    BiquadFilter,
     BiquadSpec,
     SpecArrays,
     batch_transfer_arrays,
@@ -359,22 +358,16 @@ def cut_traces(cuts: Sequence, stimulus: Multitone,
                times: np.ndarray) -> np.ndarray:
     """``(N, T)`` response stack of a CUT list: the one CUT-to-trace path.
 
-    First match wins: same-topology linear netlists solve as one
-    stacked MNA sweep (:func:`batch_netlist_traces`); plain
-    :class:`~repro.filters.biquad.BiquadFilter` lists take the closed
-    form (:func:`batch_biquad_traces`; exact type, as a subclass may
-    override ``response()``); anything else stacks each cut's
-    ``response()`` (:func:`batch_multitone_eval`), which the first two
-    match bit for bit.  A cut without ``response()`` has no trace on
+    Same-topology linear netlists solve as one stacked MNA sweep
+    (:func:`batch_netlist_traces`); anything else stacks each cut's
+    ``response()`` (:func:`batch_multitone_eval`), which the sweep
+    matches bit for bit.  A cut without ``response()`` has no trace on
     the shared grid and raises ``TypeError``.
     """
     cuts = list(cuts)
     y = batch_netlist_traces(cuts, stimulus, times)
     if y is not None:
         return y
-    if cuts and all(type(cut) is BiquadFilter for cut in cuts):
-        return batch_biquad_traces([cut.spec for cut in cuts], stimulus,
-                                   times)
     if not all(hasattr(cut, "response") for cut in cuts):
         raise TypeError(
             "cut lists need CUTs with response(); screen lissajous-only "

@@ -1202,10 +1202,9 @@ class CampaignEngine:
         timing: Dict[str, float] = {}
         stack = None
         if isinstance(part, CutListPopulation):
-            with _stage(timing, "golden"):
-                times = self.golden().times
             with _stage(timing, "traces", dies=len(part)):
-                stack = cut_traces(part.cuts, self.config.stimulus, times)
+                stack = cut_traces(part.cuts, self.config.stimulus,
+                                   self.golden().times)
             part = TracePopulation(stack, part.labels)
         if isinstance(part, SpecPopulation):
             rows, worker = spec_arrays(part.specs), _spec_chunk_ndfs

@@ -83,7 +83,8 @@ class SpecPopulation:
         return len(self.specs)
 
     def cuts(self) -> List[BiquadFilter]:
-        """Behavioural CUT per design point (for the per-die fallback)."""
+        """One behavioural CUT per design point (e.g. to screen die by
+        die with :class:`repro.core.testflow.SignatureTester`)."""
         return [BiquadFilter(s) for s in self.specs]
 
 

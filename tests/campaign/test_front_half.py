@@ -8,7 +8,7 @@ its per-die reference bit for bit:
 * :func:`batch_biquad_traces` vs the per-die ``response()`` +
   :func:`batch_multitone_eval` flow;
 * :func:`batch_netlist_traces` vs per-cut netlist responses, and
-  :func:`cut_traces`' closed-form route for plain Biquad filters;
+  :func:`cut_traces` vs the per-cut ``response()`` stack;
 * the fused :func:`monitor_bank_codes` vs ``encoder.code`` and the
   retained PR 2 reference loop -- including hypothesis-driven random
   traces and Monte Carlo-varied banks;
@@ -37,6 +37,7 @@ from repro.campaign import (
     parameter_grid,
     temperature_corners,
 )
+from repro.campaign.batch import cut_traces
 from repro.campaign.engine import CERTIFIED_MIN_ROWS
 from repro.core.testflow import SignatureTester
 from repro.core.zones import ZoneEncoder
@@ -160,22 +161,18 @@ def test_batch_netlist_traces_rejects_non_netlist(engine):
                                 golden.times) is None
 
 
-def test_cut_traces_closed_form_route(engine, monkeypatch):
-    """Plain BiquadFilter cuts synthesize in closed form, bit for bit
-    the per-cut response() loop (which must not run)."""
-    from repro.campaign import batch as batch_module
-
+def test_cut_traces_matches_per_cut_responses(engine):
+    """Behavioural cuts stack their own response() traces, and match
+    the closed-form synthesis of the same specs bit for bit."""
     golden = engine.golden()
-    cuts = [BiquadFilter(spec) for spec in _mixed_specs(24, seed=7)]
+    specs = _mixed_specs(24, seed=7)
+    cuts = [BiquadFilter(spec) for spec in specs]
     responses = [cut.response(PAPER_STIMULUS) for cut in cuts]
     reference = batch_multitone_eval(responses, golden.times)
-
-    def per_cut_route(cuts, stimulus):
-        raise AssertionError("plain Biquad cuts took the per-cut route")
-
-    monkeypatch.setattr(batch_module, "batch_responses", per_cut_route)
-    fused = batch_module.cut_traces(cuts, PAPER_STIMULUS, golden.times)
-    assert np.array_equal(fused, reference)
+    stacked = cut_traces(cuts, PAPER_STIMULUS, golden.times)
+    assert np.array_equal(stacked, reference)
+    assert np.array_equal(
+        stacked, batch_biquad_traces(specs, PAPER_STIMULUS, golden.times))
 
 
 class _LissajousOnlyCut:
