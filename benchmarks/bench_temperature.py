@@ -19,7 +19,11 @@ import numpy as np
 from repro.analysis import Comparison, banner, comparison_table, format_table
 from repro.core.testflow import SignatureTester
 from repro.core.zones import ZoneEncoder
-from repro.devices import at_temperature, industrial_range
+from repro.devices import (
+    at_temperature,
+    boundary_temperature_drift,
+    industrial_range,
+)
 from repro.devices.mos_model import NMOS_65NM
 from repro.filters.biquad import BiquadFilter
 from repro.monitor import MonitorBoundary, table1_config
@@ -35,12 +39,10 @@ def test_temperature_drift(benchmark, bench_setup, report_writer):
     temps = industrial_range(5)
 
     # Boundary drift of the curve-3 arc at x = 0.25 V.
-    heights = []
-    for t in temps:
-        params = at_temperature(NMOS_65NM, float(t))
-        monitor = MonitorBoundary(table1_config(3), params)
-        heights.append(float(monitor.locus_points(np.array([0.25]))[0]))
-    drift_mv = (np.asarray(heights) - heights[2]) * 1e3
+    heights = boundary_temperature_drift(
+        lambda params: MonitorBoundary(table1_config(3), params), temps,
+        probe_x=0.25)
+    drift_mv = (heights - heights[2]) * 1e3
 
     # NDF of a fault-free CUT when the monitor temperature differs
     # from the golden-calibration temperature (300 K).

@@ -1,7 +1,7 @@
 """Analysis utilities: chronograms, sweep drivers, report formatting.
 
 * :mod:`repro.analysis.chronogram` -- Fig. 7 artifacts
-* :mod:`repro.analysis.sweeps` -- Fig. 8 and extension campaigns
+* :mod:`repro.analysis.sweeps` -- noise study and catastrophic-fault coverage
 * :mod:`repro.analysis.reporting` -- paper-vs-measured report blocks
 """
 
@@ -15,9 +15,7 @@ from repro.analysis.sweeps import (
     FaultCoverageRow,
     NoiseStudyResult,
     catastrophic_coverage,
-    deviation_sweep,
     noise_detection_study,
-    process_variation_study,
 )
 from repro.analysis.reporting import (
     Comparison,
@@ -46,9 +44,7 @@ __all__ = [
     "FaultCoverageRow",
     "NoiseStudyResult",
     "catastrophic_coverage",
-    "deviation_sweep",
     "noise_detection_study",
-    "process_variation_study",
     "Comparison",
     "ascii_xy_plot",
     "banner",

@@ -5,7 +5,8 @@ this module maps the NDF response surface over a (f0, Q)-deviation
 grid and quantifies two things:
 
 * **coverage** -- which parameter combinations a given NDF threshold
-  rejects (the acceptance region in parameter space);
+  rejects (``surface.ndf <= threshold`` is the acceptance region in
+  parameter space);
 * **ambiguity** -- the NDF is a scalar, so distinct parameter
   deviations can alias onto the same value; the ambiguity index
   measures how much of an NDF iso-contour spreads across parameter
@@ -40,14 +41,6 @@ class NdfSurface:
         interp = RegularGridInterpolator(
             (self.q_deviations, self.f0_deviations), self.ndf)
         return float(interp([[q_dev, f0_dev]])[0])
-
-    def acceptance_region(self, threshold: float) -> np.ndarray:
-        """Boolean mask of grid points passing the band."""
-        return self.ndf <= threshold
-
-    def accepted_fraction(self, threshold: float) -> float:
-        """Share of the sampled grid inside the acceptance region."""
-        return float(np.mean(self.acceptance_region(threshold)))
 
     def f0_only_profile(self) -> np.ndarray:
         """The Fig. 8 cut: NDF along q_dev = 0."""

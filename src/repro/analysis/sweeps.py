@@ -1,16 +1,11 @@
 """Sweep and population studies over the signature test bench.
 
-Drivers for the evaluation campaigns behind Fig. 8 and the extension
-experiments:
+Drivers for the Section IV-C noise experiment and the catastrophic-fault
+extension:
 
-* :func:`deviation_sweep` -- the Fig. 8 NDF-vs-deviation curve for any
-  parameter (f0, Q, gain);
 * :func:`noise_detection_study` -- Section IV-C: noisy NDF populations
   of the golden unit and small deviations, yielding the minimum
   detectable deviation;
-* :func:`process_variation_study` -- NDF of fault-free dies whose
-  *monitors* vary (test-escape/yield-loss perspective; an extension the
-  paper's Monte Carlo discussion motivates);
 * :func:`catastrophic_coverage` -- NDF and verdict for every open/short
   in the Tow-Thomas fault universe.
 """
@@ -18,37 +13,16 @@ experiments:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.decision import DecisionBand, ThresholdCalibration
-from repro.core.ndf import ndf
+from repro.core.decision import DecisionBand
 from repro.core.testflow import SignatureTester
-from repro.core.zones import ZoneEncoder
 from repro.filters.biquad import BiquadFilter, BiquadSpec
 from repro.filters.faults import Fault, catastrophic_fault_universe
 from repro.filters.towthomas import TowThomasValues
-from repro.monitor.comparator import MonitorBoundary
-from repro.monitor.montecarlo import encoder_samples
-from repro.devices.process import MonteCarloSampler
 from repro.signals.noise import NoiseModel
-
-
-def deviation_sweep(tester: SignatureTester, golden_spec: BiquadSpec,
-                    deviations: Sequence[float],
-                    parameter: str = "f0") -> ThresholdCalibration:
-    """NDF sweep of one Biquad parameter around the golden spec."""
-    def make(dev: float) -> BiquadFilter:
-        if parameter == "f0":
-            return BiquadFilter(golden_spec.with_f0_deviation(dev))
-        if parameter == "q":
-            return BiquadFilter(golden_spec.with_q_deviation(dev))
-        if parameter == "gain":
-            return BiquadFilter(golden_spec.with_gain_deviation(dev))
-        raise ValueError(f"unknown parameter {parameter!r}")
-
-    return tester.sweep_with(list(deviations), make)
 
 
 @dataclass
@@ -67,12 +41,6 @@ class NoiseStudyResult:
     def false_alarm_rate(self) -> float:
         """Fraction of golden runs wrongly flagged FAIL."""
         return float(np.mean(self.golden_population > self.threshold))
-
-    def min_fully_detected(self) -> float:
-        """Smallest |deviation| with a 100 % detection rate."""
-        rates = self.detection_rates()
-        detected = [abs(d) for d, r in rates.items() if r >= 1.0]
-        return min(detected) if detected else float("nan")
 
 
 def noise_detection_study(tester: SignatureTester, golden_spec: BiquadSpec,
@@ -96,39 +64,6 @@ def noise_detection_study(tester: SignatureTester, golden_spec: BiquadSpec,
         cut = BiquadFilter(golden_spec.with_f0_deviation(dev))
         populations[dev] = tester.noisy_ndf_population(cut, noise, repeats)
     return NoiseStudyResult(golden_pop, populations, threshold)
-
-
-def process_variation_study(bank: Sequence[MonitorBoundary],
-                            tester_factory: Callable[[ZoneEncoder],
-                                                     SignatureTester],
-                            golden_cut,
-                            sampler: MonteCarloSampler,
-                            num_dies: int = 20) -> np.ndarray:
-    """NDF of a *fault-free* CUT measured by process-varied monitors.
-
-    Each die's monitor bank differs from the golden (typical) bank, so
-    the same perfect CUT shows a non-zero NDF: the monitor's own
-    variability consumes test margin.  Returns the NDF per die;
-    comparing against the Fig. 8 sweep converts it into an equivalent
-    f0 guard band.
-
-    The reference signature is captured once through the *nominal*
-    bank, and every die's signature through its own varied bank.  (An
-    earlier revision re-derived the golden through each varied bank,
-    which compares a signature against itself and measures exactly
-    zero.)  Campaign-scale versions of this study should go through
-    :class:`repro.campaign.CampaignEngine` with an
-    :class:`repro.campaign.EncoderPopulation`, which shares the trace
-    across dies.
-    """
-    nominal_tester = tester_factory(ZoneEncoder(list(bank)))
-    golden_signature = nominal_tester.signature_of(golden_cut)
-    values = []
-    for encoder in encoder_samples(bank, sampler, num_dies):
-        tester = tester_factory(encoder)
-        values.append(ndf(tester.signature_of(golden_cut),
-                          golden_signature))
-    return np.asarray(values)
 
 
 @dataclass

@@ -439,10 +439,6 @@ class NoiseCampaignResult:
                              "band")
         return np.mean(self.ndf_matrix > self.threshold, axis=1)
 
-    def mean_ndfs(self) -> np.ndarray:
-        """Per-die NDF mean over the noise repeats."""
-        return np.mean(self.ndf_matrix, axis=1)
-
     def summary(self) -> str:
         """Human-readable one-block summary (CLI / report output)."""
         lines = [f"dies:        {self.num_dies} x {self.repeats} "

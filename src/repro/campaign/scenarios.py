@@ -42,7 +42,7 @@ from repro.core.zones import ZoneEncoder
 from repro.devices.mos_model import NMOS_65NM
 from repro.devices.process import MonteCarloSampler
 from repro.devices.temperature import at_temperature
-from repro.filters.biquad import BiquadFilter, BiquadSpec
+from repro.filters.biquad import BiquadSpec
 from repro.filters.faults import Fault, catastrophic_fault_universe
 from repro.filters.towthomas import TowThomasValues
 from repro.monitor.comparator import MonitorBoundary
@@ -81,11 +81,6 @@ class SpecPopulation:
 
     def __len__(self) -> int:
         return len(self.specs)
-
-    def cuts(self) -> List[BiquadFilter]:
-        """One behavioural CUT per design point (e.g. to screen die by
-        die with :class:`repro.core.testflow.SignatureTester`)."""
-        return [BiquadFilter(s) for s in self.specs]
 
 
 @dataclass

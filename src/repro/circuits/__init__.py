@@ -13,7 +13,6 @@ SPICE-class engine from scratch:
 * :mod:`repro.circuits.dc` -- damped Newton with gmin/source stepping
 * :mod:`repro.circuits.transient` -- trapezoidal / backward-Euler integration
 * :mod:`repro.circuits.ac` -- small-signal frequency sweeps
-* :mod:`repro.circuits.opamp` -- op-amp macro-models
 """
 
 from repro.circuits.netlist import Circuit, CircuitError
@@ -51,23 +50,9 @@ from repro.circuits.ac import (
     BatchAcResult,
     ac_analysis,
     ac_analysis_batch,
-    logspace_frequencies,
     systems_share_topology,
 )
-from repro.circuits.opamp import OpAmpSpec, add_single_pole_opamp
 from repro.circuits.parser import NetlistError, parse_netlist, parse_value
-from repro.circuits.sweep import DcSweepResult, dc_sweep, output_characteristic
-from repro.circuits.sensitivity import (
-    SensitivityRow,
-    ndf_component_sensitivities,
-    relative_sensitivities,
-    towthomas_f0_sensitivities,
-)
-from repro.circuits.noise_analysis import (
-    NoiseContribution,
-    NoiseResult,
-    noise_analysis,
-)
 
 __all__ = [
     "Circuit",
@@ -104,20 +89,7 @@ __all__ = [
     "ac_analysis",
     "ac_analysis_batch",
     "systems_share_topology",
-    "logspace_frequencies",
-    "OpAmpSpec",
-    "add_single_pole_opamp",
     "NetlistError",
     "parse_netlist",
     "parse_value",
-    "DcSweepResult",
-    "dc_sweep",
-    "output_characteristic",
-    "SensitivityRow",
-    "relative_sensitivities",
-    "towthomas_f0_sensitivities",
-    "ndf_component_sensitivities",
-    "NoiseContribution",
-    "NoiseResult",
-    "noise_analysis",
 ]

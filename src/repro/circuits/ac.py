@@ -245,22 +245,11 @@ def ac_analysis_batch(systems: Sequence[MnaSystem],
     return BatchAcResult(freqs, phasors, first)
 
 
-def logspace_frequencies(f_start: float, f_stop: float,
-                         points_per_decade: int = 20) -> np.ndarray:
-    """Logarithmically spaced frequency grid, SPICE ``DEC`` style."""
-    if f_start <= 0 or f_stop <= f_start:
-        raise ValueError("need 0 < f_start < f_stop")
-    decades = np.log10(f_stop / f_start)
-    count = max(2, int(np.ceil(decades * points_per_decade)) + 1)
-    return np.logspace(np.log10(f_start), np.log10(f_stop), count)
-
-
 __all__ = [
     "AcResult",
     "AcStampPattern",
     "BatchAcResult",
     "ac_analysis",
     "ac_analysis_batch",
-    "logspace_frequencies",
     "systems_share_topology",
 ]

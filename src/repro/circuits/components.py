@@ -502,8 +502,7 @@ class IdealOpAmp(Element):
 
     The classic MNA nullor stamp: one branch current injected at the
     output node, one constraint row equating the inputs.  Useful for
-    ideal active-RC prototypes; for finite-gain/pole behaviour use
-    :func:`repro.circuits.opamp.add_single_pole_opamp`.
+    ideal active-RC prototypes.
     """
 
     num_currents = 1

@@ -81,16 +81,6 @@ class Circuit:
         """True if ``node`` is one of the recognised ground spellings."""
         return node in GROUND_NAMES
 
-    def fresh_node(self, hint: str = "n") -> str:
-        """Return an unused internal node name (for macro builders)."""
-        index = len(self._nodes)
-        while True:
-            candidate = f"_{hint}{index}"
-            if candidate not in self._nodes and not self.is_ground(candidate):
-                self._intern_node(candidate)
-                return candidate
-            index += 1
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

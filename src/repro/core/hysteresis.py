@@ -108,12 +108,3 @@ class HystereticEncoder:
         codes = self.code_sequence(xs2, ys2)[len(xs):]
         times = trace.times - trace.times[0]
         return Signature.from_samples(times, codes, trace.period)
-
-    def chatter_count(self, trace: LissajousTrace) -> int:
-        """Number of zone transitions in one captured period.
-
-        The noise study uses this to show hysteresis collapsing the
-        chatter: a noisy memoryless capture has hundreds of transitions,
-        the hysteretic one close to the noise-free count.
-        """
-        return len(self.capture(trace)) - 1

@@ -155,13 +155,6 @@ class MosModel:
         return softplus(np.asarray(v_over, float)
                         / (2.0 * self.params.n * ut)) ** 2
 
-    def _dbranch(self, v_over):
-        """Derivative of :meth:`_branch` w.r.t. its argument (1/V)."""
-        ut = self.params.thermal_voltage
-        scale = 1.0 / (2.0 * self.params.n * ut)
-        arg = np.asarray(v_over, float) * scale
-        return 2.0 * softplus(arg) * sigmoid(arg) * scale
-
     # ------------------------------------------------------------------
     # Currents
     # ------------------------------------------------------------------
@@ -216,45 +209,6 @@ class MosModel:
         if np.ndim(ids) == 0:
             return float(ids)
         return ids
-
-    def transconductance(self, vgs, vds):
-        """gm = dId/dVgs at the given bias (device sense, always >= 0)."""
-        pol = self.params.polarity
-        vgs_d = pol * np.asarray(vgs, dtype=float)
-        vds_d = pol * np.asarray(vds, dtype=float)
-        swap = vds_d < 0
-        vgs_eff = np.where(swap, vgs_d - vds_d, vgs_d)
-        vds_eff = np.abs(vds_d)
-        n = self.params.n
-        vt0 = self.params.vt0
-        dfwd = self._dbranch(vgs_eff - vt0)
-        drev = self._dbranch(vgs_eff - vt0 - n * vds_eff)
-        gm = self.unit_current * (dfwd - drev)
-        gm = gm * (1.0 + self.params.lambda_ * vds_eff)
-        if np.ndim(gm) == 0:
-            return float(gm)
-        return gm
-
-    def output_conductance(self, vgs, vds):
-        """gds = dId/dVds at the given bias (device sense, >= 0)."""
-        pol = self.params.polarity
-        vgs_d = pol * np.asarray(vgs, dtype=float)
-        vds_d = pol * np.asarray(vds, dtype=float)
-        swap = vds_d < 0
-        vgs_eff = np.where(swap, vgs_d - vds_d, vgs_d)
-        vds_eff = np.abs(vds_d)
-        n = self.params.n
-        vt0 = self.params.vt0
-        lam = self.params.lambda_
-        fwd = self._branch(vgs_eff - vt0)
-        rev_arg = vgs_eff - vt0 - n * vds_eff
-        rev = self._branch(rev_arg)
-        drev = self._dbranch(rev_arg)
-        gds = self.unit_current * (n * drev * (1.0 + lam * vds_eff)
-                                   + (fwd - rev) * lam)
-        if np.ndim(gds) == 0:
-            return float(gds)
-        return gds
 
     # ------------------------------------------------------------------
     # Convenience

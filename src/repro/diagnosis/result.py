@@ -180,15 +180,6 @@ class DiagnosisResult:
                                        true_indices)]
         return float(np.mean(hits))
 
-    def topk_accuracy(self, true_indices) -> float:
-        """Fraction of dies whose true fault appears in the top-k."""
-        true_indices = np.asarray(true_indices)
-        if self.num_dies == 0:
-            return float("nan")
-        hits = np.any(self.top_indices == true_indices[:, None],
-                      axis=1)
-        return float(np.mean(hits))
-
     # ------------------------------------------------------------------
     # Report edge
     # ------------------------------------------------------------------

@@ -7,7 +7,6 @@
 
 from repro.filters.biquad import BiquadFilter, BiquadKind, BiquadSpec
 from repro.filters.towthomas import TowThomasBiquad, TowThomasValues
-from repro.filters.statevariable import KhnBiquad, KhnValues
 from repro.filters.faults import (
     Fault,
     FaultKind,
@@ -22,8 +21,6 @@ __all__ = [
     "BiquadSpec",
     "TowThomasBiquad",
     "TowThomasValues",
-    "KhnBiquad",
-    "KhnValues",
     "Fault",
     "FaultKind",
     "catastrophic_fault_universe",

@@ -44,6 +44,7 @@ import numpy as np
 from repro.campaign.request import ScreeningRequest
 from repro.campaign.result import CampaignResult
 from repro.campaign.scenarios import SpecPopulation
+from repro.filters.biquad import BiquadSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.service.session import ScreeningSession
@@ -216,12 +217,12 @@ class CoalescingBatcher:
         if isinstance(population, SpecPopulation):
             return population
         # Raw spec sequences wrap exactly like the engine would wrap
-        # them solo, so slice labels match the solo run's labels.
-        if isinstance(population, (list, tuple)) and population:
-            try:
-                return SpecPopulation.from_specs(population)
-            except (TypeError, ValueError):
-                return None
+        # them solo, so slice labels match the solo run's labels.  A
+        # sequence holding anything but specs runs solo, so its error
+        # fails that request alone, not the whole pass.
+        if isinstance(population, (list, tuple)) and population \
+                and all(isinstance(s, BiquadSpec) for s in population):
+            return SpecPopulation.from_specs(population)
         return None
 
     def _group_key(self, request: ScreeningRequest) -> Tuple:

@@ -12,12 +12,11 @@ from repro.signals.multitone import Multitone, Tone, two_tone
 from repro.signals.noise import NoiseModel, PAPER_NOISE_3SIGMA
 from repro.signals.lissajous import LissajousTrace
 from repro.signals.filtering import BandLimiter
-from repro.signals.spectrum import HarmonicSpectrum, harmonic_spectrum, tone_table
+from repro.signals.spectrum import HarmonicSpectrum, harmonic_spectrum
 
 __all__ = [
     "HarmonicSpectrum",
     "harmonic_spectrum",
-    "tone_table",
     "Waveform",
     "Multitone",
     "Tone",

@@ -6,12 +6,12 @@ an oscilloscope in X-Y mode represents the trace on the screen."
 
 A :class:`LissajousTrace` stores the two aligned waveforms plus the
 common period, provides the (x, y) point cloud for zone encoding, and
-offers closure/periodicity diagnostics used by the property tests.
+offers bounding-box and ASCII-plot diagnostics.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -57,15 +57,6 @@ class LissajousTrace:
         y = Waveform.from_function(y_signal, period, samples_per_period)
         return cls(x, y, period)
 
-    @classmethod
-    def from_functions(cls, x_func: Callable, y_func: Callable,
-                       period: float,
-                       samples_per_period: int = 4096) -> "LissajousTrace":
-        """Sample one period of two time-domain callables."""
-        x = Waveform.from_function(x_func, period, samples_per_period)
-        y = Waveform.from_function(y_func, period, samples_per_period)
-        return cls(x, y, period)
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -89,24 +80,6 @@ class LissajousTrace:
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
-    def closure_error(self) -> float:
-        """Distance between the curve end and start, extrapolated one step.
-
-        For an exactly periodic composition sampled on [0, T) the point
-        at T equals the point at 0; the error reported here is the gap
-        between the first sample and the wrap of the last sample --
-        small for truly periodic signals, large if the period is wrong.
-        """
-        # Predict the wrap point by linear extrapolation of the last edge.
-        x_wrap = self.x.values[-1] + (self.x.values[-1] - self.x.values[-2])
-        y_wrap = self.y.values[-1] + (self.y.values[-1] - self.y.values[-2])
-        gap = np.hypot(x_wrap - self.x.values[0], y_wrap - self.y.values[0])
-        scale = max(self.x.peak_to_peak(), self.y.peak_to_peak(), 1e-12)
-        # Normalize by the typical single-step motion of the trace.
-        step = np.median(np.hypot(np.diff(self.x.values),
-                                  np.diff(self.y.values)))
-        return float(gap / max(scale * 1e-3, step, 1e-12))
-
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) of the trace."""
         return (float(np.min(self.x.values)), float(np.max(self.x.values)),

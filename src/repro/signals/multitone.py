@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -117,19 +117,6 @@ class Multitone:
     def period(self) -> float:
         """Common period of all tones, in seconds."""
         return 1.0 / self.fundamental_frequency()
-
-    def harmonic_indices(self) -> List[int]:
-        """Each tone's frequency as an integer multiple of the fundamental."""
-        f0 = self.fundamental_frequency()
-        indices = []
-        for tone in self.tones:
-            ratio = tone.freq_hz / f0
-            index = int(round(ratio))
-            if abs(ratio - index) > 1e-6:
-                raise ValueError(
-                    f"tone at {tone.freq_hz} Hz is not harmonically related")
-            indices.append(index)
-        return indices
 
     # ------------------------------------------------------------------
     # Derived signals

@@ -2,15 +2,13 @@
 
 The stimuli are exactly periodic multitones, so spectral estimates need
 no windowing: a DFT over an integer number of periods is exact at the
-harmonic bins.  Used to validate the Biquad response tone by tone, to
-derive alternate-test features, and to quantify distortion introduced
-by non-ideal capture paths.
+harmonic bins.  Used to validate the Biquad response tone by tone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -37,18 +35,6 @@ class HarmonicSpectrum:
     def phase_deg(self, harmonic: int) -> float:
         """Sine-referred phase of one harmonic in degrees."""
         return float(self.phases_deg[harmonic])
-
-    def total_harmonic_distortion(self, fundamental: int = 1) -> float:
-        """THD relative to the given fundamental harmonic.
-
-        Ratio of the RMS of all other non-DC harmonics to the
-        fundamental's amplitude.
-        """
-        a = self.amplitudes
-        others = np.concatenate([a[1:fundamental], a[fundamental + 1:]])
-        if a[fundamental] == 0.0:
-            return float("inf")
-        return float(np.sqrt(np.sum(others ** 2)) / a[fundamental])
 
     def dominant_harmonics(self, count: int = 3) -> Sequence[int]:
         """Indices of the strongest non-DC harmonics."""
@@ -95,15 +81,3 @@ def harmonic_spectrum(waveform: Waveform,
         phases[k] = np.degrees(np.angle(c)) + 90.0
     phases = (phases + 180.0) % 360.0 - 180.0
     return HarmonicSpectrum(1.0 / period, amplitudes, phases)
-
-
-def tone_table(waveform: Waveform, period: float = None,
-               threshold: float = 1e-6) -> Dict[float, Tuple[float, float]]:
-    """{frequency: (amplitude, phase_deg)} for all significant harmonics."""
-    spec = harmonic_spectrum(waveform, period)
-    table = {}
-    for k in range(1, len(spec.amplitudes)):
-        if spec.amplitudes[k] > threshold:
-            table[k * spec.fundamental_hz] = (spec.amplitudes[k],
-                                              spec.phases_deg[k])
-    return table

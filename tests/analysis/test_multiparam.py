@@ -52,12 +52,6 @@ def test_interpolation(surface):
     assert got == pytest.approx(exact, abs=1e-12)
 
 
-def test_acceptance_region_shrinks_with_threshold(surface):
-    loose = surface.accepted_fraction(0.10)
-    tight = surface.accepted_fraction(0.02)
-    assert 0.0 < tight < loose <= 1.0
-
-
 def test_ambiguity_index(surface):
     """An NDF level is realized along a contour, not a point."""
     level = surface.at(0.05, 0.0)

@@ -1,7 +1,6 @@
 """Sweep drivers and report formatting."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
     Comparison,
@@ -10,41 +9,17 @@ from repro.analysis import (
     catastrophic_coverage,
     close,
     comparison_table,
-    deviation_sweep,
     format_table,
     noise_detection_study,
-    process_variation_study,
 )
 from repro.core.decision import DecisionBand
-from repro.core.testflow import SignatureTester
-from repro.filters import BiquadFilter, TowThomasValues
-from repro.devices.process import MonteCarloSampler
+from repro.filters import TowThomasValues
 from repro.signals.noise import NoiseModel
-from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
 
 # ----------------------------------------------------------------------
 # Sweeps
 # ----------------------------------------------------------------------
-
-def test_deviation_sweep_f0(setup):
-    cal = deviation_sweep(setup.tester, setup.golden_spec,
-                          [-0.1, -0.05, 0.0, 0.05, 0.1])
-    assert cal.ndf_at(0.0) == pytest.approx(0.0, abs=1e-9)
-    assert cal.ndf_at(0.1) > cal.ndf_at(0.05) > 0
-
-
-def test_deviation_sweep_other_parameters(setup):
-    cal_q = deviation_sweep(setup.tester, setup.golden_spec,
-                            [-0.2, 0.0, 0.2], parameter="q")
-    cal_g = deviation_sweep(setup.tester, setup.golden_spec,
-                            [-0.2, 0.0, 0.2], parameter="gain")
-    assert cal_q.ndf_at(0.2) > 0
-    assert cal_g.ndf_at(0.2) > 0
-    with pytest.raises(ValueError):
-        deviation_sweep(setup.tester, setup.golden_spec, [0.0],
-                        parameter="nope")
-
 
 def test_noise_detection_study_rates():
     from repro.paper import noisy_paper_setup
@@ -56,22 +31,6 @@ def test_noise_detection_study_rates():
     assert rates[0.05] == 1.0
     assert rates[-0.05] == 1.0
     assert study.false_alarm_rate() <= 0.2
-    assert study.min_fully_detected() == pytest.approx(0.05)
-
-
-def test_process_variation_study(bank, golden_filter):
-    sampler = MonteCarloSampler(rng=0)
-
-    def factory(encoder):
-        return SignatureTester(encoder, PAPER_STIMULUS,
-                               BiquadFilter(PAPER_BIQUAD),
-                               samples_per_period=1024)
-
-    values = process_variation_study(bank, factory, golden_filter,
-                                     sampler, num_dies=4)
-    assert values.shape == (4,)
-    assert np.all(values >= 0)
-    assert np.all(values < 0.1)  # monitor variation costs < 10 % NDF
 
 
 def test_catastrophic_coverage(setup):

@@ -10,7 +10,6 @@ from repro.circuits import (
     Resistor,
     VoltageSource,
     ac_analysis,
-    logspace_frequencies,
 )
 
 
@@ -80,18 +79,6 @@ def test_invalid_frequencies_rejected():
         ac_analysis(system, [0.0])
     with pytest.raises(ValueError):
         ac_analysis(system, [-1.0])
-
-
-def test_logspace_frequencies():
-    freqs = logspace_frequencies(1.0, 1e3, points_per_decade=10)
-    assert freqs[0] == pytest.approx(1.0)
-    assert freqs[-1] == pytest.approx(1e3)
-    ratios = freqs[1:] / freqs[:-1]
-    assert np.allclose(ratios, ratios[0])
-    with pytest.raises(ValueError):
-        logspace_frequencies(0.0, 1e3)
-    with pytest.raises(ValueError):
-        logspace_frequencies(1e3, 1.0)
 
 
 def test_ground_node_phasor_is_zero():

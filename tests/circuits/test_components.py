@@ -135,6 +135,18 @@ def test_ccvs_transresistance():
     assert sol.voltage(system, "out") == pytest.approx(1.0)
 
 
+def test_ideal_inverting_amplifier():
+    ckt = Circuit()
+    ckt.add(VoltageSource("V1", "in", "0", dc=0.1))
+    ckt.add(Resistor("R1", "in", "x", 1e3))
+    ckt.add(Resistor("R2", "x", "out", 2e3))
+    ckt.add(IdealOpAmp("U1", "0", "x", "out"))
+    system = ckt.assemble()
+    sol = dc_operating_point(system)
+    assert sol.voltage(system, "out") == pytest.approx(-0.2)
+    assert sol.voltage(system, "x") == pytest.approx(0.0, abs=1e-12)
+
+
 def test_ideal_opamp_follower():
     ckt = Circuit()
     ckt.add(VoltageSource("V1", "in", "0", dc=0.7))

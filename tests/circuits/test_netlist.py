@@ -76,15 +76,6 @@ def test_assemble_binds_branch_indices():
     assert system.size == ckt.size
 
 
-def test_fresh_node_is_unique():
-    ckt = Circuit()
-    ckt.add(Resistor("R1", "a", "b", 1.0))
-    n1 = ckt.fresh_node("x")
-    n2 = ckt.fresh_node("x")
-    assert n1 != n2
-    assert ckt.node_index(n1) >= 0
-
-
 def test_add_all():
     ckt = Circuit()
     ckt.add_all([Resistor("R1", "a", "0", 1.0),

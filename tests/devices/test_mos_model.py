@@ -136,26 +136,6 @@ def test_smoothness_no_kinks(nmos):
 
 
 # ----------------------------------------------------------------------
-# Derivatives
-# ----------------------------------------------------------------------
-
-@pytest.mark.parametrize("vgs,vds", [(0.6, 0.6), (0.9, 0.2), (0.3, 0.8)])
-def test_transconductance_matches_finite_difference(nmos, vgs, vds):
-    e = 1e-7
-    fd = (nmos.drain_current(vgs + e, vds)
-          - nmos.drain_current(vgs - e, vds)) / (2 * e)
-    assert nmos.transconductance(vgs, vds) == pytest.approx(fd, rel=1e-4)
-
-
-@pytest.mark.parametrize("vgs,vds", [(0.6, 0.6), (0.9, 0.2)])
-def test_output_conductance_matches_finite_difference(nmos, vgs, vds):
-    e = 1e-7
-    fd = (nmos.drain_current(vgs, vds + e)
-          - nmos.drain_current(vgs, vds - e)) / (2 * e)
-    assert nmos.output_conductance(vgs, vds) == pytest.approx(fd, rel=1e-4)
-
-
-# ----------------------------------------------------------------------
 # Utilities
 # ----------------------------------------------------------------------
 

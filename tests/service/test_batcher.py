@@ -11,6 +11,7 @@ from repro.campaign import (
     montecarlo_dies,
     trace_population,
 )
+from repro.filters import BiquadFilter
 from repro.monitor.second_signature import second_signature_bank
 from repro.service import (
     CoalescingBatcher,
@@ -287,6 +288,40 @@ def test_raw_spec_list_coalesces_with_solo_labels(session):
         batcher.close()
     np.testing.assert_array_equal(solo.ndfs, sliced.ndfs)
     assert solo.labels == sliced.labels
+
+
+def test_malformed_raw_list_fails_alone(session):
+    """A raw list holding anything but specs never joins a pass: it
+    fails solo, with the error ``session.submit`` gives it, while a
+    well-formed lot sent alongside it still gets its solo result."""
+    golden_spec = session.engine.config.golden_spec
+    malformed = ([BiquadFilter(golden_spec)],
+                 [golden_spec, BiquadFilter(golden_spec), golden_spec])
+    for population in malformed:
+        assert CoalescingBatcher._coalescible_population(
+            ScreeningRequest(population=population)) is None
+
+    lot = _lots(golden_spec, seeds=(15,), dies=3)[0]
+    solo = session.submit(ScreeningRequest(population=lot))
+    batcher = CoalescingBatcher(session, window=0.05)
+    try:
+        results = []
+        good = threading.Thread(target=lambda: results.append(
+            batcher.submit(ScreeningRequest(population=lot))))
+        good.start()
+        for population in malformed:
+            request = ScreeningRequest(population=population)
+            with pytest.raises(Exception) as solo_error:
+                session.submit(request)
+            with pytest.raises(type(solo_error.value)):
+                batcher.submit(request)
+        good.join(timeout=60)
+    finally:
+        batcher.close()
+    assert not good.is_alive()
+    assert len(results) == 1
+    np.testing.assert_array_equal(results[0].ndfs, solo.ndfs)
+    assert results[0].labels == solo.labels
 
 
 def test_closed_batcher_rejects_submissions(session):

@@ -34,12 +34,6 @@ def test_period_non_harmonic_pair():
     """3 Hz and 5 Hz share a 1 Hz fundamental (1 s period)."""
     stim = two_tone(3.0, 5.0, 1.0, 1.0)
     assert stim.period() == pytest.approx(1.0)
-    assert stim.harmonic_indices() == [3, 5]
-
-
-def test_harmonic_indices_of_paper_stimulus():
-    stim = two_tone(5e3, 15e3, 0.26, 0.19)
-    assert stim.harmonic_indices() == [1, 3]
 
 
 def test_evaluation_scalar_and_vector():

@@ -138,10 +138,6 @@ def test_point_at_wraps(trace):
     assert y0 == pytest.approx(y1)
 
 
-def test_closure_of_periodic_trace(trace):
-    assert trace.closure_error() < 3.0  # within a few sample steps
-
-
 def test_bounding_box_inside_window(trace):
     assert trace.stays_within(0.0, 1.0)
     xmin, xmax, ymin, ymax = trace.bounding_box()
@@ -155,12 +151,3 @@ def test_ascii_plot_shape(trace):
     assert len(lines) == 12
     assert all(len(line) == 40 for line in lines)
     assert any("*" in line for line in lines)
-
-
-def test_from_functions():
-    trace = LissajousTrace.from_functions(
-        lambda t: np.cos(2 * np.pi * 1e3 * np.asarray(t)),
-        lambda t: np.sin(2 * np.pi * 1e3 * np.asarray(t)),
-        period=1e-3, samples_per_period=256)
-    xs, ys = trace.points()
-    np.testing.assert_allclose(xs ** 2 + ys ** 2, 1.0, atol=1e-12)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.filters import BiquadFilter, BiquadSpec
-from repro.signals import Waveform, harmonic_spectrum, tone_table, two_tone
+from repro.signals import Waveform, harmonic_spectrum, two_tone
 
 
 def sampled(multitone, n=1024, periods=1):
@@ -62,27 +62,3 @@ def test_biquad_response_tone_by_tone():
         0.26 * abs(bf.transfer(5e3)), rel=1e-9)
     assert spec.amplitude(3) == pytest.approx(
         0.19 * abs(bf.transfer(15e3)), rel=1e-9)
-
-
-def test_thd_of_pure_tone_is_zero():
-    stim = two_tone(1e3, 2e3, 0.5, 0.0)
-    spec = harmonic_spectrum(sampled(stim))
-    assert spec.total_harmonic_distortion() == pytest.approx(0.0,
-                                                             abs=1e-9)
-
-
-def test_thd_detects_distortion():
-    stim = two_tone(1e3, 2e3, 0.5, 0.0)
-    w = sampled(stim).map(lambda v: v + 0.2 * v ** 2)  # soft clipper
-    spec = harmonic_spectrum(w)
-    assert spec.total_harmonic_distortion() > 0.02
-
-
-def test_tone_table():
-    stim = two_tone(1e3, 3e3, 0.4, 0.2, offset=0.1)
-    table = tone_table(sampled(stim))
-    freqs = sorted(table)
-    assert len(freqs) == 2
-    assert freqs[0] == pytest.approx(1e3, rel=1e-9)
-    assert freqs[1] == pytest.approx(3e3, rel=1e-9)
-    assert table[freqs[0]][0] == pytest.approx(0.4, abs=1e-9)
