@@ -26,6 +26,10 @@ Proofs for the batched campaign engine:
   returns the exact public kernels' codes at least 2x faster on
   traces+encode, computes at most 25% of the columns per die on a
   sigma = 0.03 lot, and stays exact on a sigma = 0.15 lot;
+* **Monte-Carlo build** -- ``MonteCarloFleet.chunks`` draws a
+  4,096-die range (array evaluation of the seeding) at least 3x faster
+  than numpy's per-die reference, with bit-identical deviations,
+  labels and specs;
 * **stage-timing regression guard** -- per-die stage timings
   (trace/encode/signature/ndf) are compared against the committed
   baseline ``benchmarks/baselines/campaign_stages.json`` with a
@@ -747,3 +751,91 @@ def test_streamed_campaign_bounds_memory(bench_setup, report_writer):
 
     assert identical
     assert ratio < 0.7
+
+
+def test_montecarlo_build_cost(bench_setup, report_writer):
+    """Monte-Carlo die ranges build as arrays, >= 3x faster than the
+    per-die reference and bit-identical to it.
+
+    The reference is the definition of a die: its own ``SeedSequence``
+    child and ``default_rng``, ``normal(0, sigma_f0)`` then
+    ``normal(0, sigma_q)``, and ``golden.with_f0_deviation(f)
+    .with_q_deviation(q)``.  ``MonteCarloFleet.chunks`` (what every
+    shard worker and stream runs) must return the same deviations,
+    labels and specs.  Both sides run on the same runner, interleaved,
+    so the ratio holds on a slow or noisy machine where an absolute
+    per-die bound would not.
+    """
+    from repro.campaign import SpecPopulation
+    from repro.shard import MonteCarloFleet
+
+    # The workloads' dies: an f0 spread only (the property tests cover
+    # sigma_q > 0).
+    n, start, seed = 4096, 10_000, 61
+    sigma_f0, sigma_q = 0.03, 0.0
+    golden = bench_setup.golden_spec
+    fleet = MonteCarloFleet(golden, start + n, sigma_f0=sigma_f0,
+                            sigma_q=sigma_q, seed=seed)
+
+    def build_fleet():
+        begin = time.perf_counter()
+        chunks = list(fleet.chunks(start, start + n))
+        return time.perf_counter() - begin, chunks
+
+    def build_reference():
+        begin = time.perf_counter()
+        entropy = np.random.SeedSequence(seed).entropy
+        specs, f0_devs, q_devs = [], [], []
+        for i in range(start, start + n):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=entropy, spawn_key=(i,)))
+            f0 = rng.normal(0.0, sigma_f0) if sigma_f0 > 0 else 0.0
+            q = rng.normal(0.0, sigma_q) if sigma_q > 0 else 0.0
+            specs.append(golden.with_f0_deviation(f0).with_q_deviation(q))
+            f0_devs.append(f0)
+            q_devs.append(q)
+        labels = [f"die{i:05d}" for i in range(start, start + n)]
+        return (time.perf_counter() - begin,
+                (specs, np.array(f0_devs), np.array(q_devs), labels))
+
+    arrays, reference = [], []
+    for __ in range(3):
+        arrays.append(build_fleet())
+        reference.append(build_reference())
+    fast = min(arrays, key=lambda r: r[0])
+    slow = min(reference, key=lambda r: r[0])
+    built = SpecPopulation.concatenate(fast[1])
+    specs, f0_devs, q_devs, labels = slow[1]
+    identical = bool(
+        built.f0_deviations.tobytes() == f0_devs.tobytes()
+        and built.q_deviations.tobytes() == q_devs.tobytes()
+        and built.labels == labels and list(built.specs) == specs)
+    speedup = slow[0] / fast[0]
+    required = 3.0
+
+    rows = [["dies", f"{n} (from die {start}, chunks of "
+                     f"{fleet.chunk_size})"],
+            ["per-die reference", f"{slow[0] / n * 1e6:.2f} us/die"],
+            ["MonteCarloFleet.chunks", f"{fast[0] / n * 1e6:.2f} us/die"],
+            ["speedup", f"{speedup:.2f}x"]]
+    comparisons = [
+        Comparison("build speedup", f">= {required:.1f}x",
+                   f"{speedup:.2f}x", match=speedup >= required),
+        Comparison("deviations, labels, specs", "bit-identical",
+                   str(identical), match=identical),
+    ]
+    report_writer("campaign_montecarlo_build", "\n".join([
+        banner(f"CAMPAIGN: Monte-Carlo die build ({n} dies)"),
+        format_table(["quantity", "value"], rows),
+        "",
+        comparison_table(comparisons),
+    ]))
+    _write_json("campaign_montecarlo_build", {
+        "dies": n, "start": start, "chunk": fleet.chunk_size,
+        "per_die_s": {"reference": slow[0] / n, "fleet": fast[0] / n},
+        "speedup": speedup,
+        "bit_identical": identical,
+    })
+
+    assert identical
+    assert speedup >= required

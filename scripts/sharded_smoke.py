@@ -187,9 +187,12 @@ def phase_c_tcp_partition_drill(args) -> None:
     fleet = MonteCarloFleet(PAPER_BIQUAD, args.dies,
                             sigma_f0=args.sigma, seed=args.seed,
                             chunk_size=args.chunk)
+    # workers=2 holds dispatch until both workers said hello, so the
+    # survivor cannot screen every shard before the doomed worker
+    # connects (which would leave nothing to reassign).
     coordinator = ShardCoordinator(
         engine.config, engine.band().threshold, fleet,
-        shards=args.shards, heartbeat=15.0,
+        shards=args.shards, heartbeat=15.0, workers=2,
         listen=("127.0.0.1", 0))
     host, port = coordinator.address
     outcome = {}

@@ -862,9 +862,7 @@ class CampaignEngine:
                 # rows are chunk-boundary independent, so the sliced
                 # tail scores bit-identically to its uninterrupted
                 # position.
-                part = SpecPopulation(
-                    part.specs[skip:], part.f0_deviations[skip:],
-                    part.q_deviations[skip:], part.labels[skip:])
+                part = part[skip:]
                 skip = 0
             values, timing, part_batches, fallback = self._score(
                 part, request.keep_signatures)

@@ -29,10 +29,19 @@ work.  For fleets larger than memory, :func:`stream_montecarlo_dies`
 yields the same dies as :func:`montecarlo_dies` -- same seeds, same
 order -- in bounded-size :class:`SpecPopulation` chunks that a
 streaming campaign consumes one at a time.
+
+numpy's per-die path (:func:`_per_die_deviations`) defines die ``i``.
+Ranges of :data:`ARRAY_MIN_DIES` dies or more evaluate the same draws
+as arrays: the seed hash of the whole range runs vectorized, and only
+numpy's own normal draw runs per die.  A probe checks the array
+evaluation against the per-die path once per process; on a mismatch
+every later range draws per die and counts its dies in
+``montecarlo_fallback_dies_total``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,24 +51,34 @@ from repro.core.zones import ZoneEncoder
 from repro.devices.mos_model import NMOS_65NM
 from repro.devices.process import MonteCarloSampler
 from repro.devices.temperature import at_temperature
-from repro.filters.biquad import BiquadSpec
+from repro.filters.biquad import BIQUAD_KINDS, BiquadSpec, SpecSequence
 from repro.filters.faults import Fault, catastrophic_fault_universe
 from repro.filters.towthomas import TowThomasValues
 from repro.monitor.comparator import MonitorBoundary
 from repro.monitor.configurations import table1_bank
 from repro.monitor.montecarlo import bank_samples
+from repro.obs.metrics import default_registry
+from repro.obs.trace import span
 
 
 @dataclass
 class SpecPopulation:
-    """N Biquad design points plus per-die ground-truth metadata."""
+    """N Biquad design points plus per-die ground-truth metadata.
 
-    specs: List[BiquadSpec]
+    ``specs`` keeps the design points as parameter columns (a spec
+    list converts on construction; see
+    :class:`~repro.filters.biquad.SpecSequence`), so a population
+    slices and concatenates as arrays and builds a
+    :class:`BiquadSpec` only where one is indexed.
+    """
+
+    specs: SpecSequence
     f0_deviations: np.ndarray
     q_deviations: np.ndarray
     labels: List[str]
 
     def __post_init__(self) -> None:
+        self.specs = SpecSequence.from_specs(self.specs)
         n = len(self.specs)
         self.f0_deviations = np.asarray(self.f0_deviations, dtype=float)
         self.q_deviations = np.asarray(self.q_deviations, dtype=float)
@@ -79,8 +98,27 @@ class SpecPopulation:
                    [f"die{first_index + i:05d}"
                     for i in range(len(specs))])
 
+    @classmethod
+    def concatenate(cls, parts: Sequence["SpecPopulation"]
+                    ) -> "SpecPopulation":
+        """One population from many, rows in order."""
+        parts = list(parts)
+        return cls(SpecSequence.concatenate([p.specs for p in parts]),
+                   np.concatenate([p.f0_deviations for p in parts]
+                                  or [np.empty(0)]),
+                   np.concatenate([p.q_deviations for p in parts]
+                                  or [np.empty(0)]),
+                   [label for p in parts for label in p.labels])
+
     def __len__(self) -> int:
         return len(self.specs)
+
+    def __getitem__(self, rows: slice) -> "SpecPopulation":
+        """Dies ``rows`` (a slice), every per-die field sliced alike."""
+        if not isinstance(rows, slice):
+            raise TypeError("a population slices by die range only")
+        return SpecPopulation(self.specs[rows], self.f0_deviations[rows],
+                              self.q_deviations[rows], self.labels[rows])
 
 
 @dataclass
@@ -148,23 +186,180 @@ class EncoderPopulation:
 
 
 # ----------------------------------------------------------------------
-# Spec population builders
+# Monte Carlo dies
 # ----------------------------------------------------------------------
-def _die_population(golden_spec: BiquadSpec, children,
-                    sigma_f0: float, sigma_q: float,
-                    first_index: int) -> SpecPopulation:
-    """Dies drawn from spawned seed children, labelled globally."""
-    count = len(children)
-    f0_devs = np.empty(count)
-    q_devs = np.empty(count)
-    for i, child in enumerate(children):
+#: Smallest die range drawn as arrays.  The array evaluation costs a
+#: fixed ~50 us of numpy dispatch per range plus 4-6 us per die,
+#: numpy's per-die path 15-20 us per die: they break even at 3-4 dies
+#: (2 vCPUs, numpy 2.4).
+ARRAY_MIN_DIES = 4
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
+# PCG64 LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, first: int,
+                    calls: int) -> np.ndarray:
+    """``(2, calls, 1)`` xor and multiply words of hash calls
+    ``first..first+calls-1`` (the multiplier advances once per call)."""
+    const = init * pow(mult, first, 1 << 32) & _MASK32
+    out = np.empty((2, calls, 1), np.uint32)
+    for t in range(calls):
+        out[0, t] = const
+        const = const * mult & _MASK32
+        out[1, t] = const
+    out.flags.writeable = False
+    return out
+
+
+#: ``generate_state``'s constants for PCG64's eight seed words.
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    value = (value ^ constants[0]) * constants[1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
+
+
+def _entropy_words(entropy) -> int:
+    """How many ``uint32`` words numpy's SeedSequence makes of
+    ``entropy`` (an int, or a sequence of ints)."""
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, (int(entropy).bit_length() + 31) // 32)
+    return sum(_entropy_words(part) for part in entropy)
+
+
+def _pcg64_seeds(seed, lo: int, hi: int) -> List[List[int]]:
+    """What PCG64 seeds from, for every die of ``lo..hi-1`` at once:
+    the four ``uint64`` words of ``generate_state(4, np.uint64)`` on
+    each of ``seed_children(seed, lo, hi)``.
+
+    A child's pool is the root pool mixed further with its spawn-key
+    words (one below ``2**32``, two from there), the hash multiplier
+    carrying on where the root's mixing left it; each ``uint32`` pass
+    here covers every die of the range.
+    """
+    root = np.random.SeedSequence(seed)
+    calls = 16 + 4 * max(0, _entropy_words(root.entropy) - 4)
+    key = _hash_constants(_INIT_A, _MULT_A, calls, 8)
+    index = np.arange(lo, hi, dtype=np.uint64)
+    pool = _mix(root.pool[:, None],
+                _hashmix((index & _MASK32).astype(np.uint32), key[:, :4]))
+    wide = max(0, min(hi, 1 << 32) - lo)  # first two-word key
+    if wide < hi - lo:
+        pool[:, wide:] = _mix(pool[:, wide:], _hashmix(
+            (index[wide:] >> 32).astype(np.uint32), key[:, 4:]))
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTANTS)
+    return words.T.astype("<u4", order="C").view("<u8").tolist()
+
+
+def _array_deviations(seed, lo: int, hi: int, sigma_f0: float,
+                      sigma_q: float) -> np.ndarray:
+    """Dies ``lo..hi-1`` drawn like :func:`_per_die_deviations`.
+
+    Each die's PCG64 state is the two LCG steps of numpy's
+    ``pcg64_set_seed`` on its seed words; one reused generator then
+    draws numpy's own normals from it.
+    """
+    generator = np.random.Generator(np.random.PCG64(0))
+    bits, normal = generator.bit_generator, generator.normal
+    words = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0,
+             "uinteger": 0}
+    draws: List[float] = []
+    for s_hi, s_lo, i_hi, i_lo in _pcg64_seeds(seed, lo, hi):
+        inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+        words["state"] = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT
+                          + inc) & _MASK128
+        words["inc"] = inc
+        bits.state = state
+        draws.append(normal(0.0, sigma_f0) if sigma_f0 > 0 else 0.0)
+        draws.append(normal(0.0, sigma_q) if sigma_q > 0 else 0.0)
+    return _deviation_rows(draws)
+
+
+def _per_die_deviations(seed, lo: int, hi: int, sigma_f0: float,
+                        sigma_q: float) -> np.ndarray:
+    """Dies ``lo..hi-1`` the way that defines them: each die's own
+    ``default_rng``, ``normal(0, sigma_f0)`` then ``normal(0,
+    sigma_q)``, each only when its sigma is positive."""
+    draws: List[float] = []
+    for child in seed_children(seed, lo, hi):
         rng = np.random.default_rng(child)
-        f0_devs[i] = rng.normal(0.0, sigma_f0) if sigma_f0 > 0 else 0.0
-        q_devs[i] = rng.normal(0.0, sigma_q) if sigma_q > 0 else 0.0
-    specs = [golden_spec.with_f0_deviation(float(f)).with_q_deviation(
-        float(q)) for f, q in zip(f0_devs, q_devs)]
-    labels = [f"die{first_index + i:05d}" for i in range(count)]
-    return SpecPopulation(specs, f0_devs, q_devs, labels)
+        draws.append(rng.normal(0.0, sigma_f0) if sigma_f0 > 0 else 0.0)
+        draws.append(rng.normal(0.0, sigma_q) if sigma_q > 0 else 0.0)
+    return _deviation_rows(draws)
+
+
+def _deviation_rows(draws: List[float]) -> np.ndarray:
+    """``(2, N)`` f0 and Q deviation rows from per-die draw pairs."""
+    return np.array([draws[0::2], draws[1::2]], dtype=float)
+
+
+#: Ranges the array evaluation must reproduce before a process uses
+#: it: a small seed, a seed beyond 128 bits, indices on both sides of
+#: ``2**32``; drawn with ``sigma_q`` on.
+_PROBES = ((7, 0, 3), (2 ** 160 + 12345, 2 ** 32 - 2, 2 ** 32 + 2))
+_arrays_agree: Optional[bool] = None
+
+
+def _array_draws_agree() -> bool:
+    """Whether the array evaluation matched numpy's per-die path on
+    :data:`_PROBES` (checked once per process)."""
+    global _arrays_agree
+    if _arrays_agree is None:
+        try:
+            _arrays_agree = all(
+                _array_deviations(*probe, 0.03, 0.02).tobytes()
+                == _per_die_deviations(*probe, 0.03, 0.02).tobytes()
+                for probe in _PROBES)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            _arrays_agree = False  # a numpy whose seeding API moved
+    return _arrays_agree
+
+
+def _die_population(golden_spec: BiquadSpec, seed, lo: int, hi: int,
+                    sigma_f0: float, sigma_q: float) -> SpecPopulation:
+    """Dies ``lo..hi-1`` of ``seed``, labelled globally."""
+    count = hi - lo
+    with span("population.build", dies=count, lo=lo) as build:
+        arrays = False
+        if count >= ARRAY_MIN_DIES:
+            arrays = _array_draws_agree()
+            default_registry().counter(
+                "montecarlo_fallback_dies_total").inc(
+                    0.0 if arrays else float(count))
+        build.set(path="arrays" if arrays else "per_die")
+        draw = _array_deviations if arrays else _per_die_deviations
+        devs = draw(seed, lo, hi, sigma_f0, sigma_q)
+        # Elementwise, the float operations of with_f0_deviation and
+        # with_q_deviation; where a die is invalid (or NaN), those
+        # methods run die by die and raise their own errors.
+        columns = np.array([[golden_spec.f0_hz], [golden_spec.q]]) \
+            * (1.0 + devs)
+        if count and not columns.min() > 0:
+            for f0_dev, q_dev in devs.T.tolist():
+                golden_spec.with_f0_deviation(f0_dev) \
+                    .with_q_deviation(q_dev)
+        gain = np.empty(count)
+        gain.fill(golden_spec.gain)
+        kind = np.empty(count, np.int8)
+        kind.fill(BIQUAD_KINDS.index(golden_spec.kind))
+        labels = [f"die{i:05d}" for i in range(lo, hi)]
+    return SpecPopulation(SpecSequence(columns[0], columns[1], gain, kind),
+                          devs[0], devs[1], labels)
 
 
 def montecarlo_dies(golden_spec: BiquadSpec, count: int,
@@ -178,8 +373,8 @@ def montecarlo_dies(golden_spec: BiquadSpec, count: int,
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    children = np.random.SeedSequence(seed).spawn(count)
-    return _die_population(golden_spec, children, sigma_f0, sigma_q, 0)
+    return _die_population(golden_spec, seed, 0, count, sigma_f0,
+                           sigma_q)
 
 
 def seed_children(seed: int, lo: int, hi: int) -> List:
@@ -194,7 +389,10 @@ def seed_children(seed: int, lo: int, hi: int) -> List:
     (equivalence is locked down by
     ``tests/robustness/test_checkpoint_resume.py``).
     """
-    entropy = np.random.SeedSequence(seed).entropy
+    # A non-negative int is its own entropy; anything else (None, a
+    # list) resolves through a root SeedSequence.
+    entropy = seed if isinstance(seed, (int, np.integer)) and seed >= 0 \
+        else np.random.SeedSequence(seed).entropy
     return [np.random.SeedSequence(entropy=entropy, spawn_key=(i,))
             for i in range(lo, hi)]
 
@@ -211,7 +409,7 @@ def stream_montecarlo_dies(golden_spec: BiquadSpec, count: int,
     stream draws from exactly the same child as die ``i`` of the
     monolithic builder -- a streamed campaign's verdict vector is
     bit-identical to the one-shot run, while only ``chunk_size``
-    specs ever exist at once.
+    dies ever exist at once.
 
     ``start`` begins the stream mid-fleet: dies ``start..count-1``
     are yielded with the same seeds and labels they would have had
@@ -228,12 +426,14 @@ def stream_montecarlo_dies(golden_spec: BiquadSpec, count: int,
     emitted = start
     while emitted < count:
         take = min(chunk_size, count - emitted)
-        children = seed_children(seed, emitted, emitted + take)
-        yield _die_population(golden_spec, children, sigma_f0, sigma_q,
-                              emitted)
+        yield _die_population(golden_spec, seed, emitted, emitted + take,
+                              sigma_f0, sigma_q)
         emitted += take
 
 
+# ----------------------------------------------------------------------
+# Spec population builders
+# ----------------------------------------------------------------------
 def deviation_sweep_population(golden_spec: BiquadSpec,
                                deviations: Sequence[float],
                                parameter: str = "f0") -> SpecPopulation:

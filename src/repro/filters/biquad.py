@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -232,19 +234,79 @@ class SpecArrays:
                           self.gain[index], self.kind[index])
 
 
+@dataclass(frozen=True, eq=False)
+class SpecSequence(SequenceABC):
+    """A spec list held as parameter columns.
+
+    ``f0_hz``, ``q`` and ``gain`` are float arrays and ``kind`` holds
+    ``int8`` codes into :data:`BIQUAD_KINDS`.  Indexing one element
+    builds its :class:`BiquadSpec` on access; a slice, ``+`` and
+    :meth:`concatenate` stay columns.  Equality compares the specs
+    with any other spec sequence.
+    """
+
+    f0_hz: np.ndarray
+    q: np.ndarray
+    gain: np.ndarray
+    kind: np.ndarray
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[BiquadSpec]) -> "SpecSequence":
+        """Columns of a spec sequence (a :class:`SpecSequence` passes
+        through)."""
+        if isinstance(specs, SpecSequence):
+            return specs
+        n = len(specs)
+        return cls(np.fromiter((spec.f0_hz for spec in specs), float, n),
+                   np.fromiter((spec.q for spec in specs), float, n),
+                   np.fromiter((spec.gain for spec in specs), float, n),
+                   np.fromiter((_KIND_CODES[spec.kind] for spec in specs),
+                               np.int8, n))
+
+    @classmethod
+    def concatenate(cls, parts: Sequence[Sequence[BiquadSpec]]
+                    ) -> "SpecSequence":
+        """One sequence from many, in order."""
+        parts = [cls.from_specs(part) for part in parts] \
+            or [cls.from_specs([])]
+        return cls(*(np.concatenate([getattr(part, name)
+                                     for part in parts])
+                     for name in ("f0_hz", "q", "gain", "kind")))
+
+    def __len__(self) -> int:
+        return int(self.f0_hz.shape[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SpecSequence(self.f0_hz[index], self.q[index],
+                                self.gain[index], self.kind[index])
+        i = operator.index(index)
+        return BiquadSpec(float(self.f0_hz[i]), float(self.q[i]),
+                          float(self.gain[i]), BIQUAD_KINDS[self.kind[i]])
+
+    def __iter__(self) -> Iterator[BiquadSpec]:
+        for f0_hz, q, gain, kind in zip(
+                self.f0_hz.tolist(), self.q.tolist(), self.gain.tolist(),
+                self.kind.tolist()):
+            yield BiquadSpec(f0_hz, q, gain, BIQUAD_KINDS[kind])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __add__(self, other: Sequence[BiquadSpec]) -> "SpecSequence":
+        return SpecSequence.concatenate([self, other])
+
+
 def spec_arrays(specs: Union[Sequence[BiquadSpec], SpecArrays]
                 ) -> SpecArrays:
     """Stacked parameter arrays of a population (arrays pass through)."""
     if isinstance(specs, SpecArrays):
         return specs
-    n = len(specs)
-    f0 = np.fromiter((spec.f0_hz for spec in specs), float, n)
-    return SpecArrays(
-        2.0 * math.pi * f0,
-        np.fromiter((spec.q for spec in specs), float, n),
-        np.fromiter((spec.gain for spec in specs), float, n),
-        np.fromiter((_KIND_CODES[spec.kind] for spec in specs), np.int8,
-                    n))
+    columns = SpecSequence.from_specs(specs)
+    return SpecArrays(2.0 * math.pi * columns.f0_hz, columns.q,
+                      columns.gain, columns.kind)
 
 
 def batch_transfer_arrays(omega0: np.ndarray, q: np.ndarray,

@@ -454,7 +454,18 @@ def kernel_key(encoder: ZoneEncoder) -> Optional[Tuple]:
     :meth:`ZoneEncoder.fingerprint` is a rounded probe; banks a
     rounding apart share it, so it must not key tables.)  ``None`` for
     banks outside the table rule, which never get a table.
+
+    Computed once per encoder object and kept on it, as
+    :func:`repro.campaign.cache.encoder_key` keeps the fingerprint.
     """
+    try:
+        return encoder._kernel_key
+    except AttributeError:
+        key = encoder._kernel_key = _kernel_key(encoder)
+        return key
+
+
+def _kernel_key(encoder: ZoneEncoder) -> Optional[Tuple]:
     if _table_layouts(encoder) is None:
         return None
     return tuple(

@@ -39,8 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.campaign.request import ScreeningRequest
 from repro.campaign.result import CampaignResult
 from repro.campaign.scenarios import SpecPopulation
@@ -89,13 +87,7 @@ class _Pending:
 def concatenate_populations(parts: List[SpecPopulation]
                             ) -> SpecPopulation:
     """One spec population from many, rows in request order."""
-    specs = [spec for part in parts for spec in part.specs]
-    labels = [label for part in parts for label in part.labels]
-    f0 = (np.concatenate([part.f0_deviations for part in parts])
-          if parts else np.empty(0))
-    q = (np.concatenate([part.q_deviations for part in parts])
-         if parts else np.empty(0))
-    return SpecPopulation(specs, f0, q, labels)
+    return SpecPopulation.concatenate(parts)
 
 
 class CoalescingBatcher:

@@ -95,14 +95,8 @@ class PopulationFleet:
         return self._iter_chunks(lo, hi)
 
     def _iter_chunks(self, lo: int, hi: int) -> Iterator[SpecPopulation]:
-        pop = self.population
         for start in range(lo, hi, self.chunk_size):
-            stop = min(start + self.chunk_size, hi)
-            yield SpecPopulation(
-                pop.specs[start:stop],
-                pop.f0_deviations[start:stop],
-                pop.q_deviations[start:stop],
-                pop.labels[start:stop])
+            yield self.population[start:min(start + self.chunk_size, hi)]
 
 
 ShardFleet = Union[MonteCarloFleet, PopulationFleet]

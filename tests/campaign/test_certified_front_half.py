@@ -39,6 +39,7 @@ from repro.baselines.straight_zoning import (
     grid_line_encoder,
 )
 from repro.campaign import (
+    CampaignConfig,
     CampaignEngine,
     GoldenCache,
     ProcessPoolExecutor,
@@ -688,6 +689,32 @@ def test_banks_a_rounding_apart_never_share_a_table(grid):
             engine.config, engine.golden(), len(dies))[0])
     assert tables[0] is not tables[1]
     assert np.array_equal(tables[1].thresholds, nudged_table.thresholds)
+
+
+def test_kernel_key_computed_once_per_encoder(monkeypatch):
+    """Every certified chunk looks up its table and golden frame by
+    kernel key; the key itself is built once per encoder object."""
+    import repro.monitor.bank_encode as bank_encode
+
+    built = []
+    compute = bank_encode._kernel_key
+    monkeypatch.setattr(bank_encode, "_kernel_key",
+                        lambda encoder: built.append(encoder)
+                        or compute(encoder))
+    encoders = [table1_encoder(), second_signature_bank(-0.10, 1e-5)]
+    engine = CampaignEngine(
+        CampaignConfig(encoders[0], PAPER_STIMULUS, PAPER_BIQUAD,
+                       samples_per_period=SAMPLES,
+                       chunk_size=CERTIFIED_MIN_ROWS),
+        cache=GoldenCache()).with_encoders(encoders)
+    dies = montecarlo_dies(PAPER_BIQUAD, 3 * CERTIFIED_MIN_ROWS,
+                           sigma_f0=0.03, seed=13)
+    engine.run(dies, band=None)
+    # Three certified chunks over two channels: one build per encoder.
+    assert sorted(map(id, built)) == sorted(map(id, encoders))
+    # The memo gives a fresh build's value, without building again.
+    assert kernel_key(encoders[0]) == compute(table1_encoder())
+    assert len(built) == 2
 
 
 # ----------------------------------------------------------------------

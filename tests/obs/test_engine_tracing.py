@@ -14,6 +14,7 @@ from repro.campaign import (
     ProcessPoolExecutor,
     SerialExecutor,
     montecarlo_dies,
+    stream_montecarlo_dies,
 )
 from repro.monitor.configurations import table1_encoder
 from repro.obs import (
@@ -108,6 +109,25 @@ def test_stage_profile_agrees_with_result_timing():
             result.timing[stage], rel=0.10, abs=0.002)
 
 
+def test_stream_records_one_population_build_span_per_chunk():
+    """Each Monte-Carlo chunk a stream draws is one population.build
+    span inside the campaign, named by its range and draw path."""
+    chunks = stream_montecarlo_dies(PAPER_BIQUAD, 34, chunk_size=16,
+                                    sigma_f0=0.04, seed=11)
+    with tracing() as tracer:
+        result = _engine().run_stream(chunks, band=THRESHOLD)
+    records = tracer.records()
+    builds = [r for r in records if r.name == "population.build"]
+    assert [(r.attributes["lo"], r.attributes["dies"],
+             r.attributes["path"]) for r in builds] == [
+        (0, 16, "arrays"), (16, 16, "arrays"), (32, 2, "per_die")]
+    submit = next(r for r in records if r.name == "campaign.submit")
+    assert all(r.parent_id == submit.span_id for r in builds)
+    assert len(result.ndfs) == 34
+    # Outside the stage.* prefix: the profile still maps onto timing.
+    assert set(stage_profile(tracer)) <= set(result.timing)
+
+
 def test_render_profile_tabulates_stages():
     with tracing() as tracer:
         result = _engine().run(_population(12), band=THRESHOLD)
@@ -161,9 +181,12 @@ def test_every_executor_yields_one_connected_trace(make_executor):
     span -- including chunk spans from pool worker processes --
     descends from the single campaign.submit root."""
     executor = make_executor()
+    # The lot is built before the campaign: its population.build span
+    # is a root of its own.
+    population = _population(24)
     try:
         with tracing() as tracer:
-            _engine(executor, chunk_size=8).run(_population(24),
+            _engine(executor, chunk_size=8).run(population,
                                                 band=THRESHOLD)
     finally:
         executor.shutdown()
