@@ -27,6 +27,13 @@ no shared filesystem).  The survivor must take the shard over,
 resume from the shipped checkpoint, and the merged verdicts must be
 **bit-identical** to the monolithic run.
 
+**Phase D -- warm reuse.**  Two more campaigns on phase A's engine,
+now without the drill variable.  The first replaces phase A's workers
+(the environment changed); the second spawns none
+(``shard_worker_startup_seconds`` does not grow), runs on the same
+worker pids and merges **bit-identical** to the monolithic run.
+``engine.close()`` must then leave none of those pids running.
+
 Usage::
 
     python scripts/sharded_smoke.py --dies 24 --samples 512 --shards 3
@@ -60,8 +67,11 @@ def _parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
-def phase_a_kill_drill(args) -> None:
-    """Kill one worker mid-shard; assert reassignment + bit-identity."""
+def phase_a_kill_drill(args):
+    """Kill one worker mid-shard; assert reassignment + bit-identity.
+
+    Returns the engine, fleet and monolithic result for phase D.
+    """
     import numpy as np
 
     from repro.campaign import CampaignEngine, montecarlo_dies
@@ -126,6 +136,7 @@ def phase_a_kill_drill(args) -> None:
           f"(resumed at die {resumed[0]['args']['resume_at']} of "
           f"shard [{resumed[0]['args']['lo']}, "
           f"{resumed[0]['args']['hi']}))")
+    return engine, fleet, reference
 
 
 def _campaign_json(args, options) -> dict:
@@ -243,11 +254,56 @@ def phase_c_tcp_partition_drill(args) -> None:
           f"({int(stats['workers'])} workers on {host}:{port})")
 
 
+def _running(pid: int) -> bool:
+    """True while ``pid`` is a live shard worker."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return b"shard-worker" in fh.read()
+    except OSError:
+        return False
+
+
+def phase_d_warm_reuse(args, engine, fleet, reference) -> None:
+    """Two campaigns on phase A's engine; the second spawns nothing."""
+    import numpy as np
+
+    from repro.obs import Tracer, install_tracer, uninstall_tracer
+    from repro.obs.metrics import default_registry
+
+    startup = default_registry().histogram("shard_worker_startup_seconds")
+
+    def campaign():
+        tracer = Tracer()
+        install_tracer(tracer)
+        try:
+            result = engine.run_sharded(fleet, shards=args.shards,
+                                        band="auto", heartbeat=15.0)
+        finally:
+            uninstall_tracer()
+        assert np.array_equal(result.ndfs, reference.ndfs), \
+            "merged NDFs differ from the monolithic run"
+        assert np.array_equal(result.verdicts, reference.verdicts)
+        return {r.attributes["pid"] for r in tracer.records()
+                if r.name == "shard.worker.init"}
+
+    first = campaign()
+    spawned = startup.count
+    second = campaign()
+    assert startup.count == spawned, "the warm campaign spawned a worker"
+    assert second == first, (first, second)
+    engine.close()
+    survivors = [pid for pid in first if _running(pid)]
+    assert not survivors, f"workers {survivors} outlived engine.close()"
+    print(f"phase D ok: second campaign reused pids {sorted(second)}, "
+          f"bit-identical merge; engine.close() stopped them all")
+
+
 def main() -> int:
     args = _parse_args()
-    phase_a_kill_drill(args)
+    engine, fleet, reference = phase_a_kill_drill(args)
     phase_b_cli_equivalence(args)
     phase_c_tcp_partition_drill(args)
+    phase_d_warm_reuse(args, engine, fleet, reference)
     print("sharded smoke: all assertions held")
     return 0
 

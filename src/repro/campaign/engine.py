@@ -67,7 +67,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 import time
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -136,6 +138,9 @@ NOISE_SEED_DOMAIN = 0x4E6F6973
 
 Population = Union[SpecPopulation, CutListPopulation, EncoderPopulation,
                    TracePopulation, Sequence[BiquadSpec]]
+
+#: Guards each engine's lazily created shard worker set.
+_WORKER_SET_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -524,6 +529,11 @@ class CampaignEngine:
         implicitly.
     executor:
         Chunk scheduler; :class:`SerialExecutor` when omitted.
+
+    The first pipe-mode :meth:`run_sharded` starts the engine's shard
+    workers, and every later one leases the same warm processes.
+    :meth:`close` (or leaving a ``with`` block) stops them; so does
+    garbage collection of the engine, or interpreter exit.
     """
 
     def __init__(self, config: CampaignConfig,
@@ -533,6 +543,40 @@ class CampaignEngine:
         self.cache = cache if cache is not None else GoldenCache()
         self.executor = executor if executor is not None \
             else SerialExecutor()
+        self._workers = None  # a repro.shard WorkerSet, once sharded
+        self._close_workers = None
+
+    def close(self) -> None:
+        """Stop the shard workers this engine keeps warm.
+
+        Closes only what the engine owns: a caller's executor and
+        cache stay open.  The engine stays usable; a later sharded
+        campaign starts new workers.
+        """
+        with _WORKER_SET_LOCK:
+            close, self._close_workers = self._close_workers, None
+            self._workers = None
+        if close is not None:
+            close()
+
+    def __enter__(self) -> "CampaignEngine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _worker_set(self):
+        """The engine's warm shard workers (created on first use)."""
+        with _WORKER_SET_LOCK:
+            if self._workers is None:
+                from repro.shard.coordinator import WorkerSet
+
+                self._workers = WorkerSet()
+                # Stops the workers at garbage collection or exit too;
+                # it holds the set, never the engine.
+                self._close_workers = weakref.finalize(
+                    self, self._workers.close)
+            return self._workers
 
     @classmethod
     def from_parts(cls, encoder: ZoneEncoder, stimulus: Multitone,
@@ -647,9 +691,9 @@ class CampaignEngine:
         """
         if request.encoders is not None:
             # Multi-signature screening is an engine over the listed
-            # banks, in every mode.
-            return self.with_encoders(request.encoders).submit(
-                replace(request, encoders=None))
+            # banks, in every mode (closed after, with any workers).
+            with self.with_encoders(request.encoders) as engine:
+                return engine.submit(replace(request, encoders=None))
         with span("campaign.submit", mode=request.mode,
                   executor=getattr(self.executor, "name", "custom")):
             if request.mode == "noise":
@@ -1041,7 +1085,9 @@ class CampaignEngine:
         range splits into shards -- each exactly "a checkpoint whose
         next index starts past another's" -- dispatched to ``workers``
         subprocess workers (default: one per shard, capped at
-        ``shards``); partial checkpoints merge in global-index order
+        ``shards``), which the engine keeps warm for its next sharded
+        campaign (:meth:`close` stops them); partial checkpoints merge
+        in global-index order
         **bit-identical** to the monolithic :meth:`run` /
         :meth:`run_stream` over the same fleet.  A worker that dies or
         stalls past the ``heartbeat`` deadline has its shard
@@ -1094,7 +1140,9 @@ class CampaignEngine:
             workdir=request.shard_workdir,
             heartbeat=request.shard_heartbeat,
             listen=listen,
-            autotune_target_s=request.shard_autotune_s)
+            autotune_target_s=request.shard_autotune_s,
+            worker_set=None if listen is not None
+            else self._worker_set())
         merged, stats = coordinator.run()
         merged.timing["merge"] = float(stats.get("merge_seconds", 0.0))
         mode = "sharded-tcp" if listen is not None else "sharded"

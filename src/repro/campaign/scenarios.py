@@ -397,6 +397,17 @@ def seed_children(seed: int, lo: int, hi: int) -> List:
             for i in range(lo, hi)]
 
 
+def fixed_seed(seed):
+    """``seed``, with None resolved to fresh root entropy (an int).
+
+    A ``seed=None`` fleet is one fleet only if its entropy is drawn
+    once: every range drawn under ``None`` itself would start from new
+    OS entropy.
+    """
+    return int(np.random.SeedSequence().entropy) if seed is None \
+        else seed
+
+
 def stream_montecarlo_dies(golden_spec: BiquadSpec, count: int,
                            chunk_size: int = 1024,
                            sigma_f0: float = 0.03, sigma_q: float = 0.0,
@@ -416,6 +427,7 @@ def stream_montecarlo_dies(golden_spec: BiquadSpec, count: int,
     from die 0 (children reconstruct by global index via
     :func:`seed_children`).  A resumed checkpointed campaign uses
     this to skip the already-screened prefix without re-drawing it.
+    ``seed=None`` draws one root entropy for the whole stream.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
@@ -423,6 +435,7 @@ def stream_montecarlo_dies(golden_spec: BiquadSpec, count: int,
         raise ValueError("chunk size must be >= 1")
     if start < 0:
         raise ValueError("start must be non-negative")
+    seed = fixed_seed(seed)
     emitted = start
     while emitted < count:
         take = min(chunk_size, count - emitted)

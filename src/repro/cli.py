@@ -627,6 +627,9 @@ def _cmd_campaign(setup, args) -> int:
             population, faults = _campaign_population(setup, args)
             result = engine.run(population, band="auto")
     finally:
+        # Stop the shard workers inside the trace window, so
+        # shard.shutdown is profiled and no finalizer waits at exit.
+        engine.close()
         if tracer is not None:
             from repro.obs import uninstall_tracer
 

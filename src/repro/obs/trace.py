@@ -474,6 +474,11 @@ def current_trace_context() -> Optional[TraceContext]:
                         parent_span_id=tracer._current.get())
 
 
+#: The span-id counter of each process's context tracers, by pid (a
+#: forked child must not continue its parent's sequence).
+_CONTEXT_IDS: Dict[int, Iterator[int]] = {}
+
+
 def context_tracer(context: TraceContext,
                    capacity: int = 65536,
                    name: str = "repro-worker") -> Tracer:
@@ -490,9 +495,15 @@ def context_tracer(context: TraceContext,
     tracer._current = contextvars.ContextVar(
         "repro_current_span", default=context.parent_span_id)
     # 24 bits of pid in the high word keeps worker ids disjoint from
-    # the parent's small sequential ids and from sibling workers.
-    tracer._ids = itertools.count(
-        ((os.getpid() & 0xFFFFFF) << 32) + 1)
+    # the parent's small sequential ids and from sibling workers; one
+    # counter per process keeps them disjoint between the tracers of
+    # successive chunks or campaigns in a long-lived worker.
+    pid = os.getpid()
+    ids = _CONTEXT_IDS.get(pid)
+    if ids is None:
+        ids = _CONTEXT_IDS[pid] = itertools.count(
+            ((pid & 0xFFFFFF) << 32) + 1)
+    tracer._ids = ids
     return tracer
 
 

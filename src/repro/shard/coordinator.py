@@ -43,26 +43,40 @@ Lifecycle metrics land in the process-default registry
 ``shard_bytes_total`` per transport direction and
 ``shard_rtt_seconds`` -- the assign-to-done round trip per shard,
 which is also what feeds the autotuner -- and
-``shard_worker_startup_seconds``, spawn to ``hello`` per pipe
-worker); with tracing on, the whole campaign nests under a
+``shard_worker_startup_seconds``, spawn to first ``hello`` per
+pipe worker process); with tracing on, the whole campaign nests under a
 ``shard.campaign`` span whose ``shard.dispatch`` children carry
 ``(shard, worker, attempt)`` -- a re-dispatch is visible as
 ``attempt > 1`` -- and worker-side spans come home pid- and
-host-stamped through the ``done`` message.  Stopping the workers
-afterwards is the ``shard.shutdown`` span.
+host-stamped through the ``done`` message.  Stopping workers is a
+``shard.shutdown`` span wherever it happens: after a standalone
+coordinator's campaign, after a failed one, when a set replaces
+workers that started under another environment, and when a set
+closes.
+
+Pipe workers come from a :class:`WorkerSet`.  An engine keeps one until
+it closes, so its second campaign leases the first one's
+processes -- imports, engine, golden and front-half tables already
+warm -- instead of spawning and shutting down two interpreters; a
+standalone coordinator owns a private set and closes it at the end of
+:meth:`ShardCoordinator.run`.
 
 The drill hook: ``REPRO_SHARD_WORKER_FAULTS`` in the coordinator's
-environment is forwarded (as ``REPRO_FAULTS``) to the *first* spawned
-worker only, and ``REPRO_FAULTS`` itself is stripped from every worker
-environment -- so ``shard.worker.kill`` SIGKILLs exactly one worker
-and the respawned replacement cannot inherit the same death.  The
-``shard.transport.*`` fault points break the channel itself
-(:mod:`repro.shard.transport`).
+environment is forwarded (as ``REPRO_FAULTS``) to the *first* worker
+a set spawns after the environment changed, and ``REPRO_FAULTS``
+itself is stripped from every worker environment -- so
+``shard.worker.kill`` SIGKILLs exactly one worker and the respawned
+replacement cannot inherit the same death.  A set whose workers
+started under another environment replaces them rather than lease
+them, so a drill armed between two campaigns still lands in a fresh
+worker.  The ``shard.transport.*`` fault points break the channel
+itself (:mod:`repro.shard.transport`).
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 import os
 import queue
@@ -73,9 +87,11 @@ import tempfile
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.campaign.cache import encoder_key
 from repro.campaign.checkpoint import StreamCheckpoint
+from repro.monitor.bank_encode import kernel_key
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
 from repro.obs.trace import (
@@ -100,9 +116,10 @@ from repro.shard.transport import (
 )
 from repro.store import atomic_write_bytes
 
-#: Environment variable naming faults to arm in the FIRST spawned
-#: worker only (the worker-loss drill).  Respawned workers never see
-#: it, so an armed ``shard.worker.kill`` cannot loop forever.
+#: Environment variable naming faults to arm in the FIRST worker a set
+#: spawns under a new environment only (the worker-loss drill).
+#: Respawned workers never see it, so an armed ``shard.worker.kill``
+#: cannot loop forever.
 WORKER_FAULTS_ENV = "REPRO_SHARD_WORKER_FAULTS"
 
 #: Silence allowance before the first ``hello`` (interpreter start +
@@ -122,25 +139,35 @@ class ShardWorkerError(RuntimeError):
 
 
 class _Worker:
-    """One worker slot (transport + bookkeeping), any carrier."""
+    """One worker (transport + bookkeeping), any carrier.
+
+    Its reader thread delivers every received line, as ``(worker,
+    message)``, to :attr:`sink` -- the queue of the campaign that
+    holds the worker -- and drops lines while the worker idles in a
+    :class:`WorkerSet` (``sink`` None), so an idle warm worker's pings
+    never pile up.
+    """
 
     __slots__ = ("index", "transport", "shard", "last_seen",
-                 "last_progress", "hello_seen", "generation",
-                 "assigned_at", "host", "spawned_at")
+                 "last_progress", "hello_seen",
+                 "assigned_at", "host", "spawned_at", "sink", "reading")
 
     def __init__(self, index: int, transport: Transport,
-                 generation: int) -> None:
+                 sink=None) -> None:
         self.index = index
         self.transport = transport
         self.shard: Optional[Shard] = None
         self.last_seen = time.monotonic()
         self.last_progress = self.last_seen
         self.hello_seen = False
-        self.generation = generation
         self.assigned_at = 0.0
         self.host: Optional[str] = None
-        #: Pipe workers only: monotonic time the process was spawned.
+        #: Pipe workers only: monotonic spawn time, until the first
+        #: ``hello`` is observed in ``shard_worker_startup_seconds``.
         self.spawned_at: Optional[float] = None
+        self.sink: Optional["queue.Queue"] = sink
+        #: False once the reader saw EOF or an undecodable line.
+        self.reading = True
 
     @property
     def idle(self) -> bool:
@@ -149,6 +176,223 @@ class _Worker:
     @property
     def remote(self) -> bool:
         return self.transport.kind == "socket"
+
+    def listen(self) -> None:
+        """Start the reader thread."""
+        threading.Thread(target=self._read, daemon=True,
+                         name=f"shard-reader-{self.transport.describe()}"
+                         ).start()
+
+    def _read(self) -> None:
+        for line in self.transport.lines():
+            try:
+                message = decode_message(line)
+            except ValueError:
+                # Protocol desync: nothing after an undecodable line
+                # can be trusted, so this worker is lost (the
+                # coordinator survives; the worker does not).
+                self._deliver({"type": "_garbage", "line": line[:200]})
+                return
+            self._deliver(message)
+        self._deliver({"type": "_eof"})
+
+    def _deliver(self, message: dict) -> None:
+        if message["type"] in ("_garbage", "_eof"):
+            # Cleared before the sink is read: a lease that binds its
+            # queue and then finds ``reading`` still set is sure to
+            # receive this worker's end.
+            self.reading = False
+        sink = self.sink
+        if sink is not None:
+            sink.put((self, message))
+
+
+def _send(worker: _Worker, message: Dict[str, object]) -> bool:
+    try:
+        worker.transport.send_line(encode_message(message))
+        return True
+    except TransportClosed:
+        return False
+
+
+def _stop_workers(workers: Sequence[_Worker]) -> None:
+    """Stop workers, waiting out one exit instead of the sum.
+
+    ``shutdown`` goes to every live worker before any wait starts;
+    each then gets :data:`SHUTDOWN_GRACE` seconds from that send to
+    exit and is killed if it has not.  A worker whose channel is
+    already closed is killed at once; a dead one is skipped.
+    """
+    if not workers:
+        return
+    with span("shard.shutdown", workers=len(workers)):
+        stopping: List[Transport] = []
+        for worker in workers:
+            worker.sink = None
+            transport = worker.transport
+            if not transport.alive():
+                continue
+            if _send(worker, shutdown_message()):
+                stopping.append(transport)
+            else:
+                transport.kill()
+        deadline = time.monotonic() + SHUTDOWN_GRACE
+        for transport in stopping:
+            try:
+                transport.wait(
+                    timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                transport.kill()
+            else:
+                transport.close()
+
+
+def _settle_keys(config) -> None:
+    """Compute the keys a campaign memoizes on ``config``'s banks.
+
+    A config pickles with whatever its encoders and boundaries have
+    memoized so far (``encoder_key``, ``kernel_key``, each boundary's
+    ``origin_sign``), and a campaign in this process can add them.
+    Settled before the first ``init``, the same configuration packs to
+    the same bytes on every campaign, which is what a warm worker
+    compares -- exactly -- to decide that it may keep its engine.
+    """
+    for encoder in (config.encoder, *config.extra_encoders):
+        encoder_key(encoder)
+        kernel_key(encoder)
+        for boundary in encoder.boundaries:
+            boundary.origin_sign
+
+
+class WorkerSet:
+    """Local ``repro shard-worker`` processes kept warm across campaigns.
+
+    A campaign leases workers (:meth:`lease`), which binds their reader
+    threads to its message queue, and sends each its own ``init``
+    (threshold, fleet, heartbeat, trace context); a worker keeps its
+    engine, golden and front-half tables while the configuration is
+    unchanged.  After a clean merge the campaign hands them back
+    (:meth:`release`) and they idle until the next lease; after a
+    failed campaign they are stopped instead.  Every
+    :class:`~repro.campaign.engine.CampaignEngine` owns one set (see
+    :meth:`~repro.campaign.engine.CampaignEngine.close`).
+
+    The set spawns fresh workers instead of leasing idle ones when the
+    caller's environment changed after they started, and forwards
+    ``REPRO_SHARD_WORKER_FAULTS`` to the first worker spawned after
+    such a change only.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: List[_Worker] = []
+        self._environ: Optional[Dict[str, str]] = None
+        self._drill_faults: Optional[str] = None
+        self._logdir: Optional[str] = None
+        self._serial = itertools.count()
+        self._closed = False
+
+    @property
+    def pids(self) -> List[int]:
+        """Process ids of the idle workers."""
+        with self._lock:
+            return [worker.transport.proc.pid for worker in self._idle]
+
+    def lease(self, count: int, sink: "queue.Queue") -> List[_Worker]:
+        """``count`` workers bound to ``sink``: idle ones first, then
+        fresh spawns."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the shard worker set is closed")
+            environ = dict(os.environ)
+            stale: List[_Worker] = []
+            if environ != self._environ:
+                stale, self._idle = self._idle, []
+                self._environ = environ
+                self._drill_faults = environ.get(WORKER_FAULTS_ENV)
+            warm, self._idle = self._idle[:count], self._idle[count:]
+        _stop_workers(stale)
+        leased: List[_Worker] = []
+        for worker in warm:
+            worker.sink = sink
+            if worker.reading and worker.transport.alive():
+                leased.append(worker)
+            else:
+                worker.sink = None
+                worker.transport.kill()  # exited while idle: reap it
+        try:
+            while len(leased) < count:
+                leased.append(self.spawn(sink))
+        except BaseException:
+            _stop_workers(leased)  # no campaign holds them yet
+            raise
+        return leased
+
+    def spawn(self, sink: "queue.Queue") -> _Worker:
+        """Start one worker bound to ``sink`` (for a lease, or to
+        replace a worker lost mid-campaign)."""
+        with self._lock:
+            if self._logdir is None:
+                self._logdir = tempfile.mkdtemp(
+                    prefix="repro-shard-workers-")
+            stderr_path = os.path.join(
+                self._logdir, f"worker_{next(self._serial)}.stderr.log")
+            env = self._worker_env()
+        spawned_at = time.monotonic()
+        with open(stderr_path, "w") as stderr_file:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "shard-worker"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=stderr_file, env=env, text=True, bufsize=1)
+        worker = _Worker(-1, PipeTransport(proc, stderr_path),
+                         sink=sink)
+        worker.spawned_at = spawned_at
+        worker.listen()
+        log_event("shard.worker.spawned", pid=proc.pid)
+        return worker
+
+    def release(self, workers: Sequence[_Worker], healthy: bool) -> None:
+        """Take a campaign's workers back: idle after a clean
+        campaign, stopped after a failed one or once closed."""
+        keep: List[_Worker] = []
+        with self._lock:
+            if healthy and not self._closed:
+                keep = [worker for worker in workers
+                        if worker.reading and worker.transport.alive()]
+                for worker in keep:
+                    worker.sink = None
+                self._idle.extend(keep)
+        _stop_workers([worker for worker in workers
+                       if worker not in keep])
+
+    def close(self) -> None:
+        """Stop every idle worker; idempotent."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            idle, self._idle = self._idle, []
+            logdir, self._logdir = self._logdir, None
+        _stop_workers(idle)
+        if logdir is not None:
+            shutil.rmtree(logdir, ignore_errors=True)
+
+    def _worker_env(self) -> Dict[str, str]:
+        env = dict(os.environ)
+        # Never let the coordinator's own armed faults leak into
+        # workers -- a respawned worker inheriting shard.worker.kill
+        # would die forever.
+        env.pop("REPRO_FAULTS", None)
+        env.pop(WORKER_FAULTS_ENV, None)
+        src_root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src_root if not existing \
+            else src_root + os.pathsep + existing
+        if self._drill_faults:
+            env["REPRO_FAULTS"] = self._drill_faults
+            self._drill_faults = None  # first spawn only
+        return env
 
 
 class ShardCoordinator:
@@ -171,8 +415,10 @@ class ShardCoordinator:
         dial in cannot drain the plan before the others arrive.
         ``workers=None`` dispatches to each worker as it connects.
     workdir:
-        Directory for shard checkpoints and worker stderr logs.  A
-        temp dir (cleaned up on success) when None.
+        Directory for shard checkpoints.  A temp dir (cleaned up on
+        success) when None.  A first dispatch of a shard starts from
+        no checkpoint, so a reused workdir never resumes another
+        campaign's shard.
     heartbeat:
         Seconds of silence after which a worker counts as stalled.
     checkpoint_every:
@@ -202,6 +448,10 @@ class ShardCoordinator:
         Listening mode only: seconds the coordinator waits with work
         pending and *zero* connected workers before failing the
         campaign (default :data:`STARTUP_GRACE`).
+    worker_set:
+        Pipe mode: the :class:`WorkerSet` to lease workers from and
+        hand them back to (an engine passes its own).  None: a
+        private set, closed when :meth:`run` ends.
     """
 
     def __init__(self, config, threshold: Optional[float], fleet,
@@ -214,7 +464,8 @@ class ShardCoordinator:
                  listen: Optional[Tuple[str, int]] = None,
                  autotune_target_s: Optional[float] = None,
                  progress_timeout: Optional[float] = None,
-                 rejoin_grace: float = STARTUP_GRACE) -> None:
+                 rejoin_grace: float = STARTUP_GRACE,
+                 worker_set: Optional[WorkerSet] = None) -> None:
         self.config = config
         self.threshold = None if threshold is None else float(threshold)
         self.fleet = fleet
@@ -254,11 +505,12 @@ class ShardCoordinator:
         self.rejoin_grace = float(rejoin_grace)
         self._workdir = workdir
         self._own_workdir = workdir is None
-        self._queue: "queue.Queue[Tuple[Optional[int], dict]]" = \
+        self._queue: "queue.Queue[Tuple[Optional[_Worker], dict]]" = \
             queue.Queue()
         self._workers: Dict[int, _Worker] = {}
         self._next_slot = 0
-        self._drill_faults = os.environ.get(WORKER_FAULTS_ENV)
+        self._worker_set = worker_set
+        self._own_set = worker_set is None and not self.remote
         self._trace_context = None
         self._accept_stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
@@ -278,62 +530,36 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     # Worker channel management
     # ------------------------------------------------------------------
-    def _worker_env(self) -> Dict[str, str]:
-        env = dict(os.environ)
-        # Never let the coordinator's own armed faults leak into
-        # workers -- a respawned worker inheriting shard.worker.kill
-        # would die forever.
-        env.pop("REPRO_FAULTS", None)
-        env.pop(WORKER_FAULTS_ENV, None)
-        src_root = os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src_root if not existing \
-            else src_root + os.pathsep + existing
-        if self._drill_faults:
-            env["REPRO_FAULTS"] = self._drill_faults
-            self._drill_faults = None  # first spawn only
-        return env
-
-    def _spawn(self, slot: int, generation: int) -> _Worker:
-        stderr_path = os.path.join(
-            self._workdir, f"worker_{slot}_g{generation}.stderr.log")
-        spawned_at = time.monotonic()
-        with open(stderr_path, "w") as stderr_file:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "shard-worker"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=stderr_file,
-                env=self._worker_env(), text=True, bufsize=1)
-        transport = PipeTransport(proc, stderr_path)
-        worker = self._admit(slot, transport, generation)
-        worker.spawned_at = spawned_at
-        log_event("shard.worker.spawned", slot=slot,
-                  generation=generation, pid=proc.pid)
-        return worker
-
-    def _admit(self, slot: int, transport: Transport,
-               generation: int) -> _Worker:
-        """Register a channel: send ``init``, start its reader."""
-        worker = _Worker(slot, transport, generation)
+    def _enlist(self, slot: int, worker: _Worker) -> _Worker:
+        """Give ``worker`` slot ``slot`` of this campaign and send it
+        this campaign's ``init``."""
+        worker.index = slot
+        worker.shard = None
+        worker.hello_seen = False
+        worker.last_seen = worker.last_progress = time.monotonic()
         self._workers[slot] = worker
         self.stats["workers"] = max(self.stats["workers"],
                                     float(len(self._workers)))
         context = self._trace_context if self._trace_context \
             is not None else current_trace_context()
-        try:
-            transport.send_line(encode_message(init_message(
-                self.config, self.threshold, self.fleet,
-                self.checkpoint_every, self.heartbeat,
-                None if context is None else context.to_dict(),
-                remote=worker.remote)))
-        except TransportClosed:
-            pass  # the reader loop's EOF will declare it lost
-        reader = threading.Thread(
-            target=self._reader_loop, args=(slot, generation,
-                                            transport),
-            daemon=True, name=f"shard-reader-{slot}")
-        reader.start()
+        # A closed channel fails here silently: the reader's EOF
+        # declares the worker lost.
+        _send(worker, init_message(
+            self.config, self.threshold, self.fleet,
+            self.checkpoint_every, self.heartbeat,
+            None if context is None else context.to_dict(),
+            remote=worker.remote))
+        return worker
+
+    def _spawn(self, slot: int) -> _Worker:
+        return self._enlist(slot, self._worker_set.spawn(self._queue))
+
+    def _admit(self, slot: int, transport: Transport) -> _Worker:
+        """Register a dialled-in channel: send ``init``, start its
+        reader."""
+        worker = self._enlist(slot, _Worker(slot, transport,
+                                            sink=self._queue))
+        worker.listen()
         return worker
 
     def _accept_loop(self) -> None:
@@ -343,30 +569,6 @@ class ShardCoordinator:
                 self._queue.put((None, {"type": "_connect",
                                         "transport": transport}))
 
-    def _reader_loop(self, slot: int, generation: int,
-                     transport: Transport) -> None:
-        for line in transport.lines():
-            try:
-                message = decode_message(line)
-            except ValueError:
-                # Protocol desync: there is no way to trust anything
-                # after an undecodable line, so this worker is lost
-                # (the coordinator survives; the worker does not).
-                self._queue.put((slot, {"_gen": generation,
-                                        "type": "_garbage",
-                                        "line": line[:200]}))
-                return
-            self._queue.put((slot, {"_gen": generation, **message}))
-        self._queue.put((slot, {"_gen": generation, "type": "_eof"}))
-
-    def _send(self, worker: _Worker,
-              message: Dict[str, object]) -> bool:
-        try:
-            worker.transport.send_line(encode_message(message))
-            return True
-        except TransportClosed:
-            return False
-
     # ------------------------------------------------------------------
     # The campaign
     # ------------------------------------------------------------------
@@ -374,6 +576,10 @@ class ShardCoordinator:
         """Execute every shard and merge; returns ``(merged, stats)``."""
         if self._workdir is None:
             self._workdir = tempfile.mkdtemp(prefix="repro-shards-")
+        if self._own_set:
+            self._worker_set = WorkerSet()
+        _settle_keys(self.config)
+        clean = False
         try:
             with span("shard.campaign",
                       shards=len(self.plan) or None,
@@ -388,12 +594,13 @@ class ShardCoordinator:
                     self._accept_thread.start()
                 parts = self._run_shards()
                 merged = self._merge(parts)
+            clean = True
             if self._own_workdir:
                 shutil.rmtree(self._workdir, ignore_errors=True)
             return merged, dict(self.stats)
         finally:
             self._stop_accepting()
-            self._shutdown_workers()
+            self._hand_back(clean)
 
     def _stop_accepting(self) -> None:
         self._accept_stop.set()
@@ -431,9 +638,16 @@ class ShardCoordinator:
                 attempts: Dict[int, int]) -> bool:
         attempt = attempts.get(shard.index, 0) + 1
         attempts[shard.index] = attempt
+        path = self._checkpoint_path(shard)
+        if attempt == 1:
+            # Only a reassignment resumes: a file already at this path
+            # belongs to another campaign (a reused workdir).
+            try:
+                os.remove(path)
+            except FileNotFoundError:
+                pass
         resume_b64 = None
         if worker.remote:
-            path = self._checkpoint_path(shard)
             if os.path.exists(path):
                 with open(path, "rb") as fh:
                     resume_b64 = base64.b64encode(
@@ -441,9 +655,8 @@ class ShardCoordinator:
         with span("shard.dispatch", shard=shard.index, lo=shard.lo,
                   hi=shard.hi, worker=worker.index, attempt=attempt,
                   transport=worker.transport.kind):
-            ok = self._send(worker, assign_message(
-                shard.index, shard.lo, shard.hi,
-                self._checkpoint_path(shard),
+            ok = _send(worker, assign_message(
+                shard.index, shard.lo, shard.hi, path,
                 resume_b64=resume_b64))
         if ok:
             worker.shard = shard
@@ -489,7 +702,7 @@ class ShardCoordinator:
             log_event("shard.worker.lost", worker=worker.index,
                       reason=reason)
         if not self.remote:
-            self._spawn(worker.index, worker.generation + 1)
+            self._spawn(worker.index)
 
     def _work_remaining(self, pending: "deque[Shard]",
                         done: Dict[int, str]) -> bool:
@@ -503,9 +716,9 @@ class ShardCoordinator:
         attempts: Dict[int, int] = {}
         done: Dict[int, str] = {}
         if not self.remote:
-            for slot in range(self.num_workers):
-                self._spawn(slot, generation=0)
-            self._next_slot = self.num_workers
+            for slot, worker in enumerate(self._worker_set.lease(
+                    self.num_workers, self._queue)):
+                self._enlist(slot, worker)
         tick = max(0.05, min(0.5, self.heartbeat / 4.0))
         workerless_since: Optional[float] = (
             time.monotonic() if self.remote else None)
@@ -540,24 +753,22 @@ class ShardCoordinator:
                     self._lose_worker(worker, pending, attempts,
                                       "channel closed at assign")
             try:
-                slot, message = self._queue.get(timeout=tick)
+                source, message = self._queue.get(timeout=tick)
             except queue.Empty:
                 message = None
-            if message is not None and slot is None:
+            if message is not None and source is None:
                 if message.get("type") == "_connect" \
                         and not self._accept_stop.is_set():
                     transport = message["transport"]
-                    worker = self._admit(self._next_slot, transport,
-                                         generation=0)
+                    worker = self._admit(self._next_slot, transport)
                     self._next_slot += 1
                     workerless_since = None
                     log_event("shard.worker.connected",
                               worker=worker.index,
                               peer=transport.describe())
             elif message is not None:
-                worker = self._workers.get(slot)
-                if worker is None or \
-                        message.get("_gen") != worker.generation:
+                worker = source
+                if self._workers.get(worker.index) is not worker:
                     continue  # line from a replaced worker
                 worker.last_seen = time.monotonic()
                 kind = message.get("type")
@@ -565,9 +776,12 @@ class ShardCoordinator:
                     worker.hello_seen = True
                     worker.host = message.get("host")
                     if worker.spawned_at is not None:
+                        # Once per process: a warm worker says hello
+                        # again to every campaign that re-inits it.
                         default_registry().histogram(
                             "shard_worker_startup_seconds").observe(
                             worker.last_seen - worker.spawned_at)
+                        worker.spawned_at = None
                 elif kind == "progress":
                     worker.last_progress = time.monotonic()
                     shard = worker.shard
@@ -580,7 +794,7 @@ class ShardCoordinator:
                     self._complete(worker, message, done)
                 elif kind == "error":
                     raise ShardWorkerError(
-                        f"worker {slot} "
+                        f"worker {worker.index} "
                         f"({worker.transport.describe()}) failed "
                         f"shard {message.get('shard')}: "
                         f"{message.get('message')}\nstderr tail:\n"
@@ -680,34 +894,18 @@ class ShardCoordinator:
             "shard_merge_seconds").observe(elapsed)
         return merged
 
-    def _shutdown_workers(self) -> None:
-        """Stop every worker, waiting out one exit instead of the sum.
-
-        ``shutdown`` goes to every live worker before any wait starts;
-        each then gets :data:`SHUTDOWN_GRACE` seconds from that send
-        to exit and is killed if it has not.
-        """
-        with span("shard.shutdown", workers=len(self._workers)):
-            stopping: List[Transport] = []
-            for worker in self._workers.values():
-                transport = worker.transport
-                if not transport.alive():
-                    continue
-                if self._send(worker, shutdown_message()):
-                    stopping.append(transport)
-                else:
-                    transport.kill()
-            deadline = time.monotonic() + SHUTDOWN_GRACE
-            for transport in stopping:
-                try:
-                    transport.wait(
-                        timeout=max(0.0, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    transport.kill()
-                else:
-                    transport.close()
+    def _hand_back(self, clean: bool) -> None:
+        """Return pipe workers to their set after a clean campaign and
+        stop them after a failed one; TCP workers always stop."""
+        workers = list(self._workers.values())
         self._workers.clear()
+        if self.remote:
+            _stop_workers(workers)
+            return
+        self._worker_set.release(workers, healthy=clean)
+        if self._own_set:
+            self._worker_set.close()
 
 
 __all__ = ["SHUTDOWN_GRACE", "STARTUP_GRACE", "ShardCoordinator",
-           "ShardWorkerError", "WORKER_FAULTS_ENV"]
+           "ShardWorkerError", "WORKER_FAULTS_ENV", "WorkerSet"]

@@ -26,6 +26,7 @@ from typing import Iterator, Union
 
 from repro.campaign.scenarios import (
     SpecPopulation,
+    fixed_seed,
     stream_montecarlo_dies,
 )
 from repro.filters.biquad import BiquadSpec
@@ -37,6 +38,8 @@ class MonteCarloFleet:
 
     Die ``i`` is a pure function of ``(seed, i)``; any worker
     reconstructs any range without communicating with any other.
+    ``seed=None`` draws fresh root entropy once, when the fleet is
+    built, and keeps it in ``seed``.
     """
 
     golden_spec: BiquadSpec
@@ -51,6 +54,7 @@ class MonteCarloFleet:
             raise ValueError("count must be non-negative")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
+        object.__setattr__(self, "seed", fixed_seed(self.seed))
 
     def __len__(self) -> int:
         return self.count

@@ -13,7 +13,8 @@ Coordinator -> worker
 ``init``      config_b64, threshold, fleet_b64, checkpoint_every,
               heartbeat, trace (a ``TraceContext`` dict or null),
               remote (true when no shared filesystem can be assumed:
-              the worker must return checkpoints inline)
+              the worker must return checkpoints inline); sent again
+              by every campaign that leases a warm worker
 ``assign``    shard (index), lo, hi, checkpoint (path); remote
               assignments add resume_b64 (base64 ``.npz`` bytes of
               the shard's last known checkpoint, or absent) so a
@@ -22,7 +23,7 @@ Coordinator -> worker
 
 Worker -> coordinator
 ---------------------
-``hello``     pid, host (after init: ready for assignments)
+``hello``     pid, host (after every init: ready for assignments)
 ``ping``      -- (heartbeat, every ``heartbeat/2`` seconds)
 ``progress``  shard, next_index (after each screened chunk); remote
               workers add checkpoint_b64 whenever the shard's

@@ -5,9 +5,15 @@ stdin/stdout when the coordinator spawned it, or over a TCP socket
 when it dialed in with ``repro shard-worker --connect HOST:PORT``
 (the two carriers are byte-identical: the socket path simply wraps
 the connection in text streams and runs the same loop).  It receives
-one ``init`` (engine config, resolved threshold, fleet description,
+an ``init`` (engine config, resolved threshold, fleet description,
 trace context, remote flag), then ``assign`` messages naming global
-die ranges.  Each assignment runs as an ordinary checkpointed
+die ranges.  A pipe worker lives in its engine's
+:class:`~repro.shard.coordinator.WorkerSet` and gets a fresh ``init``
+from every campaign that leases it: it installs that campaign's
+tracer (or none) and heartbeat, and keeps its engine -- golden and
+front-half tables included -- when the config bytes equal the last
+ones (the ``shard.worker.init`` span says ``warm``).  Each assignment
+runs as an ordinary checkpointed
 streamed campaign (:meth:`CampaignEngine.run_stream`) over
 ``fleet.chunks(lo, hi)`` into the shard's own checkpoint file --
 which is the whole trick: a shard worker *is* a streamed campaign
@@ -23,8 +29,10 @@ from the ``resume_b64`` bytes the coordinator kept.
 
 Reassignment resumes, never restarts: on assign, the worker loads the
 shard's checkpoint if a previous (killed) worker left one and begins
-at its ``next_index``.  A daemon thread emits ``ping`` heartbeats so
-the coordinator can tell a stalled worker from a slow chunk.
+at its ``next_index`` (the coordinator removes any file at that path
+before a shard's first dispatch).  A daemon thread emits ``ping``
+heartbeats so the coordinator can tell a stalled worker from a slow
+chunk.
 
 Fault points (the worker-loss drill):
 
@@ -130,6 +138,61 @@ def _progressing_chunks(chunks, emit: _Emitter, shard_index: int,
             os.kill(os.getpid(), signal.SIGKILL)
 
 
+class _State:
+    """What the last ``init`` set up, and the engine kept warm."""
+
+    def __init__(self, emit: _Emitter) -> None:
+        self.emit = emit
+        self.engine: Optional[CampaignEngine] = None
+        self.config_b64: Optional[str] = None
+        self.fleet = None
+        self.threshold = None
+        self.checkpoint_every = 1
+        self.remote = False
+        self.workdir: Optional[str] = None
+        self.tracer = None
+        self._beat: Optional[threading.Event] = None
+
+    def init(self, init: Dict[str, object]) -> None:
+        """Take a campaign's ``init``: its tracer, fleet, threshold and
+        heartbeat; a new engine only when the config bytes changed."""
+        self._stop_heartbeat()
+        self.tracer = None if init.get("trace") is None else \
+            context_tracer(TraceContext.from_dict(init["trace"]))
+        install_tracer(self.tracer)
+        with span("shard.worker.init", pid=os.getpid()) as record:
+            warm = init["config_b64"] == self.config_b64
+            if not warm:
+                self.config_b64 = str(init["config_b64"])
+                self.engine = CampaignEngine(
+                    unpack_payload(self.config_b64))
+            record.set(warm=warm)
+            self.fleet = unpack_payload(init["fleet_b64"])
+            self.threshold = init.get("threshold")
+            self.checkpoint_every = int(init.get("checkpoint_every", 1))
+            self.remote = bool(init.get("remote", False))
+            if self.remote and self.workdir is None:
+                self.workdir = tempfile.mkdtemp(
+                    prefix="repro-shard-worker-")
+        self._beat = threading.Event()
+        threading.Thread(
+            target=_heartbeat_loop,
+            args=(self.emit, float(init.get("heartbeat", 5.0)) / 2.0,
+                  self._beat),
+            daemon=True, name="shard-heartbeat").start()
+        self.emit.send({"type": "hello", "pid": os.getpid(),
+                        "host": socket_module.gethostname()})
+
+    def _stop_heartbeat(self) -> None:
+        if self._beat is not None:
+            self._beat.set()
+
+    def close(self) -> None:
+        self._stop_heartbeat()
+        if self.workdir is not None:
+            shutil.rmtree(self.workdir, ignore_errors=True)
+
+
 def worker_main(stdin: Optional[TextIO] = None,
                 stdout: Optional[TextIO] = None) -> int:
     """Run the worker loop until ``shutdown`` or EOF; returns exit code."""
@@ -145,35 +208,17 @@ def worker_main(stdin: Optional[TextIO] = None,
         emit.send({"type": "error", "shard": None,
                    "message": f"expected init, got {init.get('type')!r}"})
         return 1
-    config = unpack_payload(init["config_b64"])
-    fleet = unpack_payload(init["fleet_b64"])
-    threshold = init.get("threshold")
-    checkpoint_every = int(init.get("checkpoint_every", 1))
-    heartbeat = float(init.get("heartbeat", 5.0))
-    remote = bool(init.get("remote", False))
-    tracer = None
-    if init.get("trace") is not None:
-        tracer = context_tracer(
-            TraceContext.from_dict(init["trace"]))
-        install_tracer(tracer)
-
-    engine = CampaignEngine(config)
-    workdir = tempfile.mkdtemp(prefix="repro-shard-worker-") \
-        if remote else None
-    stop = threading.Event()
-    pinger = threading.Thread(
-        target=_heartbeat_loop, args=(emit, heartbeat / 2.0, stop),
-        daemon=True, name="shard-heartbeat")
-    pinger.start()
-    emit.send({"type": "hello", "pid": os.getpid(),
-               "host": socket_module.gethostname()})
-
+    state = _State(emit)
     try:
+        state.init(init)
         for line in stdin:
             message = decode_message(line)
             kind = message.get("type")
             if kind == "shutdown":
                 break
+            if kind == "init":
+                state.init(message)
+                continue
             if kind != "assign":
                 emit.send({"type": "error", "shard": None,
                            "message": f"unexpected message {kind!r}"})
@@ -182,24 +227,25 @@ def worker_main(stdin: Optional[TextIO] = None,
             lo, hi = int(message["lo"]), int(message["hi"])
             checkpoint = str(message["checkpoint"])
             local_path = checkpoint
-            if remote:
+            if state.remote:
                 # No shared filesystem: checkpoint locally, seeded
                 # from the bytes the coordinator kept for this shard.
                 local_path = os.path.join(
-                    workdir, os.path.basename(checkpoint))
+                    state.workdir, os.path.basename(checkpoint))
                 resume_b64 = message.get("resume_b64")
                 if resume_b64 is not None:
                     with open(local_path, "wb") as fh:
                         fh.write(base64.b64decode(resume_b64))
             try:
                 num_dies = _run_assignment(
-                    engine, fleet, emit, shard_index, lo, hi,
-                    local_path, threshold, checkpoint_every,
-                    ship_checkpoints=remote)
+                    state.engine, state.fleet, emit, shard_index, lo,
+                    hi, local_path, state.threshold,
+                    state.checkpoint_every, ship_checkpoints=state.remote)
             except Exception:
                 emit.send({"type": "error", "shard": shard_index,
                            "message": traceback.format_exc(limit=8)})
                 return 1
+            tracer = state.tracer
             rows = [] if tracer is None else stamped_records(tracer)
             if tracer is not None:
                 tracer.clear()
@@ -207,16 +253,14 @@ def worker_main(stdin: Optional[TextIO] = None,
                 "type": "done", "shard": shard_index,
                 "num_dies": num_dies, "checkpoint": checkpoint,
                 "spans": rows}
-            if remote:
+            if state.remote:
                 with open(local_path, "rb") as fh:
                     done["checkpoint_b64"] = base64.b64encode(
                         fh.read()).decode("ascii")
             emit.send(done)
         return 0
     finally:
-        stop.set()
-        if workdir is not None:
-            shutil.rmtree(workdir, ignore_errors=True)
+        state.close()
 
 
 def _run_assignment(engine: CampaignEngine, fleet, emit: _Emitter,

@@ -27,11 +27,13 @@ def _clean_faults(monkeypatch):
 
 @pytest.fixture()
 def small_engine():
-    """A fast private-cache engine over the paper bench (512 samples)."""
+    """A fast private-cache engine over the paper bench (512 samples);
+    its warm shard workers stop at teardown."""
     from repro.campaign import CampaignEngine
     from repro.monitor.configurations import table1_encoder
     from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
-    return CampaignEngine.from_parts(
-        table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
-        samples_per_period=SAMPLES)
+    with CampaignEngine.from_parts(
+            table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
+            samples_per_period=SAMPLES) as engine:
+        yield engine

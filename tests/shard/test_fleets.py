@@ -98,3 +98,41 @@ def test_as_fleet_coercions():
     assert isinstance(chunk, SpecPopulation)
     assert chunk.labels[0] == "die00000"
     assert np.isnan(chunk.f0_deviations).all()
+
+
+def test_unseeded_fleet_is_one_fleet():
+    """``seed=None`` draws root entropy once, at construction: the same
+    range is the same dies on every call, and after pickling."""
+    fleet = MonteCarloFleet(PAPER_BIQUAD, 8, sigma_f0=0.03, seed=None,
+                            chunk_size=4)
+    assert isinstance(fleet.seed, int)
+    first = _collect(fleet.chunks(4, 8))
+    np.testing.assert_array_equal(first[1], _collect(fleet.chunks(4, 8))[1])
+    np.testing.assert_array_equal(
+        first[1], _collect(pickle.loads(pickle.dumps(fleet)).chunks(4, 8))[1])
+    np.testing.assert_array_equal(
+        first[1], _collect(MonteCarloFleet(
+            PAPER_BIQUAD, 8, sigma_f0=0.03, seed=fleet.seed,
+            chunk_size=4).chunks(4, 8))[1])
+
+
+def test_unseeded_stream_draws_one_root(monkeypatch):
+    """Every chunk of one ``seed=None`` stream comes from the same root
+    entropy (resolved once per call)."""
+    from repro.campaign import scenarios
+
+    resolved = []
+    fixed_seed = scenarios.fixed_seed
+
+    def recording(seed):
+        resolved.append(fixed_seed(seed))
+        return resolved[-1]
+
+    monkeypatch.setattr(scenarios, "fixed_seed", recording)
+    streamed = _collect(stream_montecarlo_dies(
+        PAPER_BIQUAD, 12, chunk_size=4, sigma_f0=0.03, seed=None))
+    [entropy] = resolved
+    seeded = _collect(stream_montecarlo_dies(
+        PAPER_BIQUAD, 12, chunk_size=12, sigma_f0=0.03, seed=entropy))
+    np.testing.assert_array_equal(streamed[1], seeded[1])
+    assert streamed[3] == seeded[3]

@@ -1,11 +1,11 @@
 """Worker shutdown runs in parallel, and the fixed costs are attributed.
 
-``ShardCoordinator._shutdown_workers`` tells every live worker to stop
-before it waits on any, so a campaign waits out one worker exit
-instead of the sum.  The fake-transport tests pin that order and the
-kill-on-timeout path without spawning anything; the traced campaign
-checks the ``shard.shutdown`` span, the ``bytes`` attribute of
-``checkpoint.save`` and the ``shard_worker_startup_seconds``
+Closing a :class:`WorkerSet` tells every live worker to stop before it
+waits on any, so closing waits out one worker exit instead of the sum.
+The fake-transport tests pin that order and the kill-on-timeout path
+without spawning anything; the traced campaign checks the
+``shard.shutdown`` span of the engine's close, the ``bytes`` attribute
+of ``checkpoint.save`` and the ``shard_worker_startup_seconds``
 histogram on real pipe workers.
 """
 
@@ -18,8 +18,8 @@ import pytest
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.obs.metrics import default_registry
 from repro.paper import PAPER_BIQUAD
-from repro.shard import MonteCarloFleet, ShardCoordinator
-from repro.shard.coordinator import SHUTDOWN_GRACE, _Worker
+from repro.shard import MonteCarloFleet
+from repro.shard.coordinator import SHUTDOWN_GRACE, WorkerSet, _Worker
 from repro.shard.protocol import decode_message
 from repro.shard.transport import Transport, TransportClosed
 
@@ -62,25 +62,23 @@ class _FakeTransport(Transport):
         self.log.append(("kill", self.name))
 
 
-def _coordinator(small_engine, *transports):
-    coordinator = ShardCoordinator(
-        small_engine.config, 0.05,
-        MonteCarloFleet(PAPER_BIQUAD, 4, chunk_size=2), shards=2)
-    coordinator._workers = {
-        slot: _Worker(slot, transport, generation=0)
-        for slot, transport in enumerate(transports)}
-    return coordinator
+def _worker_set(*transports):
+    """A set holding one idle worker per transport."""
+    workers = WorkerSet()
+    workers._idle = [_Worker(slot, transport)
+                     for slot, transport in enumerate(transports)]
+    return workers
 
 
-def test_shutdown_reaches_every_worker_before_any_wait(small_engine):
+def test_shutdown_reaches_every_worker_before_any_wait():
     log = []
     stuck = _FakeTransport("stuck", log, hangs=True)
     clean = _FakeTransport("clean", log)
-    coordinator = _coordinator(small_engine, stuck, clean)
+    workers = _worker_set(stuck, clean)
     tracer = Tracer()
     install_tracer(tracer)
     try:
-        coordinator._shutdown_workers()
+        workers.close()
     finally:
         uninstall_tracer()
     assert log == [("send", "stuck", "shutdown"),
@@ -89,22 +87,22 @@ def test_shutdown_reaches_every_worker_before_any_wait(small_engine):
                    ("wait", "clean"), ("close", "clean")]
     for transport in (stuck, clean):
         assert 0.0 <= transport.timeouts[0] <= SHUTDOWN_GRACE
-    assert coordinator._workers == {}
+    assert workers._idle == []
     [record] = [r for r in tracer.records() if r.name == "shard.shutdown"]
     assert record.attributes["workers"] == 2
 
 
-def test_shutdown_skips_dead_and_kills_unreachable(small_engine):
+def test_shutdown_skips_dead_and_kills_unreachable():
     log = []
     dead = _FakeTransport("dead", log, alive=False)
     unreachable = _FakeTransport("unreachable", log, closed=True)
     clean = _FakeTransport("clean", log)
-    coordinator = _coordinator(small_engine, dead, unreachable, clean)
-    coordinator._shutdown_workers()
+    workers = _worker_set(dead, unreachable, clean)
+    workers.close()
     assert log == [("kill", "unreachable"),
                    ("send", "clean", "shutdown"),
                    ("wait", "clean"), ("close", "clean")]
-    assert coordinator._workers == {}
+    assert workers._idle == []
 
 
 def test_traced_campaign_attributes_startup_saves_and_shutdown(
@@ -118,6 +116,7 @@ def test_traced_campaign_attributes_startup_saves_and_shutdown(
             MonteCarloFleet(PAPER_BIQUAD, 8, sigma_f0=0.05, seed=3,
                             chunk_size=4),
             shards=2, band="auto", heartbeat=15.0)
+        small_engine.close()
     finally:
         uninstall_tracer()
     assert startup.count == before + 2
@@ -127,7 +126,7 @@ def test_traced_campaign_attributes_startup_saves_and_shutdown(
     assert all(r.attributes["bytes"] > 0 for r in saves)
     [campaign] = [r for r in records if r.name == "shard.campaign"]
     [shutdown] = [r for r in records if r.name == "shard.shutdown"]
-    # A sibling that starts after the campaign span closed.
-    assert shutdown.parent_id == campaign.parent_id
+    # The engine's close, a root span after the campaign span closed.
+    assert shutdown.parent_id is None
     assert shutdown.start >= campaign.start + campaign.duration
     assert shutdown.attributes["workers"] == 2

@@ -393,6 +393,22 @@ def test_campaign_sharded_matches_serial(capsys):
         assert sharded[key] == serial[key], key
 
 
+def test_campaign_sharded_trace_holds_the_worker_shutdown(capsys,
+                                                         tmp_path):
+    """The CLI closes its engine inside the trace window, so stopping
+    the shard workers is in the ``--trace-out`` file."""
+    import json
+
+    path = tmp_path / "trace.json"
+    assert main(["campaign", "--dies", "8", "--seed", "1",
+                 "--samples", "512", "--shards", "2",
+                 "--shard-chunk", "2", "--trace-out", str(path)]) == 0
+    capsys.readouterr()
+    events = json.loads(path.read_text())["traceEvents"]
+    [shutdown] = [e for e in events if e["name"] == "shard.shutdown"]
+    assert shutdown["args"]["workers"] == 2
+
+
 def test_campaign_sharded_second_signature_matches_unsharded(capsys):
     import json
 
