@@ -25,19 +25,26 @@ PR 10 adds the transport comparison:
 * **socket-vs-pipe overhead gate** -- the same fleet run through
   pipe-carried workers (coordinator-spawned, stdio) and through
   TCP-carried workers (``repro shard-worker --connect`` over
-  loopback, checkpoints shipped inline as base64) must merge
-  bit-identical to the monolithic run on both carriers, and the TCP
-  wall-clock must stay within a factor of the pipe wall-clock plus a
-  dial-in allowance.  The per-direction ``shard_bytes_total`` deltas
-  for the socket run land in ``BENCH_10.json`` so protocol-volume
-  regressions show up in the committed baseline.
+  loopback) must merge bit-identical to the monolithic run on both
+  carriers, and the TCP wall-clock must stay within a factor of the
+  pipe wall-clock plus a dial-in allowance;
+* **homeward bytes gate** -- workers send each chunk's rows home
+  once, so the TCP campaign's received ``shard_bytes_total`` must stay
+  within twice the merged archive's ``to_bytes()`` size plus
+  ``HOMEWARD_CHUNK_ALLOWANCE`` per row record.  Shipping a growing
+  archive per chunk instead grows quadratically and fails it (20,000
+  dies in 512-die chunks: 11.44 MB received for a 0.73 MB archive).
+  The per-direction ``shard_bytes_total`` deltas and the archive size
+  land in ``BENCH_10.json`` so protocol-volume regressions show up in
+  the committed baseline.
 
 The checkpoint codec gate:
 
-* **checkpoint bytes cost** -- a shard worker saves its whole growing
-  checkpoint after every chunk, so ``test_checkpoint_bytes_cost``
-  rebuilds the 40 states a 10,000-die stream in 256-die chunks saves
-  and sums ``StreamCheckpoint.to_bytes`` over them.  The sum must stay
+* **checkpoint bytes cost** -- a checkpointed stream
+  (``run_stream(checkpoint=...)``) saves its whole growing checkpoint
+  after every chunk, so ``test_checkpoint_bytes_cost`` rebuilds the
+  40 states a 10,000-die stream in 256-die chunks saves and sums
+  ``StreamCheckpoint.to_bytes`` over them.  The sum must stay
   within ``CHECKPOINT_COST_SHARE`` of the same stream's wall time
   without a checkpoint.  Its sizes are fixed (they ignore
   ``SHARD_BENCH_N``): the cost grows with the dies saved, so a reduced
@@ -62,6 +69,7 @@ import pathlib
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -103,6 +111,11 @@ CHECKPOINT_SAMPLES = 512
 #: Encoding every per-chunk checkpoint may cost at most this share of
 #: the shard's screening wall time.
 CHECKPOINT_COST_SHARE = 0.25
+
+#: Homeward bytes allowed per row record on top of twice the merged
+#: archive: a one-chunk archive's fixed part (zip and npy headers, JSON
+#: meta) is about 3.1 kB, 4.2 kB in base64, plus the line's framing.
+HOMEWARD_CHUNK_ALLOWANCE = 6144
 
 
 def _assert_bit_identical(result, reference) -> None:
@@ -235,10 +248,11 @@ def _bytes_metric(direction: str) -> float:
 def test_socket_vs_pipe_transport_overhead():
     """TCP-carried workers vs pipe-carried workers, same fleet.
 
-    The socket carrier pays for framing, loopback round trips and
-    inline base64 checkpoint shipping; the gate bounds that cost
-    against the pipe run and the artifact records exactly how many
-    protocol bytes travelled each way.
+    The socket carrier pays for framing and loopback round trips; the
+    gate bounds that cost against the pipe run.  Rows travel home once
+    on either carrier, so the bytes received stay linear in the dies
+    screened; the artifact records exactly how many protocol bytes
+    travelled each way and the merged archive's size.
     """
     engine = CampaignEngine.from_parts(
         table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
@@ -280,11 +294,15 @@ def test_socket_vs_pipe_transport_overhead():
             env=env)
         for _ in range(2)]
     try:
-        start = time.perf_counter()
-        socket_result = engine.run_sharded(
-            fleet, shards=2, band="auto", heartbeat=30.0,
-            listen=f"127.0.0.1:{port}")
-        socket_s = time.perf_counter() - start
+        with tempfile.TemporaryDirectory() as workdir:
+            start = time.perf_counter()
+            socket_result = engine.run_sharded(
+                fleet, shards=2, band="auto", heartbeat=30.0,
+                listen=f"127.0.0.1:{port}", workdir=workdir)
+            socket_s = time.perf_counter() - start
+            merged = StreamCheckpoint.merge(
+                StreamCheckpoint.load(str(path)) for path in
+                sorted(pathlib.Path(workdir).glob("shard_*.npz")))
     finally:
         for worker in workers:
             try:
@@ -296,6 +314,9 @@ def test_socket_vs_pipe_transport_overhead():
     sent = _bytes_metric("sent") - sent_before
     received = _bytes_metric("received") - received_before
     assert sent > 0 and received > 0
+    archive = len(merged.to_bytes())
+    records = merged.chunks_done
+    homeward_bound = 2 * archive + HOMEWARD_CHUNK_ALLOWANCE * records
 
     payload = {
         "pr": 10,
@@ -311,14 +332,18 @@ def test_socket_vs_pipe_transport_overhead():
         "socket_vs_pipe": socket_s / pipe_s,
         "socket_bytes_sent": sent,
         "socket_bytes_received": received,
+        "merged_archive_bytes": archive,
+        "row_records": records,
+        "homeward_chunk_allowance": HOMEWARD_CHUNK_ALLOWANCE,
+        "homeward_bound_bytes": homeward_bound,
         "tolerance_factor": TCP_TOLERANCE,
         "startup_allowance_s": STARTUP_S,
         "notes": (
             f"loopback TCP carried {sent / 1e3:.1f} kB out / "
-            f"{received / 1e3:.1f} kB back (checkpoints inline as "
-            f"base64 npz) at {socket_s / pipe_s:.2f}x the pipe "
-            "wall-clock; both carriers merged bit-identical to the "
-            "monolithic run."),
+            f"{received / 1e3:.1f} kB back ({records} row records, "
+            f"base64 npz) for a {archive / 1e3:.1f} kB merged archive "
+            f"at {socket_s / pipe_s:.2f}x the pipe wall-clock; both "
+            "carriers merged bit-identical to the monolithic run."),
     }
     REPORT_DIR.mkdir(exist_ok=True)
     path = REPORT_DIR / "BENCH_10.json"
@@ -328,7 +353,8 @@ def test_socket_vs_pipe_transport_overhead():
           f"\n  pipe:   {pipe_s:8.3f} s wall"
           f"\n  socket: {socket_s:8.3f} s wall "
           f"({socket_s / pipe_s:.2f}x, {sent} B out, "
-          f"{received} B back)"
+          f"{received} B back; merged archive {archive} B, "
+          f"{records} row records)"
           f"\n[report saved to {path}]")
 
     # Gate: the socket carrier may pay framing + dial-in, never a
@@ -336,15 +362,20 @@ def test_socket_vs_pipe_transport_overhead():
     assert socket_s <= pipe_s * TCP_TOLERANCE + STARTUP_S, (
         f"TCP campaign took {socket_s:.2f}s vs pipe {pipe_s:.2f}s "
         f"(allowed factor {TCP_TOLERANCE} + {STARTUP_S}s dial-in)")
+    # Gate: each row travels home once -- bytes grow linearly.
+    assert received <= homeward_bound, (
+        f"TCP workers sent {received} B home for a {archive} B merged "
+        f"archive in {records} row records (allowed {homeward_bound} B:"
+        f" 2x the archive + {HOMEWARD_CHUNK_ALLOWANCE} B per record)")
 
 
 def test_checkpoint_bytes_cost():
-    """Encoding a shard's per-chunk checkpoints stays a small share of
-    screening it.
+    """Encoding a checkpointed stream's per-chunk checkpoints stays a
+    small share of screening it.
 
-    A shard worker saves after every chunk, each time the whole state
-    so far.  The gate rebuilds those states from one uncheckpointed
-    stream and times ``to_bytes`` over all of them.
+    A checkpointed stream saves after every chunk, each time the whole
+    state so far.  The gate rebuilds those states from one
+    uncheckpointed stream and times ``to_bytes`` over all of them.
     """
     engine = CampaignEngine.from_parts(
         table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
@@ -398,7 +429,7 @@ def test_checkpoint_bytes_cost():
     path.write_text(json.dumps(payload, indent=2, sort_keys=True)
                     + "\n")
     print(f"\ncheckpoint cost: {saves} saves of a {CHECKPOINT_DIES}-die "
-          f"shard encode in {encode_s * 1e3:.1f} ms vs "
+          f"stream encode in {encode_s * 1e3:.1f} ms vs "
           f"{stream_s * 1e3:.1f} ms screening ({share:.3f}x, last "
           f"archive {size} B)\n[report saved to {path}]")
     assert share <= CHECKPOINT_COST_SHARE, (

@@ -6,7 +6,7 @@ What the CI ``sharded-campaign-smoke`` job runs:
 with ``shard.worker.kill`` armed in the first worker's environment
 (through ``REPRO_SHARD_WORKER_FAULTS``): the worker SIGKILLs itself
 right after a progress report.  The coordinator must notice, respawn
-the slot, reassign the shard *resuming from its checkpoint*, and the
+the slot, reassign the shard *resuming from the rows it holds*, and the
 merged result must still be **bit-identical** to the monolithic
 in-process run.  The whole drill is traced; the exported Chrome trace
 must show the re-dispatch (a ``shard.dispatch`` span with
@@ -22,9 +22,9 @@ unsharded ``--second-signature`` run: a second channel shards too.
 **Phase C -- loopback-TCP partition drill.**  The coordinator listens
 on ``127.0.0.1`` and two ``repro shard-worker --connect`` processes
 dial in; one is partitioned mid-shard (its connection severs abruptly
-right after a progress report, checkpoints having travelled inline --
-no shared filesystem).  The survivor must take the shard over,
-resume from the shipped checkpoint, and the merged verdicts must be
+right after a progress report, its rows having travelled home in
+its progress lines).  The survivor must take the shard over, resume
+from the rows the coordinator holds, and the merged verdicts must be
 **bit-identical** to the monolithic run.
 
 **Phase D -- warm reuse.**  Two more campaigns on phase A's engine,
@@ -60,7 +60,7 @@ def _parse_args() -> argparse.Namespace:
     parser.add_argument("--shards", type=int, default=3)
     parser.add_argument("--chunk", type=int, default=2,
                         help="worker chunk size (small: several "
-                             "checkpoints per shard)")
+                             "row records per shard)")
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--sigma", type=float, default=0.05)
     parser.add_argument("--trace-out", default="shard-trace.json")
@@ -91,8 +91,8 @@ def phase_a_kill_drill(args):
                             sigma_f0=args.sigma, seed=args.seed,
                             chunk_size=args.chunk)
     # Arm the kill in the first worker: SIGKILL right after its
-    # second progress report (so a durable mid-shard checkpoint
-    # exists and the resume is a true resume, not a restart).
+    # second progress report (so the coordinator holds mid-shard rows
+    # and the resume is a true resume, not a restart).
     os.environ["REPRO_SHARD_WORKER_FAULTS"] = "shard.worker.kill:1:1"
     before = default_registry().counter("shard_reassigned_total").value
     tracer = Tracer()
@@ -233,7 +233,7 @@ def phase_c_tcp_partition_drill(args) -> None:
              "--connect", f"{host}:{port}"], env=env)
 
     # The doomed worker's connection severs right after its second
-    # progress report -- past an inline-shipped checkpoint.
+    # progress report -- past two row records it sent home.
     doomed = start_worker(faults="shard.worker.kill:1:1")
     survivor = start_worker()
     thread.join(timeout=600)
@@ -250,7 +250,7 @@ def phase_c_tcp_partition_drill(args) -> None:
     assert stats["completed"] == stats["planned"], stats
     print(f"phase C ok: partition mid-shard over loopback TCP, "
           f"{int(stats['reassigned'])} reassignment(s), "
-          f"bit-identical merge from inline checkpoints "
+          f"bit-identical merge from the held rows "
           f"({int(stats['workers'])} workers on {host}:{port})")
 
 

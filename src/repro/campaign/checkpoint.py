@@ -27,15 +27,16 @@ engine's golden key and resolved threshold; resuming under a different
 configuration or band policy is a :class:`CheckpointMismatch`, not a
 silently-wrong merge.
 
-Checkpoints are also the unit of *sharding* (:mod:`repro.shard`): a
-shard is exactly "a checkpoint whose next index starts past
-another's".  A shard worker screens the global die range
-``[start_index, hi)`` into its own checkpoint file, and the
-coordinator reassembles the fleet with :meth:`StreamCheckpoint.merge`
--- an order-independent merge of disjoint contiguous ranges that is
+The same class is the unit of *sharding* (:mod:`repro.shard`), which
+writes no checkpoint files: a shard worker sends each screened
+chunk's rows home as a one-chunk checkpoint archive
+(:meth:`StreamCheckpoint.to_bytes`), the coordinator folds the records
+of each shard in index order (:meth:`StreamCheckpoint.append`), and
+reassembles the fleet with :meth:`StreamCheckpoint.merge` -- an
+order-independent merge of disjoint contiguous ranges that is
 bit-identical to the monolithic stream (every per-die row is a pure
-function of the global die index, so concatenating the shard parts in
-index order reproduces the monolithic arrays byte for byte).
+function of the global die index, so concatenating the parts in index
+order reproduces the monolithic arrays byte for byte).
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ class CheckpointMismatch(ValueError):
 class StreamCheckpoint:
     """Mergeable partial state of one streamed campaign.
 
-    The engine owns the instance: chunks :meth:`extend` it, the loop
-    :meth:`save`\\ s it every ``checkpoint_every`` chunks, and a
-    resumed run reconstructs it with :meth:`load` and keeps extending.
+    The engine owns the instance: each screened part becomes a
+    one-part record (:meth:`extend`) that the loop folds in
+    (:meth:`append`), the loop :meth:`save`\\ s it every
+    ``checkpoint_every`` chunks, and a resumed run reconstructs it
+    with :meth:`load` and keeps appending.
     ``next_index`` is the global index of the first unscreened die --
     the resume point.
 
@@ -103,10 +106,10 @@ class StreamCheckpoint:
         checkpoint can never silently merge across band policies.
     start_index:
         Global index of the first die this checkpoint covers.  0 for
-        a whole-fleet stream; a shard worker screening dies
-        ``[lo, hi)`` checkpoints with ``start_index=lo`` so its
-        partial state names its global range and :meth:`merge` can
-        reassemble the fleet.
+        a whole-fleet stream; the rows a shard worker sends home for
+        dies ``[lo, hi)`` start at ``lo``, so every partial state
+        names its global range and :meth:`merge` can reassemble the
+        fleet.
     fallback_dies:
         Dies the certified front half recomputed exactly; it travels
         with the partial state so a sharded campaign's coordinator
@@ -155,6 +158,36 @@ class StreamCheckpoint:
         self.fallback_dies += int(fallback_dies)
         self.chunks_done += 1
 
+    def append(self, record: "StreamCheckpoint") -> None:
+        """Fold ``record``, the dies that follow this checkpoint's own.
+
+        ``record`` must carry the same configuration and band policy
+        (else :class:`CheckpointMismatch`) and start at
+        :attr:`next_index` (else ``ValueError``: an overlap or a gap),
+        so a die can never land twice or out of order; nothing changes
+        when it is refused.  A streamed campaign folds each screened
+        part this way, and a shard coordinator each record a worker
+        sends home.
+        """
+        record.validate(self.config_key, self.threshold)
+        if record.start_index < self.next_index:
+            raise ValueError(
+                f"overlapping die ranges: dies [{record.start_index}, "
+                f"{record.next_index}) collide with dies up to "
+                f"{self.next_index}")
+        if record.start_index > self.next_index:
+            raise ValueError(
+                f"gap in die ranges: dies [{self.next_index}, "
+                f"{record.start_index}) are covered by no part")
+        self.value_parts.extend(record.value_parts)
+        self.f0_parts.extend(record.f0_parts)
+        self.q_parts.extend(record.q_parts)
+        self.labels.extend(record.labels)
+        for key, value in record.timing.items():
+            self.timing[key] = self.timing.get(key, 0.0) + value
+        self.fallback_dies += record.fallback_dies
+        self.chunks_done += record.chunks_done
+
     def values(self, empty: np.ndarray) -> np.ndarray:
         """Accumulated NDFs (``empty``'s shape when no dies yet)."""
         if not self.value_parts:
@@ -176,10 +209,10 @@ class StreamCheckpoint:
         """The checkpoint's ``.npz`` archive as bytes.
 
         This *is* the on-disk format -- :meth:`save` writes exactly
-        these bytes -- so a checkpoint can travel a network channel
-        (a remote shard worker returns its partial state inline,
-        base64-encoded, in ``progress``/``done`` messages) and land
-        on the far side byte-for-byte equal to a local save.
+        these bytes -- so a checkpoint can travel a channel (a shard
+        worker sends each chunk's rows home as one such archive,
+        base64-encoded in a ``progress`` message) and land on the far
+        side byte-for-byte equal to a local save.
         """
         meta = {
             "version": CHECKPOINT_VERSION,
@@ -328,36 +361,14 @@ class StreamCheckpoint:
         if not parts:
             raise ValueError("nothing to merge: no checkpoint parts")
         reference = parts[0]
-        for part in parts[1:]:
-            part.validate(reference.config_key, reference.threshold)
         # Empty parts sort ahead of a same-start non-empty part so
         # the contiguity scan accepts them at either edge of a range.
         ordered = sorted(parts,
                          key=lambda p: (p.start_index, p.num_dies))
         merged = cls(reference.config_key, reference.threshold,
                      start_index=ordered[0].start_index)
-        expected = merged.start_index
         for part in ordered:
-            if part.start_index < expected:
-                raise ValueError(
-                    f"overlapping shard ranges: dies "
-                    f"[{part.start_index}, {part.next_index}) "
-                    f"collide with already-merged dies up to "
-                    f"{expected}")
-            if part.start_index > expected:
-                raise ValueError(
-                    f"gap in shard ranges: dies [{expected}, "
-                    f"{part.start_index}) are covered by no part")
-            merged.value_parts.extend(part.value_parts)
-            merged.f0_parts.extend(part.f0_parts)
-            merged.q_parts.extend(part.q_parts)
-            merged.labels.extend(part.labels)
-            for key, value in part.timing.items():
-                merged.timing[key] = \
-                    merged.timing.get(key, 0.0) + value
-            merged.fallback_dies += part.fallback_dies
-            merged.chunks_done += part.chunks_done
-            expected = part.next_index
+            merged.append(part)
         merged.complete = all(part.complete for part in parts)
         return merged
 

@@ -177,6 +177,18 @@ class CampaignConfig:
                 encoder_key(self.encoder), spec_key(self.golden_spec),
                 int(self.samples_per_period))
 
+    def checkpoint_key(self) -> str:
+        """The ``config_key`` a :class:`StreamCheckpoint` of this
+        configuration records.
+
+        ``golden_key()`` names channel 0's bank only, so a
+        multi-channel key holds every channel's; a single-channel key
+        is the plain golden key.
+        """
+        keys = tuple(self.channel_config(k).golden_key()
+                     for k in range(self.num_channels))
+        return repr(keys[0] if len(keys) == 1 else keys)
+
     @property
     def num_channels(self) -> int:
         """Observation channels (1 + the extra encoders)."""
@@ -320,7 +332,7 @@ def _count_fallback(dies: int) -> None:
 
     Called in the process that owns the campaign (result packaging,
     calibration): chunk workers hand their counts back with their
-    outputs, shard workers in their checkpoints.
+    outputs, shard workers in the rows they send home.
     """
     default_registry().counter("front_half_fallback_rows_total").inc(
         float(dies))
@@ -531,9 +543,13 @@ class CampaignEngine:
         Chunk scheduler; :class:`SerialExecutor` when omitted.
 
     The first pipe-mode :meth:`run_sharded` starts the engine's shard
-    workers, and every later one leases the same warm processes.
-    :meth:`close` (or leaving a ``with`` block) stops them; so does
-    garbage collection of the engine, or interpreter exit.
+    workers, and every later one leases the same warm processes;
+    so do the engines :meth:`with_encoders` and :meth:`channel_engine`
+    derive from it (their campaigns re-``init`` the workers with
+    their own configuration).  :meth:`close` (or leaving a ``with``
+    block) stops them; so does garbage collection of the engine, or
+    interpreter exit.  A derived engine's :meth:`close` leaves them
+    running.
     """
 
     def __init__(self, config: CampaignConfig,
@@ -545,13 +561,17 @@ class CampaignEngine:
             else SerialExecutor()
         self._workers = None  # a repro.shard WorkerSet, once sharded
         self._close_workers = None
+        #: The engine whose shard workers this one leases (derived
+        #: engines only).
+        self._parent: Optional["CampaignEngine"] = None
 
     def close(self) -> None:
         """Stop the shard workers this engine keeps warm.
 
         Closes only what the engine owns: a caller's executor and
-        cache stay open.  The engine stays usable; a later sharded
-        campaign starts new workers.
+        cache stay open, and so do the workers a derived engine
+        leases from its parent.  The engine stays usable; a later
+        sharded campaign starts new workers.
         """
         with _WORKER_SET_LOCK:
             close, self._close_workers = self._close_workers, None
@@ -566,7 +586,10 @@ class CampaignEngine:
         self.close()
 
     def _worker_set(self):
-        """The engine's warm shard workers (created on first use)."""
+        """The engine's warm shard workers (created on first use); a
+        derived engine's are its parent's."""
+        if self._parent is not None:
+            return self._parent._worker_set()
         with _WORKER_SET_LOCK:
             if self._workers is None:
                 from repro.shard.coordinator import WorkerSet
@@ -630,9 +653,7 @@ class CampaignEngine:
 
     def channel_engine(self, k: int) -> "CampaignEngine":
         """Single-channel engine of channel ``k`` (shared cache)."""
-        return CampaignEngine(self.config.channel_config(k),
-                              cache=self.cache,
-                              executor=self.executor)
+        return self._derive(self.config.channel_config(k))
 
     def with_encoders(self, encoders: Sequence[ZoneEncoder]
                       ) -> "CampaignEngine":
@@ -646,10 +667,16 @@ class CampaignEngine:
         encoders = list(encoders)
         if not encoders:
             raise ValueError("need at least one encoder")
-        config = replace(self.config, encoder=encoders[0],
-                         extra_encoders=tuple(encoders[1:]))
-        return CampaignEngine(config, cache=self.cache,
-                              executor=self.executor)
+        return self._derive(replace(self.config, encoder=encoders[0],
+                                    extra_encoders=tuple(encoders[1:])))
+
+    def _derive(self, config: CampaignConfig) -> "CampaignEngine":
+        """An engine over ``config`` that shares this one's cache,
+        executor and shard workers."""
+        engine = CampaignEngine(config, cache=self.cache,
+                                executor=self.executor)
+        engine._parent = self._parent or self
+        return engine
 
     def channel_thresholds(self, band: Union[None, str, float,
                                              DecisionBand] = "auto"
@@ -691,9 +718,9 @@ class CampaignEngine:
         """
         if request.encoders is not None:
             # Multi-signature screening is an engine over the listed
-            # banks, in every mode (closed after, with any workers).
-            with self.with_encoders(request.encoders) as engine:
-                return engine.submit(replace(request, encoders=None))
+            # banks, in every mode; it leases this engine's workers.
+            return self.with_encoders(request.encoders).submit(
+                replace(request, encoders=None))
         with span("campaign.submit", mode=request.mode,
                   executor=getattr(self.executor, "name", "custom")):
             if request.mode == "noise":
@@ -813,12 +840,12 @@ class CampaignEngine:
         """The parts loop behind every ``run`` and ``stream`` request.
 
         A monolithic run is one part and a stream one part per chunk;
-        :meth:`_score` screens each.  A ``run`` over an iterator peeks
-        at its first item: a :class:`BiquadSpec` materializes one
-        part, anything else (chunks, or nothing) is a stream.  The
-        parts accumulate into a :class:`StreamCheckpoint` -- the state
-        a shard worker ships -- which only a request with a checkpoint
-        path ever persists.
+        :meth:`_screen_parts` turns each into a one-part record, and
+        the loop folds the records into a :class:`StreamCheckpoint`,
+        which only a request with a checkpoint path ever persists.  A
+        ``run`` over an iterator peeks at its first item: a
+        :class:`BiquadSpec` materializes one part, anything else
+        (chunks, or nothing) is a stream.
         """
         from repro.campaign.checkpoint import StreamCheckpoint
         from repro.testing.faultinject import fail_if_armed
@@ -836,12 +863,7 @@ class CampaignEngine:
         if not streamed:
             parts = [parts]
         threshold = self._resolve_threshold(request.band)
-        # golden_key() names channel 0's bank only, so a multi-channel
-        # checkpoint keys on every channel's; a single-channel key is
-        # the plain golden key.
-        keys = tuple(self.config.channel_config(k).golden_key()
-                     for k in range(self.config.num_channels))
-        config_key = repr(keys[0] if len(keys) == 1 else keys)
+        config_key = self.config.checkpoint_key()
         state = None
         if request.checkpoint is not None:
             if request.keep_signatures:
@@ -854,9 +876,9 @@ class CampaignEngine:
             if state is not None:
                 state.validate(config_key, threshold)
         if state is None:
-            # A fresh stream that starts mid-fleet (a shard worker, or
-            # a rebuilt resume stream) covers [stream_offset, ...) --
-            # the checkpoint names that range so partials can merge.
+            # A fresh stream that starts mid-fleet (a rebuilt resume
+            # stream) covers [stream_offset, ...) -- the checkpoint
+            # names that range so partials can merge.
             state = StreamCheckpoint(config_key, threshold,
                                      start_index=request.stream_offset)
         elif request.stream_offset < state.start_index:
@@ -880,41 +902,16 @@ class CampaignEngine:
         deviations = True
         executor = getattr(self.executor, "name", "custom")
         batches: List[Union[SignatureBatch, MultiSignatureBatch]] = []
-        seen = 0  # dies drawn from the iterable so far
         chunks_since_save = 0
-        for part in parts:
-            # Raw spec-sequence chunks get placeholder labels numbered
-            # from the global die index, not per chunk -- labels must
-            # stay unique across the whole stream (and across the
-            # interrupted runs of a checkpointed one).
-            part = self._as_population(
-                part, first_index=request.stream_offset + seen)
+        for part, record, part_batches in self._screen_parts(
+                parts, config_key, threshold, request.stream_offset,
+                skip, request.keep_signatures, specs_only=streamed):
             if not isinstance(part, SpecPopulation):
-                if streamed:
-                    raise TypeError("streamed campaigns consume spec "
-                                    "population chunks")
                 deviations = False
                 if isinstance(part, EncoderPopulation):
                     executor = "serial"
-            n = len(part)
-            seen += n
-            if skip > 0:
-                if n <= skip:  # whole chunk already screened
-                    skip -= n
-                    continue
-                # Partially-screened chunk: resume mid-chunk.  Per-die
-                # rows are chunk-boundary independent, so the sliced
-                # tail scores bit-identically to its uninterrupted
-                # position.
-                part = part[skip:]
-                skip = 0
-            values, timing, part_batches, fallback = self._score(
-                part, request.keep_signatures)
             batches += part_batches
-            devs = ((part.f0_deviations, part.q_deviations)
-                    if deviations else ((), ()))
-            state.extend(values, *devs, part.labels, timing,
-                         fallback_dies=fallback)
+            state.append(record)
             if request.checkpoint is not None:
                 chunks_since_save += 1
                 if chunks_since_save >= request.checkpoint_every:
@@ -930,6 +927,55 @@ class CampaignEngine:
             state, request.band, start,
             executor + ("+stream" if streamed else ""),
             batches if request.keep_signatures else None, deviations)
+
+    def _screen_parts(self, parts: Iterable, config_key: str,
+                      threshold: Optional[float], offset: int = 0,
+                      skip: int = 0, collect: bool = False,
+                      specs_only: bool = True) -> Iterator[Tuple]:
+        """Screen parts in order: the one per-part screening body.
+
+        A campaign folds what it yields; a shard worker sends each
+        record home.  Records carry ``config_key``
+        (:meth:`CampaignConfig.checkpoint_key`) and ``threshold``.
+        ``offset`` is the global index of the first die
+        ``parts`` yields: raw spec-sequence parts number their
+        placeholder labels from it, so labels stay unique across a
+        stream and its resumed runs.  The first ``skip`` dies are
+        dropped unscreened (a resumed stream); ``specs_only`` refuses
+        anything but spec populations.  Yields ``(part, record,
+        batches)``: the screened population, a one-part
+        :class:`StreamCheckpoint` of its rows from their global start
+        index (no deviations without ground truth), and its packed
+        batches (each None unless ``collect``).
+        """
+        from repro.campaign.checkpoint import StreamCheckpoint
+
+        seen = 0  # dies drawn from the iterable so far
+        for part in parts:
+            part = self._as_population(part, first_index=offset + seen)
+            if specs_only and not isinstance(part, SpecPopulation):
+                raise TypeError("streamed campaigns consume spec "
+                                "population chunks")
+            n = len(part)
+            seen += n
+            if skip > 0:
+                if n <= skip:  # whole chunk already screened
+                    skip -= n
+                    continue
+                # Partially-screened chunk: resume mid-chunk.  Per-die
+                # rows are chunk-boundary independent, so the sliced
+                # tail scores bit-identically to its uninterrupted
+                # position.
+                part = part[skip:]
+                skip = 0
+            values, timing, batches, fallback = self._score(part, collect)
+            record = StreamCheckpoint(config_key, threshold,
+                                      start_index=offset + seen - len(part))
+            devs = ((part.f0_deviations, part.q_deviations)
+                    if isinstance(part, SpecPopulation) else ((), ()))
+            record.extend(values, *devs, part.labels, timing,
+                          fallback_dies=fallback)
+            yield part, record, batches
 
     def _package_result(self, state, band, start: float, executor: str,
                         batches=None, deviations: bool = True
@@ -1082,29 +1128,30 @@ class CampaignEngine:
         ``fleet`` is a :class:`repro.shard.ShardFleet` (or anything
         :func:`repro.shard.as_fleet` accepts: a
         :class:`SpecPopulation` works directly).  The global die-index
-        range splits into shards -- each exactly "a checkpoint whose
-        next index starts past another's" -- dispatched to ``workers``
-        subprocess workers (default: one per shard, capped at
-        ``shards``), which the engine keeps warm for its next sharded
-        campaign (:meth:`close` stops them); partial checkpoints merge
-        in global-index order
-        **bit-identical** to the monolithic :meth:`run` /
-        :meth:`run_stream` over the same fleet.  A worker that dies or
-        stalls past the ``heartbeat`` deadline has its shard
-        reassigned, resuming from the shard's last checkpoint -- never
-        from zero.  See ``docs/sharding.md``.  Extra channels
-        (:meth:`with_encoders`) shard too; kept signatures do not.
+        range splits into shards dispatched to ``workers`` subprocess
+        workers (default: one per shard, capped at ``shards``), which
+        the engine keeps warm for its next sharded campaign
+        (:meth:`close` stops them).  Workers send each screened
+        chunk's rows home; the coordinator holds them and merges them
+        in global-index order **bit-identical** to the monolithic
+        :meth:`run` / :meth:`run_stream` over the same fleet.  A
+        worker that dies or stalls past the ``heartbeat`` deadline has
+        its shard reassigned, resuming at the first row the
+        coordinator does not hold.  See ``docs/sharding.md``.  Extra
+        channels (:meth:`with_encoders`) shard too; kept signatures do
+        not.
 
         ``shard_size`` caps dies per shard, yielding more shards than
         workers -- finer-grained reassignment on worker loss.  The
         band policy resolves *once* here (the coordinator process);
         workers receive the raw threshold, so calibration never runs
-        N times.
+        N times.  ``workdir`` names a directory that receives each
+        shard's merged archive (``shard_NNNN.npz``) after a clean
+        campaign; with None nothing is written.
 
         ``listen="HOST:PORT"`` runs the campaign multi-node: instead
         of spawning subprocesses the coordinator accepts ``repro
-        shard-worker --connect`` processes over TCP, shipping
-        checkpoints inline (no shared filesystem); an explicit
+        shard-worker --connect`` processes over TCP; an explicit
         ``workers`` then holds dispatch until that many workers have
         connected.  ``autotune_s`` replaces the static plan with shards
         carved to roughly that many seconds of each worker's observed

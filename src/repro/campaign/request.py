@@ -91,12 +91,13 @@ class ScreeningRequest:
         :mod:`repro.shard` and
         :meth:`~repro.campaign.engine.CampaignEngine.run_sharded`):
         how many shards to split the fleet into, an optional dies-per-
-        shard cap (finer reassignment granularity), the coordinator's
-        checkpoint/scratch directory (a temp dir when None), the
-        worker heartbeat deadline in seconds, and the subprocess
-        worker count (None = one per shard).
+        shard cap (finer reassignment granularity), a directory that
+        receives each shard's merged archive after a clean campaign
+        (None: nothing is written), the worker heartbeat deadline in
+        seconds, and the subprocess worker count (None = one per
+        shard).
     shard_listen:
-        ``"HOST:PORT"`` to accept remote TCP workers on instead of
+        ``"HOST:PORT"`` to accept TCP workers on instead of
         spawning subprocesses (``repro shard-worker --connect``
         processes dial in; port 0 binds an ephemeral port).  See
         docs/sharding.md "Multi-node campaigns".

@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="split the campaign into N shards run "
                                "by subprocess workers and merge the "
-                               "partial checkpoints bit-identical to "
+                               "rows they send home bit-identical to "
                                "the monolithic run (mc/sweep/grid "
                                "scenarios)")
     campaign.add_argument("--shard-chunk", type=_positive_int,

@@ -1,20 +1,21 @@
 """repro.shard -- sharded campaigns: split, run, merge bit-identical.
 
 A sharded campaign splits the global die-index range into contiguous
-shards (a shard is exactly "a
-:class:`~repro.campaign.checkpoint.StreamCheckpoint` whose next index
-starts past another's"), dispatches them to workers over a JSON line
-protocol, and merges the partial checkpoints in global-index order --
+shards, dispatches them to workers over a JSON line protocol, and
+merges the rows they send home in global-index order --
 **bit-identical** to the monolithic run, even when a worker is killed
-or partitioned mid-shard (the shard reassigns and resumes from its
-last checkpoint, never from zero).
+or partitioned mid-shard.  Workers send each screened chunk's rows
+home as a one-chunk :class:`~repro.campaign.checkpoint.StreamCheckpoint`
+archive and write no file; the coordinator holds every row, so a
+reassigned shard resumes at the first row it does not hold, never
+from zero.
 
 Workers reach the coordinator through a
 :class:`~repro.shard.transport.Transport`: subprocesses the
-coordinator spawned over stdio pipes (the default), or remote
-processes that dialed a TCP ``--listen`` endpoint with ``repro
-shard-worker --connect HOST:PORT`` -- multi-node campaigns with no
-shared filesystem (checkpoints travel inline in protocol messages).
+coordinator spawned over stdio pipes (the default), or processes on
+any machine that dialed a TCP ``--listen`` endpoint with ``repro
+shard-worker --connect HOST:PORT`` -- multi-node campaigns; both
+carriers send rows home the same way.
 
 Layers:
 

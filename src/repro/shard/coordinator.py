@@ -10,7 +10,7 @@ One :class:`ShardCoordinator` owns a sharded campaign end to end:
    get smaller slices and the ranges still tile ``[0, N)``.
 2. **Dispatch** -- workers reach the coordinator through a
    :class:`~repro.shard.transport.Transport`: spawned subprocesses
-   over stdio pipes (the default), or remote processes that dialed a
+   over stdio pipes (the default), or processes that dialed a
    ``listen`` TCP endpoint (``repro shard-worker --connect``).  Each
    gets an ``init`` (pickled config, the threshold resolved *once* in
    this process, the fleet description, the trace context) and then
@@ -24,18 +24,22 @@ One :class:`ShardCoordinator` owns a sharded campaign end to end:
    past the heartbeat deadline, or that speaks an undecodable line
    (protocol desync) is declared lost: its channel is torn down, its
    shard goes back on the queue and -- pipe mode only -- a fresh
-   worker respawns into the slot (a remote worker must redial).
-   Reassignment **resumes from the shard's last checkpoint, never
-   from zero**: remote workers ship checkpoint bytes home inside
-   ``progress``, so the resume state survives a partition with no
-   shared filesystem.
-4. **Merge** -- completed shards are plain checkpoint files (remote
-   ``done`` messages carry the archive bytes inline and the
-   coordinator writes them);  :meth:`StreamCheckpoint.merge`
-   reassembles them in global-index order, bit-identical to the
-   monolithic stream (proven by ``tests/shard/`` and the CI
+   worker respawns into the slot (a dialled-in worker must redial).
+4. **Hold** -- the coordinator is the only holder of shard state.
+   Every ``progress`` line carries the chunk's rows as a one-chunk
+   :class:`StreamCheckpoint` archive, and the coordinator appends it
+   to the shard's held rows in index order only: a record that does
+   not start at the shard's next index, or a ``done`` before the
+   shard's last row, is a desync that loses the worker, like an
+   undecodable line.  A reassignment carries ``resume_at``, the
+   first row the coordinator does not hold, so it **resumes, never
+   restarts**, on either carrier, and no worker writes a file.
+5. **Merge** -- one :meth:`StreamCheckpoint.merge` over the held
+   shards reassembles the fleet in global-index order, bit-identical
+   to the monolithic stream (proven by ``tests/shard/`` and the CI
    ``sharded-campaign-smoke`` drill, including its loopback-TCP
-   partition phase).
+   partition phase).  With a ``workdir`` each shard's merged archive
+   lands there as ``shard_NNNN.npz`` after a clean campaign.
 
 Lifecycle metrics land in the process-default registry
 (``shard_dispatched_total`` / ``shard_completed_total`` /
@@ -75,7 +79,6 @@ itself (:mod:`repro.shard.transport`).
 
 from __future__ import annotations
 
-import base64
 import itertools
 import math
 import os
@@ -107,6 +110,7 @@ from repro.shard.protocol import (
     encode_message,
     init_message,
     shutdown_message,
+    unpack_rows,
 )
 from repro.shard.transport import (
     PipeTransport,
@@ -114,7 +118,6 @@ from repro.shard.transport import (
     Transport,
     TransportClosed,
 )
-from repro.store import atomic_write_bytes
 
 #: Environment variable naming faults to arm in the FIRST worker a set
 #: spawns under a new environment only (the worker-loss drill).
@@ -172,10 +175,6 @@ class _Worker:
     @property
     def idle(self) -> bool:
         return self.shard is None
-
-    @property
-    def remote(self) -> bool:
-        return self.transport.kind == "socket"
 
     def listen(self) -> None:
         """Start the reader thread."""
@@ -415,24 +414,20 @@ class ShardCoordinator:
         dial in cannot drain the plan before the others arrive.
         ``workers=None`` dispatches to each worker as it connects.
     workdir:
-        Directory for shard checkpoints.  A temp dir (cleaned up on
-        success) when None.  A first dispatch of a shard starts from
-        no checkpoint, so a reused workdir never resumes another
-        campaign's shard.
+        Directory that receives each shard's merged archive
+        (``shard_NNNN.npz``, the :class:`StreamCheckpoint` format)
+        after a clean campaign; None writes nothing.  Nothing reads
+        it back: a campaign's rows live in this process only.
     heartbeat:
         Seconds of silence after which a worker counts as stalled.
-    checkpoint_every:
-        Chunks between worker checkpoint saves (1 = every chunk, the
-        finest resume granularity).
     max_attempts:
         Dispatch attempts per shard before the campaign fails.
     listen:
-        ``(host, port)`` to accept remote workers on (port 0 binds an
+        ``(host, port)`` to accept TCP workers on (port 0 binds an
         ephemeral port; read it back from :attr:`address`).  The
         coordinator then spawns nothing: ``repro shard-worker
         --connect HOST:PORT`` processes dial in, possibly late,
-        possibly from other machines.  Checkpoints travel inline in
-        protocol messages -- no shared filesystem is assumed.
+        possibly from other machines.
     autotune_target_s:
         When set, ignore the static plan and carve each worker's next
         shard to ``~autotune_target_s`` seconds of its *observed*
@@ -459,7 +454,6 @@ class ShardCoordinator:
                  workers: Optional[int] = None,
                  workdir: Optional[str] = None,
                  heartbeat: float = 5.0,
-                 checkpoint_every: int = 1,
                  max_attempts: int = 3,
                  listen: Optional[Tuple[str, int]] = None,
                  autotune_target_s: Optional[float] = None,
@@ -484,13 +478,14 @@ class ShardCoordinator:
             self.plan = plan_shards(self._total, shards, shard_size)
             self._frontier = self._total
         self._carved: List[Shard] = list(self.plan)
-        self.remote = listen is not None
+        self.listening = listen is not None
         self._listener = (SocketListener(listen[0], listen[1])
-                          if self.remote else None)
+                          if self.listening else None)
         #: Listening mode only: hellos to wait for before dispatch.
         self._barrier = (max(1, int(workers))
-                         if self.remote and workers is not None else None)
-        if self.remote:
+                         if self.listening and workers is not None
+                         else None)
+        if self.listening:
             self.num_workers = max(1, workers if workers is not None
                                    else shards)
         else:
@@ -498,26 +493,27 @@ class ShardCoordinator:
                 workers if workers is not None else shards,
                 max(1, len(self.plan) or shards)))
         self.heartbeat = float(heartbeat)
-        self.checkpoint_every = int(checkpoint_every)
         self.max_attempts = int(max_attempts)
         self.progress_timeout = (None if progress_timeout is None
                                  else float(progress_timeout))
         self.rejoin_grace = float(rejoin_grace)
         self._workdir = workdir
-        self._own_workdir = workdir is None
+        #: Each dispatched shard's rows so far, in index order.
+        self._held: Dict[int, StreamCheckpoint] = {}
         self._queue: "queue.Queue[Tuple[Optional[_Worker], dict]]" = \
             queue.Queue()
         self._workers: Dict[int, _Worker] = {}
         self._next_slot = 0
         self._worker_set = worker_set
-        self._own_set = worker_set is None and not self.remote
+        self._own_set = worker_set is None and not self.listening
         self._trace_context = None
         self._accept_stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
         self.stats: Dict[str, float] = {
             "planned": float(len(self.plan)), "dispatched": 0.0,
             "completed": 0.0, "reassigned": 0.0,
-            "workers": float(0 if self.remote else self.num_workers),
+            "workers": float(0 if self.listening
+                             else self.num_workers),
             "merge_seconds": 0.0,
         }
 
@@ -545,10 +541,8 @@ class ShardCoordinator:
         # A closed channel fails here silently: the reader's EOF
         # declares the worker lost.
         _send(worker, init_message(
-            self.config, self.threshold, self.fleet,
-            self.checkpoint_every, self.heartbeat,
-            None if context is None else context.to_dict(),
-            remote=worker.remote))
+            self.config, self.threshold, self.fleet, self.heartbeat,
+            None if context is None else context.to_dict()))
         return worker
 
     def _spawn(self, slot: int) -> _Worker:
@@ -574,8 +568,6 @@ class ShardCoordinator:
     # ------------------------------------------------------------------
     def run(self) -> Tuple[StreamCheckpoint, Dict[str, float]]:
         """Execute every shard and merge; returns ``(merged, stats)``."""
-        if self._workdir is None:
-            self._workdir = tempfile.mkdtemp(prefix="repro-shards-")
         if self._own_set:
             self._worker_set = WorkerSet()
         _settle_keys(self.config)
@@ -585,18 +577,21 @@ class ShardCoordinator:
                       shards=len(self.plan) or None,
                       workers=self.num_workers,
                       dies=self._total,
-                      transport="socket" if self.remote else "pipe"):
+                      transport="socket" if self.listening else "pipe"):
                 self._trace_context = current_trace_context()
-                if self.remote:
+                if self.listening:
                     self._accept_thread = threading.Thread(
                         target=self._accept_loop, daemon=True,
                         name="shard-accept")
                     self._accept_thread.start()
-                parts = self._run_shards()
-                merged = self._merge(parts)
+                self._run_shards()
+                merged = self._merge()
+                if self._workdir is not None:
+                    os.makedirs(self._workdir, exist_ok=True)
+                    for shard in self._carved:
+                        self._held[shard.index].save(os.path.join(
+                            self._workdir, shard.checkpoint_name()))
             clean = True
-            if self._own_workdir:
-                shutil.rmtree(self._workdir, ignore_errors=True)
             return merged, dict(self.stats)
         finally:
             self._stop_accepting()
@@ -609,14 +604,6 @@ class ShardCoordinator:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
             self._accept_thread = None
-
-    def _checkpoint_path(self, shard: Shard) -> str:
-        return os.path.join(self._workdir, shard.checkpoint_name())
-
-    def _store_checkpoint_b64(self, shard: Shard, data: str) -> None:
-        """Persist checkpoint bytes a remote worker shipped home."""
-        atomic_write_bytes(self._checkpoint_path(shard),
-                           base64.b64decode(data))
 
     def _carve(self, worker: _Worker) -> Optional[Shard]:
         """Autotune mode: cut the next shard off the frontier, sized
@@ -638,26 +625,16 @@ class ShardCoordinator:
                 attempts: Dict[int, int]) -> bool:
         attempt = attempts.get(shard.index, 0) + 1
         attempts[shard.index] = attempt
-        path = self._checkpoint_path(shard)
-        if attempt == 1:
-            # Only a reassignment resumes: a file already at this path
-            # belongs to another campaign (a reused workdir).
-            try:
-                os.remove(path)
-            except FileNotFoundError:
-                pass
-        resume_b64 = None
-        if worker.remote:
-            if os.path.exists(path):
-                with open(path, "rb") as fh:
-                    resume_b64 = base64.b64encode(
-                        fh.read()).decode("ascii")
+        held = self._held.get(shard.index)
+        if held is None:
+            held = self._held[shard.index] = StreamCheckpoint(
+                self.config.checkpoint_key(), self.threshold,
+                start_index=shard.lo)
         with span("shard.dispatch", shard=shard.index, lo=shard.lo,
                   hi=shard.hi, worker=worker.index, attempt=attempt,
                   transport=worker.transport.kind):
             ok = _send(worker, assign_message(
-                shard.index, shard.lo, shard.hi, path,
-                resume_b64=resume_b64))
+                shard.index, shard.lo, shard.hi, held.next_index))
         if ok:
             worker.shard = shard
             now = time.monotonic()
@@ -701,30 +678,25 @@ class ShardCoordinator:
         else:
             log_event("shard.worker.lost", worker=worker.index,
                       reason=reason)
-        if not self.remote:
+        if not self.listening:
             self._spawn(worker.index)
 
-    def _work_remaining(self, pending: "deque[Shard]",
-                        done: Dict[int, str]) -> bool:
-        return (len(done) < len(self._carved)
-                or self._frontier < self._total)
-
-    def _run_shards(self) -> List[StreamCheckpoint]:
+    def _run_shards(self) -> None:
         if not self._carved and self._frontier >= self._total:
-            return []
+            return
         pending: "deque[Shard]" = deque(self.plan)
         attempts: Dict[int, int] = {}
-        done: Dict[int, str] = {}
-        if not self.remote:
+        done = 0  # shards whose last row and ``done`` arrived
+        if not self.listening:
             for slot, worker in enumerate(self._worker_set.lease(
                     self.num_workers, self._queue)):
                 self._enlist(slot, worker)
         tick = max(0.05, min(0.5, self.heartbeat / 4.0))
         workerless_since: Optional[float] = (
-            time.monotonic() if self.remote else None)
+            time.monotonic() if self.listening else None)
         barrier_since = time.monotonic()
         dispatching = self._barrier is None
-        while self._work_remaining(pending, done):
+        while done < len(self._carved) or self._frontier < self._total:
             if not dispatching:
                 greeted = sum(1 for worker in self._workers.values()
                               if worker.hello_seen)
@@ -782,16 +754,14 @@ class ShardCoordinator:
                             "shard_worker_startup_seconds").observe(
                             worker.last_seen - worker.spawned_at)
                         worker.spawned_at = None
-                elif kind == "progress":
+                elif kind in ("progress", "done"):
                     worker.last_progress = time.monotonic()
-                    shard = worker.shard
-                    data = message.get("checkpoint_b64")
-                    if data is not None and shard is not None \
-                            and int(message.get("shard", -1)) == \
-                            shard.index:
-                        self._store_checkpoint_b64(shard, str(data))
-                elif kind == "done":
-                    self._complete(worker, message, done)
+                    desync = self._take(worker, message)
+                    if desync is not None:
+                        self._lose_worker(worker, pending, attempts,
+                                          desync)
+                    elif kind == "done":
+                        done += 1
                 elif kind == "error":
                     raise ShardWorkerError(
                         f"worker {worker.index} "
@@ -831,7 +801,7 @@ class ShardCoordinator:
                                       "progress deadline passed")
             # Listening mode liveness: fail rather than wait forever
             # when every worker is gone and none redials.
-            if self.remote:
+            if self.listening:
                 if self._workers:
                     workerless_since = None
                 elif workerless_since is None:
@@ -844,33 +814,49 @@ class ShardCoordinator:
                         f"dial in with: repro shard-worker "
                         f"--connect {self.address[0]}:"
                         f"{self.address[1]}")
-        return [StreamCheckpoint.load(done[shard.index])
-                for shard in self._carved]
 
-    def _complete(self, worker: _Worker, message: dict,
-                  done: Dict[int, str]) -> None:
+    def _take(self, worker: _Worker, message: dict) -> Optional[str]:
+        """Accept a ``progress`` record or a ``done``; returns why the
+        line is a desync (the worker is then lost), else None.
+
+        Rows are taken in index order only: a record must start at its
+        shard's next held index and stay inside the shard, and
+        ``done`` must follow the shard's last row.
+        """
         shard = worker.shard
+        if shard is None or message.get("shard") != shard.index:
+            return (f"sent {message['type']} for shard "
+                    f"{message.get('shard')!r} while assigned "
+                    f"{None if shard is None else shard.index}")
+        held = self._held[shard.index]
+        if message["type"] == "progress":
+            try:
+                record = StreamCheckpoint.from_bytes(unpack_rows(message))
+                if record.next_index > shard.hi:
+                    raise ValueError(f"rows up to die {record.next_index} "
+                                     f"overrun the shard")
+                held.append(record)
+            except Exception as error:  # any unusable record: desync
+                return (f"sent a row record that does not follow shard "
+                        f"{shard.index} [{shard.lo}, {shard.hi}) held to "
+                        f"die {held.next_index}: "
+                        f"{type(error).__name__}: {error}")
+            return None
+        if held.next_index != shard.hi:
+            return (f"reported shard {shard.index} [{shard.lo}, "
+                    f"{shard.hi}) done with rows held to die "
+                    f"{held.next_index}")
+        held.complete = True
         worker.shard = None
-        index = int(message["shard"])
-        data = message.get("checkpoint_b64")
-        if data is None:
-            done[index] = str(message["checkpoint"])
-        else:
-            # Remote completion: the archive travelled inline; land
-            # it where the merge (and any resume) expects it.
-            target = next(s for s in self._carved
-                          if s.index == index)
-            self._store_checkpoint_b64(target, str(data))
-            done[index] = self._checkpoint_path(target)
         rtt = time.monotonic() - worker.assigned_at
         self.stats["completed"] += 1
         default_registry().counter("shard_completed_total").inc()
         default_registry().histogram(
             "shard_rtt_seconds",
             transport=worker.transport.kind).observe(rtt)
-        if self.autotuner is not None and shard is not None:
+        if self.autotuner is not None:
             self.autotuner.observe(worker.index, shard.num_dies, rtt)
-        log_event("shard.completed", shard=index,
+        log_event("shard.completed", shard=shard.index,
                   worker=worker.index, host=worker.host,
                   num_dies=int(message["num_dies"]),
                   seconds=round(rtt, 3))
@@ -878,15 +864,17 @@ class ShardCoordinator:
         tracer = current_tracer()
         if tracer is not None and rows:
             tracer.absorb(SpanRecord.from_dict(r) for r in rows)
+        return None
 
-    def _merge(self, parts: List[StreamCheckpoint]) -> StreamCheckpoint:
+    def _merge(self) -> StreamCheckpoint:
+        """One merge over the held shards (each complete by now)."""
         start = time.perf_counter()
-        with span("shard.merge", parts=len(parts)):
-            if parts:
-                merged = StreamCheckpoint.merge(parts)
+        with span("shard.merge", parts=len(self._held)):
+            if self._held:
+                merged = StreamCheckpoint.merge(self._held.values())
             else:
-                merged = StreamCheckpoint(
-                    repr(self.config.golden_key()), self.threshold)
+                merged = StreamCheckpoint(self.config.checkpoint_key(),
+                                          self.threshold)
                 merged.complete = True
         elapsed = time.perf_counter() - start
         self.stats["merge_seconds"] = elapsed
@@ -899,7 +887,7 @@ class ShardCoordinator:
         stop them after a failed one; TCP workers always stop."""
         workers = list(self._workers.values())
         self._workers.clear()
-        if self.remote:
+        if self.listening:
             _stop_workers(workers)
             return
         self._worker_set.release(workers, healthy=clean)

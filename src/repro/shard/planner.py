@@ -1,11 +1,10 @@
 """Shard planning: split a global die-index range into shards.
 
-A shard is exactly "a :class:`~repro.campaign.checkpoint.StreamCheckpoint`
-whose next index starts past another's": the contiguous global range
-``[lo, hi)`` one worker screens into its own checkpoint file.  The
-planner only decides the ranges; per-die work is a pure function of the
-global index (seeds, labels, scoring are all chunk-boundary
-independent), so any plan merges bit-identical to the monolithic run.
+A shard is the contiguous global range ``[lo, hi)`` one worker screens
+and sends home chunk by chunk.  The planner only decides the ranges;
+per-die work is a pure function of the global index (seeds, labels,
+scoring are all chunk-boundary independent), so any plan merges
+bit-identical to the monolithic run.
 
 Two planning modes:
 
@@ -16,7 +15,7 @@ Two planning modes:
 * ``shard_size=C`` -- fixed-size shards of at most C dies (the last
   carries the tail).  More shards than workers means finer-grained
   reassignment when a worker dies: only the lost shard re-executes,
-  from its last checkpoint.
+  from the first row the coordinator does not hold.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ class Shard:
         return self.hi - self.lo
 
     def checkpoint_name(self) -> str:
-        """Stable per-shard checkpoint filename."""
+        """Stable per-shard archive filename (a ``workdir``'s)."""
         return f"shard_{self.index:04d}.npz"
 
 
@@ -91,7 +90,7 @@ class ShardAutotuner:
     ones; a worker never measured gets ``initial_size``.
 
     Sizes are rounded up to a multiple of ``align`` (the fleet chunk
-    size: checkpoints land on chunk boundaries, so an aligned shard
+    size: row records end on chunk boundaries, so an aligned shard
     never splits a chunk) and clamped to ``[min_size, max_size]``.
     The *ranges* stay contiguous regardless -- the coordinator carves
     them sequentially from the frontier -- so bit-identity of the

@@ -4,41 +4,40 @@ One JSON object per line -- the identical framing over a stdio pipe
 (:class:`~repro.shard.transport.PipeTransport`) or a TCP socket
 (:class:`~repro.shard.transport.SocketTransport`), which is why the
 worker entry point is a CLI command rather than a pool function.
-Binary payloads (the pickled :class:`CampaignConfig` and fleet) ride
-base64-encoded inside the ``init`` message; everything after that is
-plain JSON.
+Binary payloads ride base64-encoded: the pickled
+:class:`CampaignConfig` and fleet in ``init``, and each screened
+chunk's rows in ``progress``.
 
 Coordinator -> worker
 ---------------------
-``init``      config_b64, threshold, fleet_b64, checkpoint_every,
-              heartbeat, trace (a ``TraceContext`` dict or null),
-              remote (true when no shared filesystem can be assumed:
-              the worker must return checkpoints inline); sent again
-              by every campaign that leases a warm worker
-``assign``    shard (index), lo, hi, checkpoint (path); remote
-              assignments add resume_b64 (base64 ``.npz`` bytes of
-              the shard's last known checkpoint, or absent) so a
-              reassigned shard resumes without a shared filesystem
+``init``      config_b64, threshold, fleet_b64, heartbeat, trace (a
+              ``TraceContext`` dict or null); sent again by every
+              campaign that leases a warm worker
+``assign``    shard (index), lo, hi, resume_at (the first die of
+              ``[lo, hi)`` whose row the coordinator does not hold:
+              ``lo`` on a first dispatch)
 ``shutdown``  --
 
 Worker -> coordinator
 ---------------------
 ``hello``     pid, host (after every init: ready for assignments)
 ``ping``      -- (heartbeat, every ``heartbeat/2`` seconds)
-``progress``  shard, next_index (after each screened chunk); remote
-              workers add checkpoint_b64 whenever the shard's
-              checkpoint advanced, so the coordinator always holds
-              the partial state a reassignment would resume from
-``done``      shard, num_dies, checkpoint, spans (pid/host-stamped
-              span rows when the campaign is traced); remote workers
-              add checkpoint_b64 (the completed shard's ``.npz``)
+``progress``  shard, next_index, rows_b64 (after each screened chunk:
+              base64 of the chunk's rows as a one-chunk
+              :class:`~repro.campaign.checkpoint.StreamCheckpoint`
+              archive, ``to_bytes`` format, covering dies up to
+              next_index)
+``done``      shard, num_dies, spans (pid/host-stamped span rows when
+              the campaign is traced)
 ``error``     shard (or null), message (the worker then exits 1)
 
-The pickles only ever travel coordinator -> worker within one
-invocation (same code, same interpreter); results come back as
-checkpoint archives -- files on a shared filesystem, base64 ``.npz``
-bytes over a socket -- never pickled arrays: the merge reads the same
-atomic ``.npz`` format crash recovery uses.
+The coordinator holds every row: it accepts a shard's records in
+index order only, so a record that does not start at the shard's
+next index, or a ``done`` before the shard's last row, is a desync
+that loses the worker, like an undecodable line.  The pickles only
+ever travel coordinator -> worker within one invocation (same code,
+same interpreter); rows come back in the archive format crash
+recovery uses, never as pickled arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from __future__ import annotations
 import base64
 import json
 import pickle
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 
 def encode_message(message: Dict[str, object]) -> str:
@@ -79,33 +78,46 @@ def unpack_payload(data: str) -> object:
 
 
 def init_message(config, threshold: Optional[float], fleet,
-                 checkpoint_every: int, heartbeat: float,
-                 trace: Optional[Dict[str, object]],
-                 remote: bool = False) -> Dict[str, object]:
+                 heartbeat: float,
+                 trace: Optional[Dict[str, object]]
+                 ) -> Dict[str, object]:
     return {"type": "init", "config_b64": pack_payload(config),
             "threshold": threshold, "fleet_b64": pack_payload(fleet),
-            "checkpoint_every": int(checkpoint_every),
-            "heartbeat": float(heartbeat), "trace": trace,
-            "remote": bool(remote)}
+            "heartbeat": float(heartbeat), "trace": trace}
 
 
 def assign_message(shard_index: int, lo: int, hi: int,
-                   checkpoint: str,
-                   resume_b64: Optional[str] = None
-                   ) -> Dict[str, object]:
-    message: Dict[str, object] = {
-        "type": "assign", "shard": int(shard_index),
-        "lo": int(lo), "hi": int(hi),
-        "checkpoint": str(checkpoint)}
-    if resume_b64 is not None:
-        message["resume_b64"] = str(resume_b64)
-    return message
+                   resume_at: int) -> Dict[str, object]:
+    return {"type": "assign", "shard": int(shard_index),
+            "lo": int(lo), "hi": int(hi), "resume_at": int(resume_at)}
+
+
+def progress_message(shard_index: int, next_index: int,
+                     rows: bytes) -> Dict[str, object]:
+    """One screened chunk's rows (a ``StreamCheckpoint`` archive)."""
+    return {"type": "progress", "shard": int(shard_index),
+            "next_index": int(next_index),
+            "rows_b64": base64.b64encode(rows).decode("ascii")}
+
+
+def unpack_rows(message: Dict[str, object]) -> bytes:
+    """The archive bytes of a ``progress`` message; raises
+    ``ValueError`` (or ``KeyError``/``TypeError`` on a malformed
+    message) rather than decoding junk."""
+    return base64.b64decode(str(message["rows_b64"]), validate=True)
+
+
+def done_message(shard_index: int, num_dies: int,
+                 spans: List[Dict[str, object]]) -> Dict[str, object]:
+    return {"type": "done", "shard": int(shard_index),
+            "num_dies": int(num_dies), "spans": spans}
 
 
 def shutdown_message() -> Dict[str, object]:
     return {"type": "shutdown"}
 
 
-__all__ = ["assign_message", "decode_message", "encode_message",
-           "init_message", "pack_payload", "shutdown_message",
-           "unpack_payload"]
+__all__ = ["assign_message", "decode_message", "done_message",
+           "encode_message", "init_message", "pack_payload",
+           "progress_message", "shutdown_message", "unpack_payload",
+           "unpack_rows"]

@@ -10,7 +10,7 @@ framing:
   ``repro shard-worker`` itself and owns its stdin/stdout pipes and a
   stderr log file.  "Lost" means the pipe closed or the process
   exited; recovery is respawning into the same slot.
-* :class:`SocketTransport` -- a TCP connection a remote worker dialed
+* :class:`SocketTransport` -- a TCP connection a worker dialed
   into the coordinator's :class:`SocketListener` (``repro campaign
   --listen HOST:PORT`` accepting ``repro shard-worker --connect``).
   "Lost" means the socket closed or the heartbeat went silent;
@@ -96,7 +96,7 @@ class Transport:
 
     def stderr_tail(self, lines: int = 20) -> str:
         """Last stderr lines when the carrier captures them."""
-        return "<no stderr captured: remote worker>"
+        return "<no stderr captured: dialled-in worker>"
 
     # -- the shared wire discipline ------------------------------------
     def send_line(self, line: str) -> None:

@@ -6,33 +6,23 @@ when it dialed in with ``repro shard-worker --connect HOST:PORT``
 (the two carriers are byte-identical: the socket path simply wraps
 the connection in text streams and runs the same loop).  It receives
 an ``init`` (engine config, resolved threshold, fleet description,
-trace context, remote flag), then ``assign`` messages naming global
-die ranges.  A pipe worker lives in its engine's
+trace context), then ``assign`` messages naming global die ranges.
+A pipe worker lives in its engine's
 :class:`~repro.shard.coordinator.WorkerSet` and gets a fresh ``init``
 from every campaign that leases it: it installs that campaign's
 tracer (or none) and heartbeat, and keeps its engine -- golden and
 front-half tables included -- when the config bytes equal the last
-ones (the ``shard.worker.init`` span says ``warm``).  Each assignment
-runs as an ordinary checkpointed
-streamed campaign (:meth:`CampaignEngine.run_stream`) over
-``fleet.chunks(lo, hi)`` into the shard's own checkpoint file --
-which is the whole trick: a shard worker *is* a streamed campaign
-whose checkpoint starts past another's, so every crash-safety and
-bit-identity property of PR 7's stream machinery carries over
-unchanged.
+ones (the ``shard.worker.init`` span says ``warm``).
 
-A *remote* worker (``init.remote`` true) assumes no shared
-filesystem: it checkpoints into its own temp dir, ships the archive
-bytes home base64-encoded -- in ``progress`` whenever the checkpoint
-advanced, and in ``done`` -- and seeds a reassigned shard's resume
-from the ``resume_b64`` bytes the coordinator kept.
-
-Reassignment resumes, never restarts: on assign, the worker loads the
-shard's checkpoint if a previous (killed) worker left one and begins
-at its ``next_index`` (the coordinator removes any file at that path
-before a shard's first dispatch).  A daemon thread emits ``ping``
-heartbeats so the coordinator can tell a stalled worker from a slow
-chunk.
+Each assignment screens ``fleet.chunks(resume_at, hi)`` through the
+engine's own per-part body (the one a streamed campaign folds) and
+sends each chunk's rows home in a ``progress`` line, as a one-chunk
+:class:`~repro.campaign.checkpoint.StreamCheckpoint` archive.  The
+worker writes no file and keeps no state between chunks: the
+coordinator holds every row, so a reassigned shard resumes at the
+``resume_at`` the coordinator names, whichever worker takes it.  A
+daemon thread emits ``ping`` heartbeats so the coordinator can tell a
+stalled worker from a slow chunk.
 
 Fault points (the worker-loss drill):
 
@@ -50,18 +40,14 @@ Fault points (the worker-loss drill):
 from __future__ import annotations
 
 import argparse
-import base64
 import os
-import shutil
 import signal
 import socket as socket_module
 import sys
-import tempfile
 import threading
 import traceback
 from typing import Dict, List, Optional, TextIO
 
-from repro.campaign.checkpoint import StreamCheckpoint
 from repro.campaign.engine import CampaignEngine
 from repro.obs.trace import (
     TraceContext,
@@ -70,8 +56,13 @@ from repro.obs.trace import (
     span,
     stamped_records,
 )
-from repro.shard.protocol import decode_message, encode_message
-from repro.shard.protocol import unpack_payload
+from repro.shard.protocol import (
+    decode_message,
+    done_message,
+    encode_message,
+    progress_message,
+    unpack_payload,
+)
 from repro.shard.transport import dial, parse_endpoint
 from repro.testing.faultinject import fail_if_armed, should_fail
 
@@ -99,45 +90,6 @@ def _heartbeat_loop(emit: _Emitter, interval: float,
             return  # coordinator went away; the stdin loop will end us
 
 
-def _progressing_chunks(chunks, emit: _Emitter, shard_index: int,
-                        start: int,
-                        checkpoint: Optional[str] = None):
-    """Yield chunks, reporting progress between draws.
-
-    The engine draws chunk ``k+1`` only after chunk ``k`` was screened
-    and checkpointed, so the report between draws means "everything up
-    to ``next_index`` is durably done".  A remote worker (``checkpoint``
-    given) attaches the checkpoint's archive bytes whenever the file
-    advanced, so the coordinator always holds the partial state a
-    reassignment would resume from -- the only copy that survives a
-    partition.  The kill fault point sits here too: dying right after
-    a progress report is the worst case for the coordinator (it
-    believes the worker healthy).
-    """
-    emitted = start
-    last_stat = None
-    for chunk in chunks:
-        yield chunk
-        emitted += len(chunk)
-        message: Dict[str, object] = {
-            "type": "progress", "shard": shard_index,
-            "next_index": emitted}
-        if checkpoint is not None:
-            try:
-                stat = os.stat(checkpoint)
-                key = (stat.st_mtime_ns, stat.st_size)
-            except OSError:
-                key = None
-            if key is not None and key != last_stat:
-                last_stat = key
-                with open(checkpoint, "rb") as fh:
-                    message["checkpoint_b64"] = base64.b64encode(
-                        fh.read()).decode("ascii")
-        emit.send(message)
-        if should_fail("shard.worker.kill"):
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
 class _State:
     """What the last ``init`` set up, and the engine kept warm."""
 
@@ -147,16 +99,13 @@ class _State:
         self.config_b64: Optional[str] = None
         self.fleet = None
         self.threshold = None
-        self.checkpoint_every = 1
-        self.remote = False
-        self.workdir: Optional[str] = None
         self.tracer = None
         self._beat: Optional[threading.Event] = None
 
     def init(self, init: Dict[str, object]) -> None:
         """Take a campaign's ``init``: its tracer, fleet, threshold and
         heartbeat; a new engine only when the config bytes changed."""
-        self._stop_heartbeat()
+        self.stop_heartbeat()
         self.tracer = None if init.get("trace") is None else \
             context_tracer(TraceContext.from_dict(init["trace"]))
         install_tracer(self.tracer)
@@ -169,11 +118,6 @@ class _State:
             record.set(warm=warm)
             self.fleet = unpack_payload(init["fleet_b64"])
             self.threshold = init.get("threshold")
-            self.checkpoint_every = int(init.get("checkpoint_every", 1))
-            self.remote = bool(init.get("remote", False))
-            if self.remote and self.workdir is None:
-                self.workdir = tempfile.mkdtemp(
-                    prefix="repro-shard-worker-")
         self._beat = threading.Event()
         threading.Thread(
             target=_heartbeat_loop,
@@ -183,14 +127,9 @@ class _State:
         self.emit.send({"type": "hello", "pid": os.getpid(),
                         "host": socket_module.gethostname()})
 
-    def _stop_heartbeat(self) -> None:
+    def stop_heartbeat(self) -> None:
         if self._beat is not None:
             self._beat.set()
-
-    def close(self) -> None:
-        self._stop_heartbeat()
-        if self.workdir is not None:
-            shutil.rmtree(self.workdir, ignore_errors=True)
 
 
 def worker_main(stdin: Optional[TextIO] = None,
@@ -225,22 +164,9 @@ def worker_main(stdin: Optional[TextIO] = None,
                 return 1
             shard_index = int(message["shard"])
             lo, hi = int(message["lo"]), int(message["hi"])
-            checkpoint = str(message["checkpoint"])
-            local_path = checkpoint
-            if state.remote:
-                # No shared filesystem: checkpoint locally, seeded
-                # from the bytes the coordinator kept for this shard.
-                local_path = os.path.join(
-                    state.workdir, os.path.basename(checkpoint))
-                resume_b64 = message.get("resume_b64")
-                if resume_b64 is not None:
-                    with open(local_path, "wb") as fh:
-                        fh.write(base64.b64decode(resume_b64))
             try:
-                num_dies = _run_assignment(
-                    state.engine, state.fleet, emit, shard_index, lo,
-                    hi, local_path, state.threshold,
-                    state.checkpoint_every, ship_checkpoints=state.remote)
+                _run_assignment(state, shard_index, lo, hi,
+                                int(message["resume_at"]))
             except Exception:
                 emit.send({"type": "error", "shard": shard_index,
                            "message": traceback.format_exc(limit=8)})
@@ -249,48 +175,34 @@ def worker_main(stdin: Optional[TextIO] = None,
             rows = [] if tracer is None else stamped_records(tracer)
             if tracer is not None:
                 tracer.clear()
-            done: Dict[str, object] = {
-                "type": "done", "shard": shard_index,
-                "num_dies": num_dies, "checkpoint": checkpoint,
-                "spans": rows}
-            if state.remote:
-                with open(local_path, "rb") as fh:
-                    done["checkpoint_b64"] = base64.b64encode(
-                        fh.read()).decode("ascii")
-            emit.send(done)
+            emit.send(done_message(shard_index, hi - lo, rows))
         return 0
     finally:
-        state.close()
+        state.stop_heartbeat()
 
 
-def _run_assignment(engine: CampaignEngine, fleet, emit: _Emitter,
-                    shard_index: int, lo: int, hi: int,
-                    checkpoint: str, threshold,
-                    checkpoint_every: int,
-                    ship_checkpoints: bool = False) -> int:
-    """Screen shard ``[lo, hi)`` into ``checkpoint``; returns dies done.
+def _run_assignment(state: _State, shard_index: int, lo: int, hi: int,
+                    resume_at: int) -> None:
+    """Screen dies ``[resume_at, hi)`` of shard ``[lo, hi)`` and send
+    each chunk's rows home.
 
-    Resumes from the shard's last checkpoint when one exists (a
-    previous worker died mid-shard) -- never from zero.  The band
-    passed down is the coordinator's *resolved* threshold, so no
-    worker ever re-runs calibration.
+    The rows carry the coordinator's *resolved* threshold, so no
+    worker ever re-runs calibration.  The kill fault point sits right
+    after a progress report: dying there is the worst case for the
+    coordinator (it believes the worker healthy).
     """
-    state = StreamCheckpoint.load_if_valid(checkpoint)
-    resume_at = lo
-    if state is not None and lo <= state.next_index <= hi:
-        resume_at = state.next_index
+    engine = state.engine
     with span("shard.worker.run", shard=shard_index, lo=lo, hi=hi,
               resume_at=resume_at, pid=os.getpid()):
         fail_if_armed("shard.worker.error")
-        engine.run_stream(
-            _progressing_chunks(
-                fleet.chunks(resume_at, hi), emit, shard_index,
-                resume_at,
-                checkpoint=checkpoint if ship_checkpoints else None),
-            band=threshold, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            stream_offset=resume_at)
-    return hi - lo
+        for __, record, __ in engine._screen_parts(
+                state.fleet.chunks(resume_at, hi),
+                engine.config.checkpoint_key(), state.threshold,
+                offset=resume_at):
+            state.emit.send(progress_message(
+                shard_index, record.next_index, record.to_bytes()))
+            if should_fail("shard.worker.kill"):
+                os.kill(os.getpid(), signal.SIGKILL)
 
 
 def connect_main(host: str, port: int, attempts: int = 40,

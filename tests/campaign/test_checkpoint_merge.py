@@ -196,8 +196,8 @@ def test_load_if_valid_logs_structured_degrade(tmp_path):
 
 
 def test_to_bytes_from_bytes_round_trips_without_a_filesystem():
-    """The TCP shard path ships checkpoints as inline bytes: the
-    bytes round-trip must preserve every field save()/load() does."""
+    """Shard workers send their rows home as inline bytes: the bytes
+    round-trip must preserve every field save()/load() does."""
     part = _part(5, [0.1, 0.2, 0.3], complete=False)
     clone = StreamCheckpoint.from_bytes(part.to_bytes())
     np.testing.assert_array_equal(clone.values(np.empty(0)),
@@ -215,7 +215,7 @@ def test_to_bytes_from_bytes_round_trips_without_a_filesystem():
 
 def test_to_bytes_equals_saved_file_bytes(tmp_path):
     """save() is exactly to_bytes() behind an atomic write: what a
-    remote worker ships inline is byte-for-byte what a local worker
+    shard worker sends home inline is byte-for-byte what a save
     leaves on disk."""
     part = _part(0, [0.4, 0.5])
     path = str(tmp_path / "ck.npz")

@@ -20,11 +20,14 @@ from hypothesis import given, settings, strategies as st
 from repro.shard.protocol import (
     assign_message,
     decode_message,
+    done_message,
     encode_message,
     init_message,
     pack_payload,
+    progress_message,
     shutdown_message,
     unpack_payload,
+    unpack_rows,
 )
 
 json_values = st.recursive(
@@ -105,29 +108,49 @@ def test_decoded_json_non_dict_is_rejected_not_returned():
 @given(shard=st.integers(min_value=0, max_value=10**6),
        lo=st.integers(min_value=0, max_value=10**9),
        size=st.integers(min_value=1, max_value=10**6),
-       resume=st.none() | st.text(
-           alphabet="ABCDEFabcdef0123456789+/=", max_size=64))
+       done=st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=100, deadline=None)
-def test_assign_message_round_trips_and_omits_absent_resume(
-        shard, lo, size, resume):
-    message = assign_message(shard, lo, lo + size, "ck.npz",
-                             resume_b64=resume)
-    decoded = decode_message(encode_message(message))
+def test_assign_message_round_trips_resume_at(shard, lo, size, done):
+    resume_at = lo + min(done, size)
+    decoded = decode_message(encode_message(
+        assign_message(shard, lo, lo + size, resume_at)))
+    assert decoded == {"type": "assign", "shard": shard, "lo": lo,
+                       "hi": lo + size, "resume_at": resume_at}
+
+
+@given(shard=st.integers(min_value=0, max_value=10**6),
+       next_index=st.integers(min_value=0, max_value=10**9),
+       rows=st.binary(max_size=256))
+@settings(max_examples=100, deadline=None)
+def test_progress_message_round_trips_rows_bit_exact(shard, next_index,
+                                                     rows):
+    decoded = decode_message(encode_message(
+        progress_message(shard, next_index, rows)))
     assert decoded["shard"] == shard
-    assert decoded["lo"] == lo and decoded["hi"] == lo + size
-    if resume is None:
-        assert "resume_b64" not in decoded
-    else:
-        assert decoded["resume_b64"] == resume
+    assert decoded["next_index"] == next_index
+    assert unpack_rows(decoded) == rows
+
+
+@given(shard=st.integers(min_value=0, max_value=10**6),
+       num_dies=st.integers(min_value=0, max_value=10**9),
+       spans=st.lists(st.dictionaries(st.text(max_size=8), json_values,
+                                      max_size=3), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_done_message_round_trips(shard, num_dies, spans):
+    decoded = decode_message(encode_message(
+        done_message(shard, num_dies, spans)))
+    assert decoded == {"type": "done", "shard": shard,
+                       "num_dies": num_dies, "spans": spans}
 
 
 def test_init_and_shutdown_round_trip_through_the_wire():
     config = {"tolerance": 0.05}  # any picklable stands in
     fleet = [1, 2, 3]
-    message = init_message(config, 0.25, fleet, 2, 5.0, None,
-                           remote=True)
+    message = init_message(config, 0.25, fleet, 5.0, None)
     decoded = decode_message(encode_message(message))
-    assert decoded["remote"] is True
+    assert set(decoded) == {"type", "config_b64", "threshold",
+                            "fleet_b64", "heartbeat", "trace"}
+    assert decoded["threshold"] == 0.25 and decoded["heartbeat"] == 5.0
     assert unpack_payload(decoded["config_b64"]) == config
     assert unpack_payload(decoded["fleet_b64"]) == fleet
     assert decode_message(

@@ -4,9 +4,9 @@ Closing a :class:`WorkerSet` tells every live worker to stop before it
 waits on any, so closing waits out one worker exit instead of the sum.
 The fake-transport tests pin that order and the kill-on-timeout path
 without spawning anything; the traced campaign checks the
-``shard.shutdown`` span of the engine's close, the ``bytes`` attribute
-of ``checkpoint.save`` and the ``shard_worker_startup_seconds``
-histogram on real pipe workers.
+``shard.shutdown`` span of the engine's close, that no process saves a
+checkpoint, and the ``shard_worker_startup_seconds`` histogram on real
+pipe workers.
 """
 
 from __future__ import annotations
@@ -121,9 +121,11 @@ def test_traced_campaign_attributes_startup_saves_and_shutdown(
         uninstall_tracer()
     assert startup.count == before + 2
     records = tracer.records()
-    saves = [r for r in records if r.name == "checkpoint.save"]
-    assert len(saves) == 2 * 2  # one chunk and the final save per shard
-    assert all(r.attributes["bytes"] > 0 for r in saves)
+    # Rows travel home in progress lines: neither the workers nor the
+    # coordinator (no workdir) save a checkpoint.
+    assert {r.attributes["pid"] for r in records
+            if r.name == "shard.worker.run"}
+    assert not [r for r in records if r.name == "checkpoint.save"]
     [campaign] = [r for r in records if r.name == "shard.campaign"]
     [shutdown] = [r for r in records if r.name == "shard.shutdown"]
     # The engine's close, a root span after the campaign span closed.

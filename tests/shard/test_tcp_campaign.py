@@ -1,13 +1,13 @@
 """Multi-node campaigns over loopback TCP: the no-shared-FS contract.
 
 The coordinator listens, workers dial in with ``repro shard-worker
---connect``, and every checkpoint crosses the wire base64-encoded
-inside protocol messages -- nothing here assumes the worker can see
-the coordinator's filesystem.  The drills sever a worker mid-shard
-(an abrupt socket close, exactly what a partition or a dead host
+--connect``, and every row crosses the wire base64-encoded inside
+``progress`` lines -- nothing here assumes the worker can see the
+coordinator's filesystem.  The drills sever a worker mid-shard (an
+abrupt socket close, exactly what a partition or a dead host
 produces) and require the merged result to stay **bit-identical** to
-the monolithic run, with the resume starting from the shipped
-checkpoint rather than from zero.
+the monolithic run, with the resume starting from the rows the
+coordinator holds rather than from zero.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def test_worker_severed_mid_shard_resumes_from_shipped_checkpoint(
     campaign = _Campaign(small_engine, fleet, shards=2, workers=2)
     host, port = campaign.address
     # Worker A SIGKILLs itself right after its second progress report
-    # -- past an inline-shipped checkpoint, so the resume is real --
+    # -- past two row records it sent home, so the resume is real --
     # while worker B screens its own shard concurrently.
     doomed = _start_worker(host, port,
                            faults="shard.worker.kill:1:1")
@@ -200,7 +200,7 @@ def test_late_rejoining_worker_is_inited_and_handed_pending_shards(
         small_engine):
     """Kill the only worker mid-shard, then connect a brand-new one:
     it must be re-inited on accept and resume the pending shard from
-    the coordinator-held checkpoint (resume_b64), not from zero."""
+    the rows the coordinator holds (resume_at), not from zero."""
     fleet = _mc_fleet()
     with tracing() as tracer:
         campaign = _Campaign(small_engine, fleet, shards=2)

@@ -17,8 +17,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignEngine
+from repro.campaign import CampaignEngine, ScreeningRequest
 from repro.monitor.configurations import table1_encoder
+from repro.monitor.second_signature import second_signature_bank
 from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.obs.metrics import default_registry
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
@@ -207,6 +208,41 @@ def test_replacement_for_a_lost_worker_is_reused(small_engine,
     _assert_matches_stream(small_engine, second, _fleet(seed=2))
 
 
+def test_multi_bank_requests_lease_the_engines_workers(small_engine,
+                                                      spawned):
+    """Sharded requests that name their own monitor banks run on the
+    engine's warm workers: the derived engine leases its parent's set,
+    re-inits the workers with its configuration and leaves them
+    running; the parent's close stops them."""
+    banks = [small_engine.config.encoder,
+             second_signature_bank(-0.10, 1e-5)]
+    before = _startups()
+    pids = []
+    for seed in (1, 2, 3):
+        fleet = _fleet(seed=seed)
+        tracer = Tracer()
+        install_tracer(tracer)
+        try:
+            result = small_engine.submit(ScreeningRequest(
+                population=fleet, mode="sharded", band="auto",
+                shards=2, shard_heartbeat=HEARTBEAT, encoders=banks))
+        finally:
+            uninstall_tracer()
+        pids.append(sorted(r.attributes["pid"] for r in tracer.records()
+                           if r.name == "shard.worker.init"))
+        reference = small_engine.with_encoders(banks).run_stream(
+            fleet.chunks(0, len(fleet)), band="auto")
+        np.testing.assert_array_equal(result.channel_ndfs,
+                                      reference.channel_ndfs)
+        assert result.channel_ndfs.shape == (len(fleet), 2)
+    assert _startups() == before + 2
+    assert len(spawned) == 2
+    assert pids[0] == pids[1] == pids[2] == \
+        sorted(small_engine._workers.pids)
+    small_engine.close()
+    assert not any(_alive(pid) for pid in pids[0])
+
+
 def test_close_and_garbage_collection_stop_the_workers():
     engine = CampaignEngine.from_parts(
         table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
@@ -290,9 +326,9 @@ def test_worker_reinit_drops_the_previous_campaigns_tracer(small_engine):
 
     fleet = _fleet()
     lines = [encode_message(message) for message in (
-        init_message(small_engine.config, 0.05, fleet, 1, 60.0,
+        init_message(small_engine.config, 0.05, fleet, 60.0,
                      {"trace_id": "t1", "parent_span_id": 7}),
-        init_message(small_engine.config, 0.05, fleet, 1, 60.0, None),
+        init_message(small_engine.config, 0.05, fleet, 60.0, None),
         shutdown_message())]
     stdout = io.StringIO()
     try:
