@@ -33,9 +33,9 @@ instead of once per die through
   seeding, so every executor yields bit-identical verdict vectors;
   spec chunks travel as parameter arrays, never as pickled specs;
 * every clean campaign runs one parts loop: a monolithic run is one
-  part, a stream (:meth:`CampaignEngine.run_stream`, or a generator of
-  chunks passed to :meth:`run`) one part per chunk, keeping RSS
-  bounded by the chunk size; the parts accumulate into one
+  part, a stream (:meth:`CampaignEngine.run_stream`, or a list or
+  generator of chunks passed to :meth:`run`) one part per chunk,
+  keeping RSS bounded by the chunk size; the parts accumulate into one
   :class:`~repro.campaign.checkpoint.StreamCheckpoint`, the state a
   sharded run merges from its shards, and one packager builds the
   result from it;
@@ -138,6 +138,10 @@ NOISE_SEED_DOMAIN = 0x4E6F6973
 
 Population = Union[SpecPopulation, CutListPopulation, EncoderPopulation,
                    TracePopulation, Sequence[BiquadSpec]]
+
+#: The population objects; anything else is raw specs or chunks.
+_POPULATION_TYPES = (SpecPopulation, CutListPopulation, EncoderPopulation,
+                     TracePopulation)
 
 #: Guards each engine's lazily created shard worker set.
 _WORKER_SET_LOCK = threading.Lock()
@@ -700,34 +704,42 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Campaign entry points
     # ------------------------------------------------------------------
-    def submit(self, request: ScreeningRequest
-               ) -> Union[CampaignResult, NoiseCampaignResult]:
-        """Execute one :class:`~repro.campaign.request.ScreeningRequest`.
+    def _campaign(self, mode: str):
+        """The one ``campaign.submit`` span of a campaign; ``mode``
+        names the method that placed it."""
+        return span("campaign.submit", mode=mode,
+                    executor=getattr(self.executor, "name", "custom"))
 
-        The unified entry point behind :meth:`run`, :meth:`run_stream`,
-        :meth:`run_noise` and :meth:`run_sharded` (all thin shims that
-        build a request and call this).  Service sessions and the
+    def submit(self, request: ScreeningRequest) -> CampaignResult:
+        """Screen one :class:`~repro.campaign.request.ScreeningRequest`
+        in process.
+
+        The request is the workload; the method is the placement.
+        ``submit`` (and :meth:`run`, its keyword form) screens the lot
+        through the parts loop: a population object is one part, and
+        any other population is peeked at, so a list or iterator of
+        chunks streams like an uncheckpointed :meth:`run_stream`.
+        :meth:`run_stream`, :meth:`resume`, :meth:`run_noise` and
+        :meth:`run_sharded` place a campaign elsewhere and take their
+        placement options as parameters.  Service sessions and the
         coalescing batcher submit requests directly; ``request.client``
         is ignored here -- it is service-layer bookkeeping.
 
-        With tracing enabled (:func:`repro.obs.tracing`) the whole
-        submission runs under a ``campaign.submit`` span and every
-        pipeline stage opens a ``stage.*`` child; per-campaign stage
-        timings also land in the process-default metrics registry
+        With tracing enabled (:func:`repro.obs.tracing`) every campaign
+        runs under one ``campaign.submit`` span, whose ``mode`` names
+        its placement (``run``, ``stream``, ``noise`` or ``sharded``),
+        and every pipeline stage opens a ``stage.*`` child; per-campaign
+        stage timings also land in the process-default metrics registry
         (``engine_stage_seconds`` histograms) either way.
         """
         if request.encoders is not None:
             # Multi-signature screening is an engine over the listed
-            # banks, in every mode; it leases this engine's workers.
+            # banks; it leases this engine's workers.
             return self.with_encoders(request.encoders).submit(
                 replace(request, encoders=None))
-        with span("campaign.submit", mode=request.mode,
-                  executor=getattr(self.executor, "name", "custom")):
-            if request.mode == "noise":
-                return self._submit_noise(request)
-            if request.mode == "sharded":
-                return self._submit_sharded(request)
-            return self._submit_parts(request)
+        with self._campaign("run"):
+            return self._submit_parts(request.population, request.band,
+                                      request.keep_signatures)
 
     def run(self, population: Union[Population, Iterable],
             band: Union[None, str, float, DecisionBand] = "auto",
@@ -761,13 +773,15 @@ class CampaignEngine:
         chunkable fast path), trace stacks and cut lists (their traces
         synthesize in process, then chunk like a trace stack); encoder
         populations always run in process, and the result's
-        ``executor`` field reports what actually ran.  A
-        generator/iterator of population *chunks* streams exactly like
-        :meth:`run_stream` (bounded memory); an iterator of individual
-        specs is simply materialized and run in one shot.
+        ``executor`` field reports what actually ran.  Any population
+        that is not a population object follows one rule: a first item
+        that is a :class:`BiquadSpec` (or no item at all) makes one lot
+        of raw specs, and anything else -- a list, generator or
+        iterator of population *chunks* -- streams exactly like
+        :meth:`run_stream` (bounded memory).
         """
         return self.submit(ScreeningRequest(
-            population=population, mode="run", band=band,
+            population=population, band=band,
             keep_signatures=keep_signatures, encoders=encoders))
 
     def run_stream(self, chunks: Iterable,
@@ -802,11 +816,20 @@ class CampaignEngine:
         uninterrupted run; see :meth:`resume` and
         ``docs/persistence.md``.
         """
-        return self.submit(ScreeningRequest(
-            population=chunks, mode="stream", band=band,
-            keep_signatures=keep_signatures, encoders=encoders,
-            checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-            stream_offset=stream_offset))
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
+        if stream_offset < 0:
+            raise ValueError("stream_offset must be >= 0")
+        if encoders is not None:
+            return self.with_encoders(encoders).run_stream(
+                chunks, band, keep_signatures, checkpoint=checkpoint,
+                checkpoint_every=checkpoint_every,
+                stream_offset=stream_offset)
+        with self._campaign("stream"):
+            return self._submit_parts(
+                chunks, band, keep_signatures, streamed=True,
+                checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+                stream_offset=stream_offset)
 
     def resume(self, checkpoint: str, chunks: Iterable,
                band: Union[None, str, float, DecisionBand] = "auto",
@@ -835,44 +858,57 @@ class CampaignEngine:
                                checkpoint_every=checkpoint_every,
                                stream_offset=stream_offset)
 
-    def _submit_parts(self, request: ScreeningRequest
-                      ) -> CampaignResult:
-        """The parts loop behind every ``run`` and ``stream`` request.
+    @staticmethod
+    def _lot_or_stream(population) -> Tuple[Iterable, bool]:
+        """``(parts, streamed)`` for a population argument.
 
-        A monolithic run is one part and a stream one part per chunk;
+        A population object is one part.  Anything else is peeked at:
+        a first item that is a :class:`BiquadSpec`, or no item, makes
+        one part of raw specs; any other first item makes a stream,
+        one part per item.
+        """
+        if isinstance(population, _POPULATION_TYPES):
+            return [population], False
+        items = iter(population)
+        peek = list(itertools.islice(items, 1))
+        if peek and not isinstance(peek[0], BiquadSpec):
+            return itertools.chain(peek, items), True
+        if isinstance(population, Iterator):
+            population = list(itertools.chain(peek, items))
+        return [population], False
+
+    def _submit_parts(self, population, band, keep_signatures: bool,
+                      streamed: bool = False,
+                      checkpoint: Optional[str] = None,
+                      checkpoint_every: int = 1,
+                      stream_offset: int = 0) -> CampaignResult:
+        """The parts loop behind every in-process campaign.
+
+        ``streamed`` takes ``population`` as an iterable of chunks (a
+        :meth:`run_stream`); otherwise :meth:`_lot_or_stream` decides.
+        A lot is one part and a stream one part per chunk;
         :meth:`_screen_parts` turns each into a one-part record, and
         the loop folds the records into a :class:`StreamCheckpoint`,
-        which only a request with a checkpoint path ever persists.  A
-        ``run`` over an iterator peeks at its first item: a
-        :class:`BiquadSpec` materializes one part, anything else
-        (chunks, or nothing) is a stream.
+        which only a stream with a ``checkpoint`` path ever persists.
         """
         from repro.campaign.checkpoint import StreamCheckpoint
         from repro.testing.faultinject import fail_if_armed
 
         start = time.perf_counter()
-        parts = request.population
-        streamed = request.mode == "stream"
-        if not streamed and isinstance(parts, Iterator):
-            peek = list(itertools.islice(parts, 1))
-            parts = itertools.chain(peek, parts)
-            if peek and isinstance(peek[0], BiquadSpec):
-                parts = list(parts)
-            else:
-                streamed = True
+        parts = population
         if not streamed:
-            parts = [parts]
-        threshold = self._resolve_threshold(request.band)
+            parts, streamed = self._lot_or_stream(population)
+        threshold = self._resolve_threshold(band)
         config_key = self.config.checkpoint_key()
         state = None
-        if request.checkpoint is not None:
-            if request.keep_signatures:
+        if checkpoint is not None:
+            if keep_signatures:
                 raise ValueError(
                     "checkpointed streams cannot keep signatures: the "
                     "packed batch is not part of the mergeable "
                     "checkpoint state (run without checkpoint=, or "
                     "without keep_signatures)")
-            state = StreamCheckpoint.load_if_valid(request.checkpoint)
+            state = StreamCheckpoint.load_if_valid(checkpoint)
             if state is not None:
                 state.validate(config_key, threshold)
         if state is None:
@@ -880,21 +916,21 @@ class CampaignEngine:
             # stream) covers [stream_offset, ...) -- the checkpoint
             # names that range so partials can merge.
             state = StreamCheckpoint(config_key, threshold,
-                                     start_index=request.stream_offset)
-        elif request.stream_offset < state.start_index:
+                                     start_index=stream_offset)
+        elif stream_offset < state.start_index:
             raise ValueError(
-                f"stream starts at global die {request.stream_offset} "
+                f"stream starts at global die {stream_offset} "
                 f"but the checkpoint covers dies from "
                 f"{state.start_index}: the prefix would merge into a "
                 "checkpoint that does not contain it")
         # Dies already screened by a previous (interrupted) run that
         # the restarted chunk stream will re-yield.
-        skip = state.next_index - request.stream_offset
+        skip = state.next_index - stream_offset
         if skip < 0:
             raise ValueError(
-                f"stream starts at global die {request.stream_offset} "
+                f"stream starts at global die {stream_offset} "
                 f"but the checkpoint resumes at {state.next_index}: "
-                f"dies {state.next_index}..{request.stream_offset - 1} "
+                f"dies {state.next_index}..{stream_offset - 1} "
                 "would be missing")
         # Only spec populations carry ground-truth deviations; encoder
         # populations run in process (their per-die work is one vector
@@ -904,29 +940,29 @@ class CampaignEngine:
         batches: List[Union[SignatureBatch, MultiSignatureBatch]] = []
         chunks_since_save = 0
         for part, record, part_batches in self._screen_parts(
-                parts, config_key, threshold, request.stream_offset,
-                skip, request.keep_signatures, specs_only=streamed):
+                parts, config_key, threshold, stream_offset,
+                skip, keep_signatures, specs_only=streamed):
             if not isinstance(part, SpecPopulation):
                 deviations = False
                 if isinstance(part, EncoderPopulation):
                     executor = "serial"
             batches += part_batches
             state.append(record)
-            if request.checkpoint is not None:
+            if checkpoint is not None:
                 chunks_since_save += 1
-                if chunks_since_save >= request.checkpoint_every:
-                    state.save(request.checkpoint)
+                if chunks_since_save >= checkpoint_every:
+                    state.save(checkpoint)
                     chunks_since_save = 0
                 # Robustness-suite injection point: die *after* the
                 # checkpoint landed, before the next chunk is drawn.
                 fail_if_armed("stream.chunk.crash")
-        if request.checkpoint is not None:
+        if checkpoint is not None:
             state.complete = True
-            state.save(request.checkpoint)
+            state.save(checkpoint)
         return self._package_result(
-            state, request.band, start,
+            state, band, start,
             executor + ("+stream" if streamed else ""),
-            batches if request.keep_signatures else None, deviations)
+            batches if keep_signatures else None, deviations)
 
     def _screen_parts(self, parts: Iterable, config_key: str,
                       threshold: Optional[float], offset: int = 0,
@@ -1061,17 +1097,12 @@ class CampaignEngine:
         serial runs produce bit-identical NDF matrices (and hence
         detection rates).
         """
-        return self.submit(ScreeningRequest(
-            population=population, mode="noise", band=band,
-            repeats=repeats, noise=noise, seed=seed))
+        with self._campaign("noise"):
+            return self._submit_noise(population, repeats, noise, seed,
+                                      band)
 
-    def _submit_noise(self, request: ScreeningRequest
-                      ) -> NoiseCampaignResult:
-        population = request.population
-        repeats = request.repeats
-        noise = request.noise
-        seed = request.seed
-        band = request.band
+    def _submit_noise(self, population, repeats: int, noise, seed: int,
+                      band) -> NoiseCampaignResult:
         if self.config.extra_encoders:
             raise ValueError(
                 "noise campaigns are single-channel; run them on the "
@@ -1116,7 +1147,6 @@ class CampaignEngine:
 
     def run_sharded(self, fleet, shards: int = 2,
                     band: Union[None, str, float, DecisionBand] = "auto",
-                    shard_size: Optional[int] = None,
                     workdir: Optional[str] = None,
                     heartbeat: float = 5.0,
                     workers: Optional[int] = None,
@@ -1128,26 +1158,26 @@ class CampaignEngine:
         ``fleet`` is a :class:`repro.shard.ShardFleet` (or anything
         :func:`repro.shard.as_fleet` accepts: a
         :class:`SpecPopulation` works directly).  The global die-index
-        range splits into shards dispatched to ``workers`` subprocess
-        workers (default: one per shard, capped at ``shards``), which
-        the engine keeps warm for its next sharded campaign
-        (:meth:`close` stops them).  Workers send each screened
-        chunk's rows home; the coordinator holds them and merges them
-        in global-index order **bit-identical** to the monolithic
-        :meth:`run` / :meth:`run_stream` over the same fleet.  A
-        worker that dies or stalls past the ``heartbeat`` deadline has
-        its shard reassigned, resuming at the first row the
-        coordinator does not hold.  See ``docs/sharding.md``.  Extra
-        channels (:meth:`with_encoders`) shard too; kept signatures do
-        not.
+        range splits into ``shards`` near-equal shards dispatched to
+        ``workers`` subprocess workers (default: one per shard, capped
+        at ``shards``), which the engine keeps warm for its next
+        sharded campaign (:meth:`close` stops them).  More shards than
+        workers gives finer-grained reassignment on worker loss.
+        Workers send each screened chunk's rows home; the coordinator
+        holds them and merges them in global-index order
+        **bit-identical** to the monolithic :meth:`run` /
+        :meth:`run_stream` over the same fleet.  A worker that dies or
+        stalls past the ``heartbeat`` deadline has its shard
+        reassigned, resuming at the first row the coordinator does not
+        hold.  See ``docs/sharding.md``.  Extra channels
+        (:meth:`with_encoders`) shard too; the result carries no
+        packed signatures.
 
-        ``shard_size`` caps dies per shard, yielding more shards than
-        workers -- finer-grained reassignment on worker loss.  The
-        band policy resolves *once* here (the coordinator process);
-        workers receive the raw threshold, so calibration never runs
-        N times.  ``workdir`` names a directory that receives each
-        shard's merged archive (``shard_NNNN.npz``) after a clean
-        campaign; with None nothing is written.
+        The band policy resolves *once* here (the coordinator
+        process); workers receive the raw threshold, so calibration
+        never runs N times.  ``workdir`` names a directory that
+        receives each shard's merged archive (``shard_NNNN.npz``)
+        after a clean campaign; with None nothing is written.
 
         ``listen="HOST:PORT"`` runs the campaign multi-node: instead
         of spawning subprocesses the coordinator accepts ``repro
@@ -1157,45 +1187,45 @@ class CampaignEngine:
         carved to roughly that many seconds of each worker's observed
         rate.
         """
-        return self.submit(ScreeningRequest(
-            population=fleet, mode="sharded", band=band,
-            shards=shards, shard_size=shard_size,
-            shard_workdir=workdir, shard_heartbeat=heartbeat,
-            shard_workers=workers, shard_listen=listen,
-            shard_autotune_s=autotune_s))
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        if heartbeat <= 0:
+            raise ValueError("heartbeat must be positive")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1")
+        if autotune_s is not None and autotune_s <= 0:
+            raise ValueError("autotune_s must be positive")
+        with self._campaign("sharded"):
+            return self._submit_sharded(fleet, shards, band, workdir,
+                                        heartbeat, workers, listen,
+                                        autotune_s)
 
-    def _submit_sharded(self, request: ScreeningRequest
-                        ) -> CampaignResult:
+    def _submit_sharded(self, fleet, shards: int, band,
+                        workdir: Optional[str], heartbeat: float,
+                        workers: Optional[int], listen: Optional[str],
+                        autotune_s: Optional[float]) -> CampaignResult:
         from repro.shard import as_fleet
         from repro.shard.coordinator import ShardCoordinator
 
-        if request.keep_signatures:
-            raise ValueError(
-                "sharded campaigns cannot keep signatures: the packed "
-                "batch is not part of the mergeable checkpoint state")
         start = time.perf_counter()
-        fleet = as_fleet(request.population)
-        threshold = self._resolve_threshold(request.band)
-        listen = None
-        if request.shard_listen is not None:
+        fleet = as_fleet(fleet)
+        threshold = self._resolve_threshold(band)
+        endpoint = None
+        if listen is not None:
             from repro.shard.transport import parse_endpoint
-            listen = parse_endpoint(request.shard_listen)
+            endpoint = parse_endpoint(listen)
         coordinator = ShardCoordinator(
             config=self.config, threshold=threshold, fleet=fleet,
-            shards=request.shards, shard_size=request.shard_size,
-            workers=request.shard_workers,
-            workdir=request.shard_workdir,
-            heartbeat=request.shard_heartbeat,
-            listen=listen,
-            autotune_target_s=request.shard_autotune_s,
-            worker_set=None if listen is not None
+            shards=shards, workers=workers, workdir=workdir,
+            heartbeat=heartbeat, listen=endpoint,
+            autotune_target_s=autotune_s,
+            worker_set=None if endpoint is not None
             else self._worker_set())
         merged, stats = coordinator.run()
         merged.timing["merge"] = float(stats.get("merge_seconds", 0.0))
-        mode = "sharded-tcp" if listen is not None else "sharded"
+        mode = "sharded-tcp" if endpoint is not None else "sharded"
         result = self._package_result(
-            merged, request.band, start,
-            f"{mode}[{coordinator.num_workers}]")
+            merged, band, start, f"{mode}[{coordinator.num_workers}]")
         result.shard_stats = stats
         return result
 
@@ -1209,8 +1239,7 @@ class CampaignEngine:
         ``first_index`` numbers the placeholder labels globally when a
         stream wraps one raw chunk after another.
         """
-        if isinstance(population, (SpecPopulation, CutListPopulation,
-                                   EncoderPopulation, TracePopulation)):
+        if isinstance(population, _POPULATION_TYPES):
             return population
         return SpecPopulation.from_specs(population, first_index)
 

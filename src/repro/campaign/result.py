@@ -140,13 +140,6 @@ class CampaignResult:
         return self.num_dies - self.pass_count
 
     @property
-    def pass_rate(self) -> float:
-        """PASS fraction (1.0 for an empty population)."""
-        if self.num_dies == 0:
-            return 1.0
-        return self.pass_count / self.num_dies
-
-    @property
     def num_channels(self) -> int:
         """Signature channels carried by this result (1 when plain)."""
         if self.channel_ndfs is None:

@@ -51,10 +51,6 @@ class AcResult:
         """|V(node)| across the sweep."""
         return np.abs(self.voltage(node))
 
-    def magnitude_db(self, node: str) -> np.ndarray:
-        """20 log10 |V(node)|."""
-        return 20.0 * np.log10(np.maximum(self.magnitude(node), 1e-300))
-
     def phase_deg(self, node: str) -> np.ndarray:
         """Phase of V(node) in degrees."""
         return np.degrees(np.angle(self.voltage(node)))

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.circuits.components import Element, StampContext
 from repro.devices.mos_model import MosModel
 
@@ -82,12 +80,3 @@ class Mosfet(Element):
         ctx.add_A(out_pos, ctrl_neg, -g)
         ctx.add_A(out_neg, ctrl_pos, -g)
         ctx.add_A(out_neg, ctrl_neg, g)
-
-    # ------------------------------------------------------------------
-    def drain_current_at(self, x, circuit) -> float:
-        """Post-processing: drain current for a solved vector ``x``."""
-        d, g, s = self._idx
-        vd = 0.0 if d < 0 else float(np.real(x[d]))
-        vg = 0.0 if g < 0 else float(np.real(x[g]))
-        vs = 0.0 if s < 0 else float(np.real(x[s]))
-        return self.model.drain_current(vg - vs, vd - vs)

@@ -49,16 +49,6 @@ class TransientResult:
             return np.zeros_like(self.time)
         return self.states[:, idx].copy()
 
-    def branch_current(self, element) -> np.ndarray:
-        """Waveform of an element's first branch current."""
-        if element.branch_index < 0:
-            raise ValueError(f"{element.name} has no branch current")
-        return self.states[:, element.branch_index].copy()
-
-    def final_state(self) -> np.ndarray:
-        """Last accepted MNA vector (useful to chain runs)."""
-        return self.states[-1].copy()
-
 
 def _newton_step(system: MnaSystem, x_guess: np.ndarray,
                  x_prev: np.ndarray, t: float, h: float, method: str,

@@ -68,19 +68,6 @@ class MultiSignatureBatch:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_code_stacks(cls, times: np.ndarray,
-                         code_stacks: Sequence[np.ndarray],
-                         period: float) -> "MultiSignatureBatch":
-        """Run-length extract one ``(N, T)`` code stack per channel.
-
-        Channel ``k`` equals ``SignatureBatch.from_code_stack(times,
-        code_stacks[k], period)`` bit for bit -- the channels share the
-        capture grid but nothing else.
-        """
-        return cls([SignatureBatch.from_code_stack(times, stack, period)
-                    for stack in code_stacks])
-
-    @classmethod
     def empty(cls, num_channels: int) -> "MultiSignatureBatch":
         """A zero-row batch with the given channel count."""
         if num_channels < 1:

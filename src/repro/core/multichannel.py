@@ -4,8 +4,8 @@ The paper's related work ([14]) generalizes X-Y zoning to multiple
 observed variables.  This module implements the natural extension of
 the signature method to a CUT with several observable outputs: each
 output forms its own Lissajous composition against the stimulus, is
-encoded by its own (or a shared) monitor bank, and the per-channel NDFs
-combine into one discrepancy figure.
+encoded by its own (or a shared) monitor bank, and scored by its own
+NDF against that channel's golden signature.
 
 Why it matters: a scalar NDF cannot tell *which* parameter drifted --
 an f0 shift and a Q shift can produce the same discrepancy value.  With
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
-
-import numpy as np
 
 from repro.core.capture import capture_signature
 from repro.core.ndf import ndf
@@ -40,13 +38,10 @@ class ChannelSpec:
         Channel label used in reports (e.g. "lp", "bp").
     encoder:
         Zone encoder applied to this channel's (x, y) composition.
-    weight:
-        Relative weight of the channel in the combined NDF.
     """
 
     name: str
     encoder: ZoneEncoder
-    weight: float = 1.0
 
 
 @dataclass
@@ -57,10 +52,6 @@ class MultiSignature:
 
     def __getitem__(self, name: str) -> Signature:
         return self.channels[name]
-
-    def total_entries(self) -> int:
-        """Total (zone, dwell) pairs across channels."""
-        return sum(len(s) for s in self.channels.values())
 
 
 class MultiChannelTester:
@@ -73,7 +64,7 @@ class MultiChannelTester:
     Parameters
     ----------
     channels:
-        The observed channels (encoders and weights).
+        The observed channels (names and encoders).
     stimulus:
         Shared multitone stimulus.
     golden_cut:
@@ -120,13 +111,6 @@ class MultiChannelTester:
         observed = self.signature_of(cut)
         return {c.name: ndf(observed[c.name], golden[c.name])
                 for c in self.channels}
-
-    def combined_ndf(self, cut) -> float:
-        """Weighted mean of the channel NDFs."""
-        values = self.channel_ndfs(cut)
-        weights = np.asarray([c.weight for c in self.channels])
-        ordered = np.asarray([values[c.name] for c in self.channels])
-        return float(np.sum(weights * ordered) / np.sum(weights))
 
 
 class BiquadTwoTapCut:

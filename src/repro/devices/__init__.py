@@ -8,15 +8,14 @@ depends on:
   square law).  The quasi-quadratic saturation law is what turns the
   current comparator of the paper's Fig. 2 into a *nonlinear* zone
   boundary in the X-Y plane.
-* :mod:`repro.devices.process` -- 65 nm-class technology parameters,
-  process corners, and Pelgrom-law mismatch used for Monte Carlo spread
+* :mod:`repro.devices.process` -- 65 nm-class technology parameters
+  and Pelgrom-law mismatch used for Monte Carlo spread
   of the monitor boundaries (paper's Fig. 4 validation).
 """
 
 from repro.devices.mos_model import MosParams, MosModel, NMOS_65NM, PMOS_65NM
 from repro.devices.process import (
     TechnologyParams,
-    Corner,
     DeviceVariation,
     MonteCarloSampler,
     TECH_65NM,
@@ -33,7 +32,6 @@ __all__ = [
     "NMOS_65NM",
     "PMOS_65NM",
     "TechnologyParams",
-    "Corner",
     "DeviceVariation",
     "MonteCarloSampler",
     "TECH_65NM",

@@ -32,7 +32,6 @@ see unequal drain voltages while switching.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -213,33 +212,6 @@ class MosModel:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def gate_voltage_for_current(self, target: float) -> float:
-        """Invert the grounded-source saturation law.
-
-        Returns the device-oriented gate voltage magnitude whose
-        saturation current equals ``target``.  Bisection on a monotone
-        function; used for sizing checks in tests and calibration.
-        """
-        if target <= 0:
-            raise ValueError("target current must be positive")
-        pol = self.params.polarity
-        lo, hi = -1.0, 3.0
-        if self.saturation_current(pol * hi) < target:
-            raise ValueError("target current unreachable below |VGS| = 3 V")
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if self.saturation_current(pol * mid) > target:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    def resized(self, w: Optional[float] = None,
-                l: Optional[float] = None) -> "MosModel":
-        """Return a copy with new dimensions (model card shared)."""
-        return MosModel(self.params, w if w is not None else self.w,
-                        l if l is not None else self.l)
-
     def with_params(self, params: MosParams) -> "MosModel":
         """Return a copy with a different model card (same W/L)."""
         return MosModel(params, self.w, self.l)

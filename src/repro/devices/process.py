@@ -1,4 +1,4 @@
-"""65 nm-class technology statistics: corners, Pelgrom mismatch, Monte Carlo.
+"""65 nm-class technology statistics: Pelgrom mismatch, Monte Carlo.
 
 The paper validates its fabricated monitor against "the predicted range
 for Monte Carlo simulations using the foundry technology statistical
@@ -7,9 +7,7 @@ proprietary, so this module provides a documented surrogate:
 
 * **Global process variation** -- a per-die shift of threshold voltage
   and a multiplicative factor on the transconductance parameter, shared
-  by every device of the same polarity on the die.  Classic corner
-  definitions (TT/FF/SS/FS/SF) are derived from +-3 sigma of the global
-  distributions.
+  by every device of the same polarity on the die.
 * **Local mismatch** -- independent per-device fluctuations following
   Pelgrom's law: ``sigma(dVT) = A_VT / sqrt(W L)`` and
   ``sigma(dbeta/beta) = A_beta / sqrt(W L)`` with W, L in micrometres.
@@ -23,7 +21,6 @@ measured curves fall inside the +-3 sigma Monte Carlo envelope.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -31,28 +28,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.devices.mos_model import MosModel, MosParams, NMOS_65NM, PMOS_65NM
-
-
-class Corner(enum.Enum):
-    """Classic digital process corners (nMOS speed / pMOS speed)."""
-
-    TT = "tt"
-    FF = "ff"
-    SS = "ss"
-    FS = "fs"  # fast nMOS, slow pMOS
-    SF = "sf"  # slow nMOS, fast pMOS
-
-    @property
-    def nmos_sigma(self) -> float:
-        """Global sigma multiplier applied to the nMOS distribution."""
-        return {"tt": 0.0, "ff": -3.0, "ss": +3.0,
-                "fs": -3.0, "sf": +3.0}[self.value]
-
-    @property
-    def pmos_sigma(self) -> float:
-        """Global sigma multiplier applied to the pMOS distribution."""
-        return {"tt": 0.0, "ff": -3.0, "ss": +3.0,
-                "fs": +3.0, "sf": -3.0}[self.value]
 
 
 @dataclass(frozen=True)
@@ -132,27 +107,6 @@ class TechnologyParams:
         if area_um2 <= 0:
             raise ValueError("device area must be positive")
         return self.abeta_um / math.sqrt(area_um2)
-
-    # ------------------------------------------------------------------
-    # Corners
-    # ------------------------------------------------------------------
-    def corner_params(self, corner: Corner, polarity: int = 1) -> MosParams:
-        """Model card at a classic corner (+-3 sigma global shift).
-
-        A *slow* device has a higher threshold and lower ``kp``; the two
-        global knobs move together with the corner sign.
-        """
-        base = self.nmos if polarity > 0 else self.pmos
-        sig = corner.nmos_sigma if polarity > 0 else corner.pmos_sigma
-        return base.with_variation(
-            delta_vt=sig * self.sigma_vt_global,
-            beta_factor=1.0 - sig * self.sigma_beta_global)
-
-    def nominal_model(self, w: float, l: float,
-                      polarity: int = 1) -> MosModel:
-        """Sized device at typical process."""
-        params = self.nmos if polarity > 0 else self.pmos
-        return MosModel(params, w, l)
 
 
 #: Default surrogate technology used throughout the reproduction.

@@ -131,14 +131,8 @@ class DictionaryMatcher:
                 die_labels)
 
     # ------------------------------------------------------------------
-    # Per-die reference (equivalence baseline, report-edge semantics)
+    # Per-die reference (equivalence baseline)
     # ------------------------------------------------------------------
-    def match_signature(self, signature: Signature, top_k: int = 3,
-                        metric: str = "ndf") -> DiagnosisResult:
-        """Diagnose one unpacked die signature (report edge)."""
-        return self.match(SignatureBatch.from_signatures([signature]),
-                          top_k=top_k, metric=metric)
-
     def match_reference(self, batch: SignatureBatch, top_k: int = 3,
                         metric: str = "ndf",
                         die_labels: Optional[Sequence[str]] = None
@@ -186,9 +180,8 @@ class MultiDictionaryMatcher:
 
     Channel ``k`` of the observed batch is scored against channel
     ``k`` of the dictionary with the plain :class:`DictionaryMatcher`
-    machinery; the K per-channel ``(N, F)`` matrices -- the
-    concatenated ``(N, K*F)`` view is exposed by
-    :meth:`stacked_distances` -- combine channel-0-dominant::
+    machinery; the K per-channel ``(N, F)`` matrices
+    (:meth:`channel_distances`) combine channel-0-dominant::
 
         combined = d_0 + tie_break * (d_1 + ... + d_{K-1})
 
@@ -241,11 +234,6 @@ class MultiDictionaryMatcher:
         self._check(batch)
         return [matcher.distance_matrix(batch.channel(k), metric)
                 for k, matcher in enumerate(self._matchers)]
-
-    def stacked_distances(self, batch: MultiSignatureBatch,
-                          metric: str = "ndf") -> np.ndarray:
-        """The concatenated ``(N, K*F)`` die-to-(channel, fault) view."""
-        return np.hstack(self.channel_distances(batch, metric))
 
     def distance_matrix(self, batch: MultiSignatureBatch,
                         metric: str = "ndf") -> np.ndarray:

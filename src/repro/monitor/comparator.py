@@ -150,9 +150,3 @@ class MonitorBoundary(Boundary):
         # config so repeated sampling does not compound.
         params = self.devices[0].params  # same card for all four
         return MonitorBoundary(self.config, params, variations)
-
-    def with_variations(self, variations: Sequence[DeviceVariation]
-                        ) -> "MonitorBoundary":
-        """Copy with explicit per-device variations (tests/ablations)."""
-        return MonitorBoundary(self.config, self.devices[0].params,
-                               variations)

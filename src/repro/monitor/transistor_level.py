@@ -127,7 +127,3 @@ class TransistorMonitor(Boundary):
         if out.ndim == 0:
             return float(out)
         return out
-
-    def digital_output(self, x: float, y: float) -> int:
-        """The monitor's bit after the high-gain digitizing stage."""
-        return self.bit(x, y)

@@ -302,10 +302,9 @@ class MetricsRegistry:
         """Record an engine result's per-stage timing dict.
 
         Every stage key the dict carries becomes one ``stage_seconds``
-        window labelled by stage name (plus any extra labels, e.g. the
-        mode) -- there is deliberately no stage whitelist, so a new
-        engine stage appears on ``/metrics`` the first time a result
-        reports it.
+        window labelled by stage name (plus any extra labels) -- there
+        is deliberately no stage whitelist, so a new engine stage
+        appears on ``/metrics`` the first time a result reports it.
         """
         for stage, seconds in timing.items():
             self.window("stage_seconds", stage=stage,

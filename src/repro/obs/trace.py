@@ -326,15 +326,13 @@ class Tracer:
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """One JSON object per completed span, newline-separated."""
-        return "\n".join(json.dumps(record.to_dict(), sort_keys=True)
-                         for record in self.records())
-
     def write_jsonl(self, path: str) -> str:
-        """Persist :meth:`to_jsonl`; returns the path."""
+        """Write one JSON object per completed span, one per line;
+        returns the path."""
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_jsonl() + "\n")
+            for record in self.records():
+                handle.write(json.dumps(record.to_dict(), sort_keys=True)
+                             + "\n")
         return path
 
     def chrome_trace(self) -> Dict[str, object]:

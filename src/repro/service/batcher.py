@@ -16,9 +16,9 @@ order-stable), so every client's slice is **bit-identical** to the
 solo run of its own lot -- the property
 ``tests/service/test_batcher.py`` locks down.
 
-Only one-shot ``run`` requests over spec populations coalesce;
-everything else (streams, noise campaigns, trace stacks, cut lists)
-passes straight through to the session.  Requests group by decision
+Only requests over spec populations coalesce; everything else
+(streams of chunks, trace stacks, cut lists) passes straight through
+to the session.  Requests group by decision
 policy (the per-channel thresholds their own banks resolve to,
 ``keep_signatures``, encoder list), so a diagnosing client never
 changes a screening client's result shape.
@@ -142,7 +142,7 @@ class CoalescingBatcher:
         """Run ``request``, coalescing it with concurrent compatible
         requests; blocks until this request's own slice is ready.
 
-        Non-coalescible requests (streams, noise, trace/cut
+        Non-coalescible requests (streams of chunks, trace/cut
         populations) execute directly on the session.  ``timeout``
         bounds the wait: on expiry the request is withdrawn from the
         queue (if still there) and :class:`DeadlineExceeded` raises.
@@ -202,9 +202,8 @@ class CoalescingBatcher:
     def _coalescible_population(request: ScreeningRequest
                                 ) -> Optional[SpecPopulation]:
         """The request's spec population, or None when it cannot
-        coalesce (non-run modes and non-spec populations)."""
-        if request.mode != "run":
-            return None
+        coalesce (anything but a spec population or a raw spec
+        list)."""
         population = request.population
         if isinstance(population, SpecPopulation):
             return population
@@ -312,7 +311,7 @@ class CoalescingBatcher:
                            if pending.request.request_id is not None]
             solo = group[0].request if len(group) == 1 else None
             request = ScreeningRequest(
-                population=combined, mode="run", band=band,
+                population=combined, band=band,
                 keep_signatures=head.keep_signatures,
                 encoders=head.encoders,
                 client=solo.client if solo is not None else None,

@@ -228,7 +228,7 @@ def request_from_payload(payload: Dict, golden_spec,
                 from None
     return ScreeningRequest(
         population=population_from_payload(payload, golden_spec),
-        mode="run", band=band, keep_signatures=keep_signatures,
+        band=band, keep_signatures=keep_signatures,
         client=client, request_id=request_id)
 
 

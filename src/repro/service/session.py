@@ -26,11 +26,11 @@ them (``docs/persistence.md``).
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.campaign.engine import CampaignEngine
 from repro.campaign.request import ScreeningRequest
-from repro.campaign.result import CampaignResult, NoiseCampaignResult
+from repro.campaign.result import CampaignResult
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_request_id, request_context, span
 from repro.testing.faultinject import (
@@ -153,9 +153,8 @@ class ScreeningSession:
     # ------------------------------------------------------------------
     # Request entry points
     # ------------------------------------------------------------------
-    def submit(self, request: ScreeningRequest
-               ) -> Union[CampaignResult, NoiseCampaignResult]:
-        """Execute one screening request (re-entrant).
+    def submit(self, request: ScreeningRequest) -> CampaignResult:
+        """Screen one request's lot on the engine (re-entrant).
 
         Safe to call from any number of threads at once; results are
         bit-identical to serial submission.  Records request counts
@@ -177,14 +176,11 @@ class ScreeningSession:
         rid = (request.request_id if request.request_id is not None
                else get_request_id())
         with request_context(rid), \
-                span("session.submit", mode=request.mode,
-                     client=request.client or ""):
+                span("session.submit", client=request.client or ""):
             result = self.engine.submit(request)
         if self.metrics is not None:
-            self.metrics.counter("session_requests_total",
-                                 mode=request.mode).inc()
-            self.metrics.observe_timings(result.timing,
-                                         mode=request.mode)
+            self.metrics.counter("session_requests_total").inc()
+            self.metrics.observe_timings(result.timing)
         return result
 
     def diagnose_result(self, result: CampaignResult, top_k: int = 3,

@@ -131,6 +131,9 @@ WORKER_FAULTS_ENV = "REPRO_SHARD_WORKER_FAULTS"
 #: replacement -- worker to dial in.
 STARTUP_GRACE = 60.0
 
+#: Dispatch attempts per shard before the campaign fails.
+MAX_ATTEMPTS = 3
+
 #: Seconds each worker gets to exit after ``shutdown`` before it is
 #: killed.  Every worker is told first, so the grace runs concurrently.
 SHUTDOWN_GRACE = 5.0
@@ -403,16 +406,17 @@ class ShardCoordinator:
         The engine configuration, the *resolved* NDF threshold (float
         or None -- workers never calibrate), and the shardable fleet
         (:mod:`repro.shard.fleets`).
-    shards, shard_size, workers:
+    shards, workers:
         Planning and pool sizing: split into ``shards`` near-equal
-        ranges, or fixed ``shard_size`` ranges; run at most
-        ``workers`` subprocesses (default: one per shard).  With
-        ``listen`` set the pool is whoever dials in, and an explicit
-        ``workers`` is a dispatch barrier: no shard goes out until
-        that many workers have said ``hello`` (or ``rejoin_grace``
-        expires with at least one connected), so the first worker to
-        dial in cannot drain the plan before the others arrive.
-        ``workers=None`` dispatches to each worker as it connects.
+        ranges and run at most ``workers`` subprocesses (default: one
+        per shard); more shards than workers gives finer-grained
+        reassignment.  With ``listen`` set the pool is whoever dials
+        in, and an explicit ``workers`` is a dispatch barrier: no
+        shard goes out until that many workers have said ``hello``
+        (or ``rejoin_grace`` expires with at least one connected), so
+        the first worker to dial in cannot drain the plan before the
+        others arrive.  ``workers=None`` dispatches to each worker as
+        it connects.
     workdir:
         Directory that receives each shard's merged archive
         (``shard_NNNN.npz``, the :class:`StreamCheckpoint` format)
@@ -420,8 +424,8 @@ class ShardCoordinator:
         it back: a campaign's rows live in this process only.
     heartbeat:
         Seconds of silence after which a worker counts as stalled.
-    max_attempts:
-        Dispatch attempts per shard before the campaign fails.
+        A shard that fails :data:`MAX_ATTEMPTS` dispatches fails the
+        campaign.
     listen:
         ``(host, port)`` to accept TCP workers on (port 0 binds an
         ephemeral port; read it back from :attr:`address`).  The
@@ -450,11 +454,9 @@ class ShardCoordinator:
     """
 
     def __init__(self, config, threshold: Optional[float], fleet,
-                 shards: int = 2, shard_size: Optional[int] = None,
-                 workers: Optional[int] = None,
+                 shards: int = 2, workers: Optional[int] = None,
                  workdir: Optional[str] = None,
                  heartbeat: float = 5.0,
-                 max_attempts: int = 3,
                  listen: Optional[Tuple[str, int]] = None,
                  autotune_target_s: Optional[float] = None,
                  progress_timeout: Optional[float] = None,
@@ -475,7 +477,7 @@ class ShardCoordinator:
             self.plan: List[Shard] = []
             self._frontier = 0
         else:
-            self.plan = plan_shards(self._total, shards, shard_size)
+            self.plan = plan_shards(self._total, shards)
             self._frontier = self._total
         self._carved: List[Shard] = list(self.plan)
         self.listening = listen is not None
@@ -493,7 +495,6 @@ class ShardCoordinator:
                 workers if workers is not None else shards,
                 max(1, len(self.plan) or shards)))
         self.heartbeat = float(heartbeat)
-        self.max_attempts = int(max_attempts)
         self.progress_timeout = (None if progress_timeout is None
                                  else float(progress_timeout))
         self.rejoin_grace = float(rejoin_grace)
@@ -662,10 +663,10 @@ class ShardCoordinator:
         shard = worker.shard
         worker.shard = None
         if shard is not None:
-            if attempts.get(shard.index, 0) >= self.max_attempts:
+            if attempts.get(shard.index, 0) >= MAX_ATTEMPTS:
                 raise ShardWorkerError(
                     f"shard {shard.index} dies [{shard.lo}, "
-                    f"{shard.hi}) failed {self.max_attempts} "
+                    f"{shard.hi}) failed {MAX_ATTEMPTS} "
                     f"dispatch attempts (last worker "
                     f"{worker.transport.describe()} {reason}); "
                     f"worker stderr tail:\n"
@@ -895,5 +896,6 @@ class ShardCoordinator:
             self._worker_set.close()
 
 
-__all__ = ["SHUTDOWN_GRACE", "STARTUP_GRACE", "ShardCoordinator",
-           "ShardWorkerError", "WORKER_FAULTS_ENV", "WorkerSet"]
+__all__ = ["MAX_ATTEMPTS", "SHUTDOWN_GRACE", "STARTUP_GRACE",
+           "ShardCoordinator", "ShardWorkerError", "WORKER_FAULTS_ENV",
+           "WorkerSet"]

@@ -66,11 +66,3 @@ class BandLimiter:
         """Filter both channels of a Lissajous trace."""
         x, y = self.apply_pair(trace.x, trace.y)
         return LissajousTrace(x, y, trace.period)
-
-    def group_delay(self) -> float:
-        """Low-frequency group delay of the pole, in seconds.
-
-        The same delay applies to golden and CUT captures, so it
-        cancels in the NDF; exposed for the tests that verify that.
-        """
-        return 1.0 / (2.0 * np.pi * self.cutoff_hz)

@@ -121,10 +121,6 @@ class Multitone:
     # ------------------------------------------------------------------
     # Derived signals
     # ------------------------------------------------------------------
-    def amplitude_bound(self) -> float:
-        """Upper bound of |signal - offset| (sum of amplitudes)."""
-        return float(sum(abs(tone.amplitude) for tone in self.tones))
-
     def through(self, transfer: Callable[[float], complex]) -> "Multitone":
         """Exact steady-state of this stimulus through an LTI system.
 

@@ -8,8 +8,6 @@ harmonic bins.  Used to validate the Biquad response tone by tone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from repro.signals.waveform import Waveform
@@ -35,11 +33,6 @@ class HarmonicSpectrum:
     def phase_deg(self, harmonic: int) -> float:
         """Sine-referred phase of one harmonic in degrees."""
         return float(self.phases_deg[harmonic])
-
-    def dominant_harmonics(self, count: int = 3) -> Sequence[int]:
-        """Indices of the strongest non-DC harmonics."""
-        order = np.argsort(self.amplitudes[1:])[::-1] + 1
-        return [int(k) for k in order[:count]]
 
 
 def harmonic_spectrum(waveform: Waveform,

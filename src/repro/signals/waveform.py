@@ -94,12 +94,6 @@ class Waveform:
             return float(out)
         return out
 
-    def resampled(self, new_times) -> "Waveform":
-        """Linear-interpolated copy on a new time base."""
-        new_times = np.asarray(new_times, dtype=float)
-        return Waveform(new_times, np.interp(new_times, self.times,
-                                             self.values))
-
     def sliced(self, t_start: float, t_stop: float) -> "Waveform":
         """Sub-waveform covering [t_start, t_stop]."""
         mask = (self.times >= t_start) & (self.times <= t_stop)

@@ -67,7 +67,6 @@ def test_empty_population(engine):
     assert result.num_dies == 0
     assert result.ndfs.shape == (0,)
     assert result.verdicts.shape == (0,)
-    assert result.pass_rate == 1.0
     assert np.isnan(result.ndf_percentile(95))
 
 

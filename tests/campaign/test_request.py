@@ -1,5 +1,6 @@
-"""ScreeningRequest value object, submit dispatch, cache migration."""
+"""ScreeningRequest value object, entry points, cache migration."""
 
+import dataclasses
 import threading
 import warnings
 
@@ -14,7 +15,9 @@ from repro.campaign import (
     stream_montecarlo_dies,
 )
 from repro.monitor.configurations import table1_encoder
+from repro.obs.metrics import default_registry
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
+from repro.shard import MonteCarloFleet
 
 pytestmark = pytest.mark.campaign
 
@@ -33,7 +36,9 @@ def engine():
 # ----------------------------------------------------------------------
 def test_request_defaults():
     request = ScreeningRequest()
-    assert request.mode == "run"
+    assert [f.name for f in dataclasses.fields(request)] == [
+        "population", "band", "keep_signatures", "encoders", "client",
+        "request_id"]
     assert request.band == "auto"
     assert not request.keep_signatures
     assert request.encoders is None
@@ -44,16 +49,11 @@ def test_request_is_frozen_and_hashable_fields_freeze():
     request = ScreeningRequest(encoders=[1, 2])
     assert request.encoders == (1, 2)  # lists freeze to tuples
     with pytest.raises(AttributeError):
-        request.mode = "noise"
-
-
-def test_request_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        ScreeningRequest(mode="batch")
+        request.band = 0.5
 
 
 # ----------------------------------------------------------------------
-# submit() dispatch vs the legacy entry points
+# submit() against the keyword and placement entry points
 # ----------------------------------------------------------------------
 def test_submit_run_matches_run_shim(engine):
     lot = montecarlo_dies(PAPER_BIQUAD, 6, sigma_f0=0.05, seed=2)
@@ -72,20 +72,66 @@ def test_submit_stream_matches_run_stream_shim(engine):
                                       sigma_f0=0.05, seed=3)
 
     via_shim = engine.run_stream(chunks())
-    via_submit = engine.submit(ScreeningRequest(population=chunks(),
-                                                mode="stream"))
+    via_submit = engine.submit(ScreeningRequest(population=chunks()))
     np.testing.assert_array_equal(via_shim.ndfs, via_submit.ndfs)
     np.testing.assert_array_equal(via_shim.verdicts,
                                   via_submit.verdicts)
 
 
-def test_submit_noise_matches_run_noise_shim(engine):
+def test_list_of_chunks_streams_like_run_stream(engine):
+    """A list of population chunks is a stream, as an iterator of them
+    is: ``run`` matches ``run_stream`` bit for bit."""
+    chunks = [montecarlo_dies(PAPER_BIQUAD, 4, 0.03),
+              montecarlo_dies(PAPER_BIQUAD, 3, 0.03, seed=9)]
+    listed = engine.run(chunks, band=0.1)
+    streamed = engine.run_stream(chunks, band=0.1)
+    np.testing.assert_array_equal(listed.ndfs, streamed.ndfs)
+    np.testing.assert_array_equal(listed.verdicts, streamed.verdicts)
+    np.testing.assert_array_equal(listed.f0_deviations,
+                                  streamed.f0_deviations)
+    assert listed.labels == streamed.labels
+    assert listed.executor == streamed.executor
+    assert engine.run([], band=0.1).num_dies == 0
+
+
+def test_run_noise_places_the_submitted_lot(engine):
+    """A noise campaign places the same lot under repeats: with no
+    noise, every repeat scores exactly what ``submit`` scores."""
     lot = montecarlo_dies(PAPER_BIQUAD, 3, sigma_f0=0.05, seed=4)
-    via_shim = engine.run_noise(lot, repeats=3, seed=7)
-    via_submit = engine.submit(ScreeningRequest(
-        population=lot, mode="noise", repeats=3, seed=7))
-    np.testing.assert_array_equal(via_shim.ndf_matrix,
-                                  via_submit.ndf_matrix)
+    noisy = engine.run_noise(lot, repeats=3, noise=0.0, seed=7)
+    clean = engine.submit(ScreeningRequest(population=lot))
+    np.testing.assert_array_equal(noisy.ndf_matrix,
+                                  np.repeat(clean.ndfs[:, None], 3, 1))
+    assert noisy.threshold == clean.threshold
+
+
+def _startups() -> int:
+    return default_registry().histogram(
+        "shard_worker_startup_seconds").count
+
+
+@pytest.mark.parametrize("method,option,value", [
+    ("run_sharded", "shards", 0),
+    ("run_sharded", "heartbeat", 0.0),
+    ("run_sharded", "workers", 0),
+    ("run_sharded", "autotune_s", 0.0),
+    ("run_stream", "checkpoint_every", 0),
+    ("run_stream", "stream_offset", -1),
+])
+def test_placement_methods_refuse_bad_options(method, option, value):
+    """Each placement option is checked by the method that takes it,
+    before any worker spawns, in an error naming the parameter."""
+    engine = CampaignEngine.from_parts(table1_encoder(), PAPER_STIMULUS,
+                                       PAPER_BIQUAD,
+                                       samples_per_period=SAMPLES)
+    population = (MonteCarloFleet(PAPER_BIQUAD, 4, chunk_size=2)
+                  if method == "run_sharded"
+                  else stream_montecarlo_dies(PAPER_BIQUAD, 4, 2))
+    before = _startups()
+    with pytest.raises(ValueError, match=option):
+        getattr(engine, method)(population, **{option: value})
+    assert _startups() == before
+    assert engine._workers is None  # no worker set was ever made
 
 
 def test_submit_carries_request_options(engine):

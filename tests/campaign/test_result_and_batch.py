@@ -141,7 +141,6 @@ def test_result_counts_and_rates():
     assert result.num_dies == 4
     assert result.pass_count == 3
     assert result.fail_count == 1
-    assert result.pass_rate == 0.75
     assert result.dies_per_second() == pytest.approx(8.0)
 
 

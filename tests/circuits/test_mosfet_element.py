@@ -111,11 +111,3 @@ def test_small_signal_gain_matches_gm_times_load(nmos):
     expected = -gm / (1.0 / 10e3 + gds)
     assert gain.real == pytest.approx(expected, rel=1e-4)
     assert abs(gain.imag) < 1e-9
-
-
-def test_drain_current_at_helper(nmos):
-    system, m = common_source(nmos)
-    sol = dc_operating_point(system)
-    vd = sol.voltage(system, "d")
-    assert m.drain_current_at(sol.x, system.circuit) \
-        == pytest.approx(nmos.drain_current(0.6, vd))

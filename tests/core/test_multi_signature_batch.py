@@ -24,6 +24,13 @@ def _code_stacks(n=7, t=40, k=3, seed=5):
                    for __ in range(k)], 1.0
 
 
+def _multi(times, stacks, period):
+    """One channel per code stack, each its own independent batch."""
+    return MultiSignatureBatch([
+        SignatureBatch.from_code_stack(times, stack, period)
+        for stack in stacks])
+
+
 def _goldens(k=3, seed=9):
     rng = np.random.default_rng(seed)
     goldens = []
@@ -37,23 +44,9 @@ def _goldens(k=3, seed=9):
     return goldens
 
 
-def test_from_code_stacks_matches_independent_extraction():
-    times, stacks, period = _code_stacks()
-    multi = MultiSignatureBatch.from_code_stacks(times, stacks, period)
-    assert multi.num_channels == 3
-    assert len(multi) == 7
-    for k, stack in enumerate(stacks):
-        single = SignatureBatch.from_code_stack(times, stack, period)
-        channel = multi.channel(k)
-        assert np.array_equal(channel.codes, single.codes)
-        assert np.array_equal(channel.durations, single.durations)
-        assert np.array_equal(channel.row_offsets, single.row_offsets)
-        assert np.array_equal(channel.periods, single.periods)
-
-
 def test_ndf_to_bit_identical_to_independent_runs():
     times, stacks, period = _code_stacks()
-    multi = MultiSignatureBatch.from_code_stacks(times, stacks, period)
+    multi = _multi(times, stacks, period)
     goldens = _goldens()
     matrix = multi.ndf_to(goldens)
     assert matrix.shape == (7, 3)
@@ -64,7 +57,7 @@ def test_ndf_to_bit_identical_to_independent_runs():
 
 def test_select_parity_and_alignment():
     times, stacks, period = _code_stacks()
-    multi = MultiSignatureBatch.from_code_stacks(times, stacks, period)
+    multi = _multi(times, stacks, period)
     picks = np.asarray([5, 0, 3])
     sub = multi.select(picks)
     assert len(sub) == 3 and sub.num_channels == 3
@@ -78,12 +71,12 @@ def test_select_parity_and_alignment():
 
 def test_concatenate_parity():
     times, stacks, period = _code_stacks()
-    first = MultiSignatureBatch.from_code_stacks(
+    first = _multi(
         times, [s[:3] for s in stacks], period)
-    second = MultiSignatureBatch.from_code_stacks(
+    second = _multi(
         times, [s[3:] for s in stacks], period)
     merged = MultiSignatureBatch.concatenate([first, second])
-    whole = MultiSignatureBatch.from_code_stacks(times, stacks, period)
+    whole = _multi(times, stacks, period)
     assert len(merged) == len(whole)
     for k in range(3):
         assert np.array_equal(merged.channel(k).codes,
@@ -98,7 +91,7 @@ def test_empty_and_concatenate_with_empty():
     empty = MultiSignatureBatch.empty(2)
     assert len(empty) == 0 and empty.num_channels == 2
     times, stacks, period = _code_stacks(k=2)
-    multi = MultiSignatureBatch.from_code_stacks(times, stacks, period)
+    multi = _multi(times, stacks, period)
     merged = MultiSignatureBatch.concatenate([empty, multi])
     assert len(merged) == len(multi)
     for k in range(2):
@@ -108,7 +101,7 @@ def test_empty_and_concatenate_with_empty():
 
 def test_row_unpacks_per_channel_signatures():
     times, stacks, period = _code_stacks()
-    multi = MultiSignatureBatch.from_code_stacks(times, stacks, period)
+    multi = _multi(times, stacks, period)
     signatures = multi.row(2)
     assert len(signatures) == 3
     for k, signature in enumerate(signatures):
@@ -126,7 +119,7 @@ def test_validation_errors():
     full = SignatureBatch.from_code_stack(times, stacks[1], period)
     with pytest.raises(ValueError):
         MultiSignatureBatch([short, full])
-    multi = MultiSignatureBatch.from_code_stacks(times, stacks, period)
+    multi = _multi(times, stacks, period)
     with pytest.raises(ValueError):
         multi.ndf_to(_goldens(k=2))
     with pytest.raises(ValueError):

@@ -12,8 +12,7 @@ from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
 @pytest.fixture(scope="module")
 def two_tap_tester(encoder):
-    channels = [ChannelSpec("lp", encoder, weight=1.0),
-                ChannelSpec("bp", encoder, weight=1.0)]
+    channels = [ChannelSpec("lp", encoder), ChannelSpec("bp", encoder)]
     return MultiChannelTester(channels, PAPER_STIMULUS,
                               BiquadTwoTapCut(PAPER_BIQUAD),
                               samples_per_period=2048)
@@ -40,7 +39,6 @@ def test_golden_signatures_per_channel(two_tap_tester):
     assert set(golden.channels) == {"lp", "bp"}
     assert golden["lp"].period == pytest.approx(200e-6)
     assert golden["bp"].period == pytest.approx(200e-6)
-    assert golden.total_entries() > 10
 
 
 def test_lp_channel_matches_single_channel_flow(two_tap_tester, setup):
@@ -54,11 +52,6 @@ def test_lp_channel_matches_single_channel_flow(two_tap_tester, setup):
                              samples_per_period=2048)
     assert ndf(golden_multi, single.golden_signature()) \
         == pytest.approx(0.0, abs=1e-6)
-
-
-def test_combined_ndf_zero_for_golden(two_tap_tester):
-    assert two_tap_tester.combined_ndf(
-        BiquadTwoTapCut(PAPER_BIQUAD)) == 0.0
 
 
 def test_both_channels_see_q_deviations(two_tap_tester):
@@ -89,19 +82,6 @@ def test_channel_ratio_separates_fault_classes(two_tap_tester):
     r_f0 = ratio(BiquadTwoTapCut(PAPER_BIQUAD.with_f0_deviation(0.10)))
     r_q = ratio(BiquadTwoTapCut(PAPER_BIQUAD.with_q_deviation(0.20)))
     assert r_q > 1.4 * r_f0
-
-
-def test_combined_ndf_weighting(encoder):
-    channels = [ChannelSpec("lp", encoder, weight=3.0),
-                ChannelSpec("bp", encoder, weight=1.0)]
-    tester = MultiChannelTester(channels, PAPER_STIMULUS,
-                                BiquadTwoTapCut(PAPER_BIQUAD),
-                                samples_per_period=1024)
-    cut = BiquadTwoTapCut(PAPER_BIQUAD.with_q_deviation(0.2))
-    per_channel = tester.channel_ndfs(cut)
-    combined = tester.combined_ndf(cut)
-    expected = (3 * per_channel["lp"] + per_channel["bp"]) / 4
-    assert combined == pytest.approx(expected, rel=1e-9)
 
 
 def test_bp_trace_rebias_keeps_window(two_tap_tester):

@@ -77,7 +77,7 @@ def test_subthreshold_slope(nmos):
 
 
 def test_current_scales_with_width(nmos):
-    wide = nmos.resized(w=3.6e-6)
+    wide = MosModel(nmos.params, 3.6e-6, nmos.l)
     assert wide.saturation_current(0.8) \
         == pytest.approx(2.0 * nmos.saturation_current(0.8), rel=1e-12)
 
@@ -133,29 +133,6 @@ def test_smoothness_no_kinks(nmos):
     second = np.diff(i, 2)
     # A kink would spike the second difference by orders of magnitude.
     assert np.max(np.abs(second)) < 50 * np.median(np.abs(second) + 1e-18)
-
-
-# ----------------------------------------------------------------------
-# Utilities
-# ----------------------------------------------------------------------
-
-def test_gate_voltage_for_current_inverts(nmos):
-    target = nmos.saturation_current(0.75)
-    assert nmos.gate_voltage_for_current(target) == pytest.approx(0.75,
-                                                                  abs=1e-6)
-
-
-def test_gate_voltage_for_current_pmos(pmos):
-    target = pmos.saturation_current(-0.75)
-    assert pmos.gate_voltage_for_current(target) == pytest.approx(0.75,
-                                                                  abs=1e-6)
-
-
-def test_gate_voltage_for_current_validation(nmos):
-    with pytest.raises(ValueError):
-        nmos.gate_voltage_for_current(0.0)
-    with pytest.raises(ValueError):
-        nmos.gate_voltage_for_current(1e6)
 
 
 def test_dimension_validation():

@@ -1,11 +1,10 @@
-"""Process statistics: Pelgrom scaling, corners, Monte Carlo sampling."""
+"""Process statistics: Pelgrom scaling, Monte Carlo sampling."""
 
 import numpy as np
 import pytest
 
 from repro.devices.mos_model import MosModel, NMOS_65NM
 from repro.devices.process import (
-    Corner,
     DeviceVariation,
     MonteCarloSampler,
     TECH_65NM,
@@ -35,23 +34,6 @@ def test_beta_mismatch():
     assert s == pytest.approx(TECH_65NM.abeta_um)
     with pytest.raises(ValueError):
         TECH_65NM.sigma_beta_mismatch(0.0, 1e-6)
-
-
-def test_corner_ordering():
-    """SS must be slower (higher VT, lower kp) than TT than FF."""
-    tt = TECH_65NM.corner_params(Corner.TT)
-    ss = TECH_65NM.corner_params(Corner.SS)
-    ff = TECH_65NM.corner_params(Corner.FF)
-    assert ss.vt0 > tt.vt0 > ff.vt0
-    assert ss.kp < tt.kp < ff.kp
-    assert tt.vt0 == NMOS_65NM.vt0
-
-
-def test_cross_corners():
-    fs = TECH_65NM.corner_params(Corner.FS, polarity=1)   # fast nMOS
-    fs_p = TECH_65NM.corner_params(Corner.FS, polarity=-1)  # slow pMOS
-    assert fs.vt0 < NMOS_65NM.vt0
-    assert fs_p.vt0 > TECH_65NM.pmos.vt0
 
 
 def test_device_variation_apply():
@@ -118,13 +100,6 @@ def test_die_vary_model():
     varied = die.vary(model)
     assert varied.params.vt0 != model.params.vt0
     assert varied.w == model.w and varied.l == model.l
-
-
-def test_nominal_model_factory():
-    model = TECH_65NM.nominal_model(3e-6, 180e-9)
-    assert model.params == TECH_65NM.nmos
-    p = TECH_65NM.nominal_model(3e-6, 180e-9, polarity=-1)
-    assert p.params == TECH_65NM.pmos
 
 
 def test_invalid_area_raises():

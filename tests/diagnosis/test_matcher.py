@@ -83,15 +83,6 @@ def test_batched_matches_per_die_reference(engine, dictionary, matcher):
         assert np.array_equal(batched.margins(), reference.margins())
 
 
-def test_match_signature_single_die(dictionary, matcher):
-    signature = dictionary.signature(2)
-    result = matcher.match_signature(signature, top_k=2)
-    assert result.num_dies == 1
-    assert result.best_indices[0] == 2
-    assert result.die(0).best == dictionary.labels[2]
-    assert result.die(0).signature == signature
-
-
 def test_topk_clamped_to_dictionary(dictionary, matcher):
     result = matcher.match(dictionary.batch, top_k=999)
     assert result.top_k == len(dictionary)

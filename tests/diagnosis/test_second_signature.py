@@ -209,11 +209,11 @@ def test_multi_matcher_stacked_and_combined(multi_dictionary):
     matcher = MultiDictionaryMatcher(multi_dictionary)
     batch = MultiSignatureBatch(
         [channel.batch for channel in multi_dictionary.channels])
-    stacked = matcher.stacked_distances(batch)
+    first, second = matcher.channel_distances(batch)
     f = len(multi_dictionary)
-    assert stacked.shape == (f, 2 * f)
+    assert first.shape == second.shape == (f, f)
     combined = matcher.distance_matrix(batch)
-    expected = stacked[:, :f] + matcher.tie_break * stacked[:, f:]
+    expected = first + matcher.tie_break * second
     assert np.array_equal(combined, expected)
     # Self-distance stays exactly zero through the combination.
     assert np.all(np.diag(combined) == 0.0)

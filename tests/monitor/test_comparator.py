@@ -5,7 +5,7 @@ import pytest
 
 from repro.devices import NMOS_65NM
 from repro.devices.process import DeviceVariation, MonteCarloSampler
-from repro.monitor import MonitorConfig, table1_monitor
+from repro.monitor import MonitorBoundary, MonitorConfig, table1_monitor
 
 
 def test_config_validation():
@@ -87,7 +87,8 @@ def test_bit_vectorized():
 
 def test_variation_moves_boundary():
     monitor = table1_monitor(3)
-    varied = monitor.with_variations(
+    varied = MonitorBoundary(
+        monitor.config, monitor.devices[0].params,
         [DeviceVariation(delta_vt=0.03)] * 2 + [DeviceVariation()] * 2)
     xs = np.linspace(0.3, 0.7, 11)
     y0 = monitor.locus_points(xs)
@@ -101,7 +102,8 @@ def test_variation_moves_boundary():
 def test_variation_list_length_checked():
     monitor = table1_monitor(3)
     with pytest.raises(ValueError):
-        monitor.with_variations([DeviceVariation()])
+        MonitorBoundary(monitor.config, monitor.devices[0].params,
+                        [DeviceVariation()])
 
 
 def test_with_die_uses_shared_process_shift():

@@ -48,11 +48,6 @@ def test_bits_agree_with_analytic_away_from_boundary(xtor3):
         assert xtor3.bit(x, y) == analytic.bit(x, y), (x, y)
 
 
-def test_digital_output_is_bit(xtor3):
-    assert xtor3.digital_output(0.9, 0.9) in (0, 1)
-    assert xtor3.digital_output(0.9, 0.9) == xtor3.bit(0.9, 0.9)
-
-
 @pytest.mark.slow
 def test_locus_agreement_with_analytic(xtor3):
     """The simulated trip locus tracks the current balance closely."""

@@ -5,6 +5,8 @@ every executor, and the per-stage profile derived from spans must
 agree with the engine's own ``result.timing`` bookkeeping.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.campaign import (
     CampaignConfig,
     CampaignEngine,
     ProcessPoolExecutor,
+    ScreeningRequest,
     SerialExecutor,
     montecarlo_dies,
     stream_montecarlo_dies,
@@ -25,6 +28,7 @@ from repro.obs import (
     uninstall_tracer,
 )
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
+from repro.shard import MonteCarloFleet
 
 pytestmark = pytest.mark.campaign
 
@@ -91,6 +95,58 @@ def test_campaign_submit_span_wraps_the_stage_spans():
         while node.parent_id is not None:
             node = by_id[node.parent_id]
         assert node is submit
+
+
+def _chunks(dies=12):
+    return stream_montecarlo_dies(PAPER_BIQUAD, dies, chunk_size=6,
+                                  sigma_f0=0.04, seed=11)
+
+
+#: Each entry point with the ``campaign.submit`` mode it records.
+ENTRIES = {
+    "submit": ("run", lambda engine, lot, path: engine.submit(
+        ScreeningRequest(population=lot, band=THRESHOLD))),
+    "run": ("run", lambda engine, lot, path: engine.run(
+        lot, band=THRESHOLD)),
+    "run_stream": ("stream", lambda engine, lot, path: engine.run_stream(
+        _chunks(), band=THRESHOLD)),
+    "resume": ("stream", lambda engine, lot, path: engine.resume(
+        path, _chunks(), band=THRESHOLD)),
+    "run_noise": ("noise", lambda engine, lot, path: engine.run_noise(
+        lot, repeats=2, band=THRESHOLD)),
+    "run_sharded": ("sharded", lambda engine, lot, path: engine.run_sharded(
+        MonteCarloFleet(PAPER_BIQUAD, 12, sigma_f0=0.04, seed=11,
+                        chunk_size=6), shards=2, band=THRESHOLD,
+        heartbeat=15.0)),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_every_entry_opens_one_root_campaign_span(entry, tmp_path):
+    """Every entry point is one campaign: exactly one root
+    ``campaign.submit``, whose ``mode`` names the placement, and every
+    stage span descends from it, a shard worker's too."""
+    mode, call = ENTRIES[entry]
+    lot = _population(12)
+    path = str(tmp_path / "stream.ckpt")
+    with _engine() as engine:
+        # An interrupted stream: the first chunk's checkpoint.
+        engine.run_stream(itertools.islice(_chunks(), 1), band=THRESHOLD,
+                          checkpoint=path)
+        with tracing() as tracer:
+            call(engine, lot, path)
+    records = tracer.records()
+    submits = [r for r in records if r.name == "campaign.submit"]
+    assert len(submits) == 1
+    assert submits[0].parent_id is None
+    assert submits[0].attributes["mode"] == mode
+    stages = [r for r in records if r.name.startswith("stage.")]
+    assert stages
+    by_id = {r.span_id: r for r in records}
+    for node in stages:
+        while node.parent_id is not None:
+            node = by_id[node.parent_id]
+        assert node is submits[0]
 
 
 def test_stage_profile_agrees_with_result_timing():

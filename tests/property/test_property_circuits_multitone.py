@@ -102,14 +102,6 @@ def test_periodicity(stim):
                                rtol=1e-9, atol=1e-9)
 
 
-@given(multitones())
-@settings(max_examples=60, deadline=None)
-def test_amplitude_bound_holds(stim):
-    t = np.linspace(0.0, stim.period(), 500, endpoint=False)
-    assert np.max(np.abs(stim(t) - stim.offset)) \
-        <= stim.amplitude_bound() + 1e-9
-
-
 @given(multitones(), st.floats(min_value=0.1, max_value=3.0))
 @settings(max_examples=60, deadline=None)
 def test_through_is_linear_in_gain(stim, gain):

@@ -258,15 +258,15 @@ def test_request_with_another_first_bank_gets_its_own_threshold(
 
 
 def test_non_coalescible_requests_pass_through(session):
-    """Streams, noise and trace stacks bypass the queue entirely."""
+    """Streams of chunks and trace stacks bypass the queue entirely."""
     batcher = CoalescingBatcher(session, window=10.0)  # long window:
     # a queued request would visibly hang; pass-through returns fast.
     try:
         lot = _lots(session.engine.config.golden_spec, seeds=(12,),
                     dies=2)[0]
-        noise = batcher.submit(ScreeningRequest(
-            population=lot, mode="noise", repeats=2))
-        assert noise.ndf_matrix.shape == (2, 2)
+        stream = batcher.submit(ScreeningRequest(population=[lot, lot]))
+        assert stream.num_dies == 4
+        assert stream.executor.endswith("+stream")
 
         traces = session.engine.golden().y[None, :]
         result = batcher.submit(ScreeningRequest(

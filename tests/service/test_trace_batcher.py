@@ -130,8 +130,8 @@ def test_non_coalescible_requests_bypass_the_flush_span(session,
     rid = new_request_id()
     try:
         batcher.submit(ScreeningRequest(
-            population=iter([_lot(seed=1)]), mode="stream",
-            band=THRESHOLD, request_id=rid), timeout=None)
+            population=iter([_lot(seed=1)]), band=THRESHOLD,
+            request_id=rid), timeout=None)
     finally:
         batcher.close()
     records = tracer.records()

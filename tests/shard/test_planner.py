@@ -38,19 +38,6 @@ def test_more_shards_than_dies_clamps():
 
 def test_zero_dies_plans_nothing():
     assert plan_shards(0, 4) == []
-    assert plan_shards(0, 4, shard_size=3) == []
-
-
-def test_shard_size_overrides_shards():
-    plan = plan_shards(10, 2, shard_size=4)
-    assert [(s.lo, s.hi) for s in plan] == [(0, 4), (4, 8), (8, 10)]
-    _covers(plan, 10)
-
-
-def test_shard_size_exact_multiple():
-    plan = plan_shards(8, 99, shard_size=4)
-    assert [s.num_dies for s in plan] == [4, 4]
-    _covers(plan, 8)
 
 
 @pytest.mark.parametrize("count,shards", [(1, 1), (7, 2), (100, 7),

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.campaign import (
-    ScreeningRequest,
     SpecPopulation,
     deviation_sweep_population,
     montecarlo_dies,
@@ -226,26 +225,6 @@ def test_coordinator_reuses_workers_across_shards(small_engine):
     assert merged.complete
 
 
-def test_sharded_request_rejects_signatures(small_engine):
-    fleet = _mc_fleet()
-    with pytest.raises(ValueError, match="signatures"):
-        small_engine.submit(ScreeningRequest(
-            population=fleet, mode="sharded", keep_signatures=True))
-
-
-def test_request_validates_shard_fields():
-    with pytest.raises(ValueError):
-        ScreeningRequest(population=[], mode="sharded", shards=0)
-    with pytest.raises(ValueError):
-        ScreeningRequest(population=[], mode="sharded", shard_size=0)
-    with pytest.raises(ValueError):
-        ScreeningRequest(population=[], mode="sharded",
-                         shard_heartbeat=0.0)
-    with pytest.raises(ValueError):
-        ScreeningRequest(population=[], mode="sharded",
-                         shard_workers=0)
-
-
 def test_offset_stream_checkpoints_carry_start_index(
         small_engine, tmp_path):
     """A shard-style offset stream writes a checkpoint naming its
@@ -290,9 +269,3 @@ def test_autotuned_campaign_carves_dynamically_and_stays_identical(
     assert sharded.shard_stats["completed"] == \
         sharded.shard_stats["planned"]
     assert sharded.shard_stats["reassigned"] == 0.0
-
-
-def test_request_validates_autotune_seconds():
-    with pytest.raises(ValueError):
-        ScreeningRequest(population=[], mode="sharded",
-                         shard_autotune_s=0.0)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.campaign import CampaignEngine, ScreeningRequest
+from repro.campaign import CampaignEngine
 from repro.monitor.configurations import table1_encoder
 from repro.monitor.second_signature import second_signature_bank
 from repro.obs import Tracer, install_tracer, uninstall_tracer
@@ -210,9 +210,9 @@ def test_replacement_for_a_lost_worker_is_reused(small_engine,
 
 def test_multi_bank_requests_lease_the_engines_workers(small_engine,
                                                       spawned):
-    """Sharded requests that name their own monitor banks run on the
-    engine's warm workers: the derived engine leases its parent's set,
-    re-inits the workers with its configuration and leaves them
+    """Sharded campaigns over their own monitor banks run on the
+    engine's warm workers: each derived engine leases its parent's
+    set, re-inits the workers with its configuration and leaves them
     running; the parent's close stops them."""
     banks = [small_engine.config.encoder,
              second_signature_bank(-0.10, 1e-5)]
@@ -223,9 +223,8 @@ def test_multi_bank_requests_lease_the_engines_workers(small_engine,
         tracer = Tracer()
         install_tracer(tracer)
         try:
-            result = small_engine.submit(ScreeningRequest(
-                population=fleet, mode="sharded", band="auto",
-                shards=2, shard_heartbeat=HEARTBEAT, encoders=banks))
+            result = small_engine.with_encoders(banks).run_sharded(
+                fleet, shards=2, band="auto", heartbeat=HEARTBEAT)
         finally:
             uninstall_tracer()
         pids.append(sorted(r.attributes["pid"] for r in tracer.records()

@@ -99,11 +99,6 @@ def test_scaled_and_offset():
     assert moved.tones == stim.tones
 
 
-def test_amplitude_bound():
-    stim = two_tone(1.0, 2.0, 0.4, -0.2)
-    assert stim.amplitude_bound() == pytest.approx(0.6)
-
-
 def test_sample_tiles_periodically():
     stim = two_tone(1e3, 3e3, 0.3, 0.2, offset=0.1)
     w = stim.sample(samples_per_period=128, periods=2)

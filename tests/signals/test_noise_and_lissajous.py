@@ -94,11 +94,6 @@ def test_band_limiter_no_startup_transient():
     np.testing.assert_allclose(out.values, 0.7, atol=1e-9)
 
 
-def test_group_delay():
-    lim = BandLimiter(1e5)
-    assert lim.group_delay() == pytest.approx(1.0 / (2 * np.pi * 1e5))
-
-
 # ----------------------------------------------------------------------
 # Lissajous traces
 # ----------------------------------------------------------------------

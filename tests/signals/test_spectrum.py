@@ -26,7 +26,6 @@ def test_paper_stimulus_spectrum():
     assert spec.amplitude(1) == pytest.approx(0.26, abs=1e-9)
     assert spec.amplitude(3) == pytest.approx(0.19, abs=1e-9)
     assert spec.phase_deg(3) == pytest.approx(105.0, abs=1e-6)
-    assert spec.dominant_harmonics(2) == [1, 3]
 
 
 def test_spectrum_validates_integer_periods():
