@@ -38,18 +38,28 @@ PR 10 adds the transport comparison:
   land in ``BENCH_10.json`` so protocol-volume regressions show up in
   the committed baseline.
 
-The checkpoint codec gate:
+The checkpoint codec gates:
 
-* **checkpoint bytes cost** -- a checkpointed stream
-  (``run_stream(checkpoint=...)``) saves its whole growing checkpoint
-  after every chunk, so ``test_checkpoint_bytes_cost`` rebuilds the
-  40 states a 10,000-die stream in 256-die chunks saves and sums
-  ``StreamCheckpoint.to_bytes`` over them.  The sum must stay
-  within ``CHECKPOINT_COST_SHARE`` of the same stream's wall time
-  without a checkpoint.  Its sizes are fixed (they ignore
-  ``SHARD_BENCH_N``): the cost grows with the dies saved, so a reduced
-  fleet would show nothing.  fsync is left out; it depends on the
-  disk, not the codec.
+* **checkpoint bytes cost** -- ``test_checkpoint_bytes_cost`` rebuilds
+  the 40 states a 10,000-die stream in 256-die chunks reaches at its
+  saves and sums ``StreamCheckpoint.to_bytes`` (the whole state as one
+  record) over them.  The sum must stay within
+  ``CHECKPOINT_COST_SHARE`` of the same stream's wall time without a
+  checkpoint.  fsync is left out; it depends on the disk, not the
+  codec.
+* **each row written once** --
+  ``test_checkpointed_stream_writes_each_row_once`` traces the same
+  stream checkpointed with ``checkpoint_every=1``: its
+  ``checkpoint.save`` spans' ``bytes`` may sum to at most
+  ``CHECKPOINT_WRITE_FACTOR`` times the final file.  The first save
+  writes the log whole and every later one appends only the rows
+  folded since; rewriting the whole checkpoint at every save sums to
+  about 20 times the file.  The gate counts bytes, so a slow disk
+  cannot fail it.
+
+Both use fixed sizes (they ignore ``SHARD_BENCH_N``): the cost of
+rewriting grows with the dies saved, so a reduced fleet would show
+nothing.
 
 Sizes honour ``SHARD_BENCH_N`` (fleet, default 20000),
 ``SHARD_BENCH_CHUNK`` (worker chunk, default 512),
@@ -111,10 +121,15 @@ CHECKPOINT_SAMPLES = 512
 #: Encoding every per-chunk checkpoint may cost at most this share of
 #: the shard's screening wall time.
 CHECKPOINT_COST_SHARE = 0.25
+#: A checkpointed stream's saves may write at most this multiple of
+#: its final file: each row once, plus headers.
+CHECKPOINT_WRITE_FACTOR = 1.05
 
 #: Homeward bytes allowed per row record on top of twice the merged
-#: archive: a one-chunk archive's fixed part (zip and npy headers, JSON
-#: meta) is about 3.1 kB, 4.2 kB in base64, plus the line's framing.
+#: log: a one-chunk record's fixed part (file and record headers, the
+#: JSON header with its configuration key, the CRC) is well under
+#: 1 kB, plus base64's third and the line's framing.  The bound was
+#: sized for ``.npz`` records, whose zip and npy headers took 3.1 kB.
 HOMEWARD_CHUNK_ALLOWANCE = 6144
 
 
@@ -341,7 +356,7 @@ def test_socket_vs_pipe_transport_overhead():
         "notes": (
             f"loopback TCP carried {sent / 1e3:.1f} kB out / "
             f"{received / 1e3:.1f} kB back ({records} row records, "
-            f"base64 npz) for a {archive / 1e3:.1f} kB merged archive "
+            f"base64) for a {archive / 1e3:.1f} kB merged log "
             f"at {socket_s / pipe_s:.2f}x the pipe wall-clock; both "
             "carriers merged bit-identical to the monolithic run."),
     }
@@ -431,8 +446,73 @@ def test_checkpoint_bytes_cost():
     print(f"\ncheckpoint cost: {saves} saves of a {CHECKPOINT_DIES}-die "
           f"stream encode in {encode_s * 1e3:.1f} ms vs "
           f"{stream_s * 1e3:.1f} ms screening ({share:.3f}x, last "
-          f"archive {size} B)\n[report saved to {path}]")
+          f"checkpoint {size} B)\n[report saved to {path}]")
     assert share <= CHECKPOINT_COST_SHARE, (
         f"encoding {saves} per-chunk checkpoints took "
         f"{encode_s:.3f}s, {share:.2f}x the {stream_s:.3f}s stream "
         f"(allowed {CHECKPOINT_COST_SHARE}x)")
+
+
+def test_checkpointed_stream_writes_each_row_once():
+    """A checkpointed stream writes each row to disk once.
+
+    The stream saves after every chunk; summed over its traced
+    ``checkpoint.save`` spans, the bytes written stay within
+    ``CHECKPOINT_WRITE_FACTOR`` of the final log's size.
+    """
+    engine = CampaignEngine.from_parts(
+        table1_encoder(), PAPER_STIMULUS, PAPER_BIQUAD,
+        samples_per_period=CHECKPOINT_SAMPLES)
+    threshold = engine.band().threshold
+    fleet = MonteCarloFleet(PAPER_BIQUAD, CHECKPOINT_DIES,
+                            sigma_f0=SIGMA, seed=SEED,
+                            chunk_size=CHECKPOINT_CHUNK)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "campaign.npz")
+        tracer = Tracer()
+        install_tracer(tracer)
+        start = time.perf_counter()
+        try:
+            result = engine.run_stream(
+                fleet.chunks(0, CHECKPOINT_DIES), band=threshold,
+                checkpoint=path, checkpoint_every=1)
+        finally:
+            wall_s = time.perf_counter() - start
+            uninstall_tracer()
+        size = os.path.getsize(path)
+        final = StreamCheckpoint.load(path)
+    saves = [record for record in tracer.records()
+             if record.name == "checkpoint.save"]
+    written = sum(record.attributes["bytes"] for record in saves)
+    save_s = sum(record.duration for record in saves)
+    chunks = -(-CHECKPOINT_DIES // CHECKPOINT_CHUNK)
+    assert len(saves) == chunks + 1  # one per chunk, then the last
+    assert final.complete
+    np.testing.assert_array_equal(final.values(np.empty(0)), result.ndfs)
+    assert final.labels == list(result.labels)
+
+    payload = {
+        "dies": CHECKPOINT_DIES,
+        "chunk": CHECKPOINT_CHUNK,
+        "samples_per_period": CHECKPOINT_SAMPLES,
+        "saves": len(saves),
+        "bytes_written": written,
+        "file_bytes": size,
+        "write_factor": written / size,
+        "gate_factor": CHECKPOINT_WRITE_FACTOR,
+        "save_s": save_s,
+        "wall_s": wall_s,
+    }
+    REPORT_DIR.mkdir(exist_ok=True)
+    report = REPORT_DIR / "checkpoint_writes.json"
+    report.write_text(json.dumps(payload, indent=2, sort_keys=True)
+                      + "\n")
+    print(f"\ncheckpoint writes: {len(saves)} saves of a "
+          f"{CHECKPOINT_DIES}-die stream wrote {written} B for a "
+          f"{size} B log ({written / size:.3f}x); saves took "
+          f"{save_s * 1e3:.1f} ms of {wall_s * 1e3:.1f} ms\n"
+          f"[report saved to {report}]")
+    assert written <= CHECKPOINT_WRITE_FACTOR * size, (
+        f"{len(saves)} checkpoint saves wrote {written} B for a "
+        f"{size} B file (allowed {CHECKPOINT_WRITE_FACTOR}x): a save "
+        "rewrote rows an earlier save had written")

@@ -1176,8 +1176,9 @@ class CampaignEngine:
         The band policy resolves *once* here (the coordinator
         process); workers receive the raw threshold, so calibration
         never runs N times.  ``workdir`` names a directory that
-        receives each shard's merged archive (``shard_NNNN.npz``)
-        after a clean campaign; with None nothing is written.
+        receives each shard's merged checkpoint log
+        (``shard_NNNN.npz``) after a clean campaign; with None nothing
+        is written.
 
         ``listen="HOST:PORT"`` runs the campaign multi-node: instead
         of spawning subprocesses the coordinator accepts ``repro

@@ -5,8 +5,8 @@ shards, dispatches them to workers over a JSON line protocol, and
 merges the rows they send home in global-index order --
 **bit-identical** to the monolithic run, even when a worker is killed
 or partitioned mid-shard.  Workers send each screened chunk's rows
-home as a one-chunk :class:`~repro.campaign.checkpoint.StreamCheckpoint`
-archive and write no file; the coordinator holds every row, so a
+home as a one-record :class:`~repro.campaign.checkpoint.StreamCheckpoint`
+log and write no file; the coordinator holds every row, so a
 reassigned shard resumes at the first row it does not hold, never
 from zero.
 

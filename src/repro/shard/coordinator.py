@@ -26,27 +26,32 @@ One :class:`ShardCoordinator` owns a sharded campaign end to end:
    shard goes back on the queue and -- pipe mode only -- a fresh
    worker respawns into the slot (a dialled-in worker must redial).
 4. **Hold** -- the coordinator is the only holder of shard state.
-   Every ``progress`` line carries the chunk's rows as a one-chunk
-   :class:`StreamCheckpoint` archive, and the coordinator appends it
-   to the shard's held rows in index order only: a record that does
-   not start at the shard's next index, or a ``done`` before the
-   shard's last row, is a desync that loses the worker, like an
-   undecodable line.  A reassignment carries ``resume_at``, the
-   first row the coordinator does not hold, so it **resumes, never
-   restarts**, on either carrier, and no worker writes a file.
+   Every ``progress`` line carries the chunk's rows as a one-record
+   :class:`StreamCheckpoint` log (a CRC-checked flat record), and the
+   coordinator appends it to the shard's held rows in index order
+   only: a record that fails its CRC, whose arrays disagree in
+   length, that does not start at the shard's next index, or a
+   ``done`` before the shard's last row, is a desync that loses the
+   worker, like an undecodable line.  A reassignment carries
+   ``resume_at``, the first row the coordinator does not hold, so it
+   **resumes, never restarts**, on either carrier, and no worker
+   writes a file.
 5. **Merge** -- one :meth:`StreamCheckpoint.merge` over the held
    shards reassembles the fleet in global-index order, bit-identical
    to the monolithic stream (proven by ``tests/shard/`` and the CI
    ``sharded-campaign-smoke`` drill, including its loopback-TCP
-   partition phase).  With a ``workdir`` each shard's merged archive
-   lands there as ``shard_NNNN.npz`` after a clean campaign.
+   partition phase).  With a ``workdir`` each shard's merged state
+   lands there as ``shard_NNNN.npz`` (a version-3 checkpoint log,
+   whatever the name says) after a clean campaign.
 
 Lifecycle metrics land in the process-default registry
 (``shard_dispatched_total`` / ``shard_completed_total`` /
 ``shard_reassigned_total`` / ``shard_merge_seconds``, plus
 ``shard_bytes_total`` per transport direction and
 ``shard_rtt_seconds`` -- the assign-to-done round trip per shard,
-which is also what feeds the autotuner -- and
+which is also what feeds the autotuner --
+``shard_record_decode_seconds``, one observation per row record
+decoded, and
 ``shard_worker_startup_seconds``, spawn to first ``hello`` per
 pipe worker process); with tracing on, the whole campaign nests under a
 ``shard.campaign`` span whose ``shard.dispatch`` children carry
@@ -96,7 +101,7 @@ from repro.campaign.cache import encoder_key
 from repro.campaign.checkpoint import StreamCheckpoint
 from repro.monitor.bank_encode import kernel_key
 from repro.obs.logs import log_event
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import DEFAULT_BUCKETS, default_registry
 from repro.obs.trace import (
     SpanRecord,
     current_trace_context,
@@ -137,6 +142,10 @@ MAX_ATTEMPTS = 3
 #: Seconds each worker gets to exit after ``shutdown`` before it is
 #: killed.  Every worker is told first, so the grace runs concurrently.
 SHUTDOWN_GRACE = 5.0
+
+#: ``shard_record_decode_seconds`` buckets: a row record decodes in
+#: tens of microseconds, below the default buckets' 100 us floor.
+DECODE_BUCKETS = (0.00001, 0.000025, 0.00005) + DEFAULT_BUCKETS
 
 
 class ShardWorkerError(RuntimeError):
@@ -418,9 +427,9 @@ class ShardCoordinator:
         others arrive.  ``workers=None`` dispatches to each worker as
         it connects.
     workdir:
-        Directory that receives each shard's merged archive
-        (``shard_NNNN.npz``, the :class:`StreamCheckpoint` format)
-        after a clean campaign; None writes nothing.  Nothing reads
+        Directory that receives each shard's merged state
+        (``shard_NNNN.npz``, a :class:`StreamCheckpoint` log) after a
+        clean campaign; None writes nothing.  Nothing reads
         it back: a campaign's rows live in this process only.
     heartbeat:
         Seconds of silence after which a worker counts as stalled.
@@ -832,7 +841,12 @@ class ShardCoordinator:
         held = self._held[shard.index]
         if message["type"] == "progress":
             try:
+                start = time.perf_counter()
                 record = StreamCheckpoint.from_bytes(unpack_rows(message))
+                default_registry().histogram(
+                    "shard_record_decode_seconds",
+                    buckets=DECODE_BUCKETS).observe(
+                    time.perf_counter() - start)
                 if record.next_index > shard.hi:
                     raise ValueError(f"rows up to die {record.next_index} "
                                      f"overrun the shard")

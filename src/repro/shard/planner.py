@@ -39,7 +39,8 @@ class Shard:
         return self.hi - self.lo
 
     def checkpoint_name(self) -> str:
-        """Stable per-shard archive filename (a ``workdir``'s)."""
+        """Stable per-shard checkpoint filename (a ``workdir``'s; the
+        file holds a version-3 log despite the ``.npz`` suffix)."""
         return f"shard_{self.index:04d}.npz"
 
 

@@ -23,10 +23,10 @@ Worker -> coordinator
 ``hello``     pid, host (after every init: ready for assignments)
 ``ping``      -- (heartbeat, every ``heartbeat/2`` seconds)
 ``progress``  shard, next_index, rows_b64 (after each screened chunk:
-              base64 of the chunk's rows as a one-chunk
+              base64 of the chunk's rows as a one-record
               :class:`~repro.campaign.checkpoint.StreamCheckpoint`
-              archive, ``to_bytes`` format, covering dies up to
-              next_index)
+              log, ``to_bytes`` format -- a CRC-checked flat record
+              -- covering dies up to next_index)
 ``done``      shard, num_dies, spans (pid/host-stamped span rows when
               the campaign is traced)
 ``error``     shard (or null), message (the worker then exits 1)
@@ -34,9 +34,10 @@ Worker -> coordinator
 The coordinator holds every row: it accepts a shard's records in
 index order only, so a record that does not start at the shard's
 next index, or a ``done`` before the shard's last row, is a desync
-that loses the worker, like an undecodable line.  The pickles only
+that loses the worker, like an undecodable line, and so is a record
+whose CRC fails or whose arrays disagree in length.  The pickles only
 ever travel coordinator -> worker within one invocation (same code,
-same interpreter); rows come back in the archive format crash
+same interpreter); rows come back in the record format crash
 recovery uses, never as pickled arrays.
 """
 
@@ -94,14 +95,14 @@ def assign_message(shard_index: int, lo: int, hi: int,
 
 def progress_message(shard_index: int, next_index: int,
                      rows: bytes) -> Dict[str, object]:
-    """One screened chunk's rows (a ``StreamCheckpoint`` archive)."""
+    """One screened chunk's rows (a ``StreamCheckpoint`` log)."""
     return {"type": "progress", "shard": int(shard_index),
             "next_index": int(next_index),
             "rows_b64": base64.b64encode(rows).decode("ascii")}
 
 
 def unpack_rows(message: Dict[str, object]) -> bytes:
-    """The archive bytes of a ``progress`` message; raises
+    """The record bytes of a ``progress`` message; raises
     ``ValueError`` (or ``KeyError``/``TypeError`` on a malformed
     message) rather than decoding junk."""
     return base64.b64decode(str(message["rows_b64"]), validate=True)

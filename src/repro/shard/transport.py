@@ -248,15 +248,18 @@ class SocketTransport(Transport):
         if self._closed:
             return
         self._closed = True
+        # Shut the socket down first: it wakes a reader thread blocked
+        # in recv (which holds the reader's buffer lock), so closing
+        # the reader below cannot wait on it forever.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         for handle in (self._writer, self._reader):
             try:
                 handle.close()
             except (OSError, ValueError):
                 pass
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         try:
             self._sock.close()
         except OSError:

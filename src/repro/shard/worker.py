@@ -16,8 +16,9 @@ ones (the ``shard.worker.init`` span says ``warm``).
 
 Each assignment screens ``fleet.chunks(resume_at, hi)`` through the
 engine's own per-part body (the one a streamed campaign folds) and
-sends each chunk's rows home in a ``progress`` line, as a one-chunk
-:class:`~repro.campaign.checkpoint.StreamCheckpoint` archive.  The
+sends each chunk's rows home in a ``progress`` line, as a one-record
+:class:`~repro.campaign.checkpoint.StreamCheckpoint` log (a
+CRC-checked flat record: raw arrays and labels, no archive).  The
 worker writes no file and keeps no state between chunks: the
 coordinator holds every row, so a reassigned shard resumes at the
 ``resume_at`` the coordinator names, whichever worker takes it.  A

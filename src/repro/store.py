@@ -141,11 +141,11 @@ def pack_archive(arrays: Dict[str, np.ndarray], meta: Dict,
     """One persisted artifact as ``.npz`` bytes with stored members.
 
     ``meta`` travels as a JSON string member named ``meta_name`` (each
-    format's own constant), ahead of ``arrays``.  Every artifact the
-    package persists -- store payloads, checkpoints, dictionary files
-    -- is written through here.  Members are stored, not deflated: a
-    shard worker saves its whole checkpoint after every chunk, and
-    deflating it would cost more than screening the chunk.
+    format's own constant), ahead of ``arrays``.  Store payloads and
+    dictionary files are written through here; checkpoints are flat
+    record logs since their version 3, and only their version-1 and
+    version-2 files are read through :func:`unpack_archive`.  Members
+    are stored, not deflated, so they read back without inflating.
     ``np.load`` reads stored and deflated members alike, so deflated
     files written by older code still load.
     """

@@ -32,6 +32,8 @@ Well-known fault points wired through the codebase:
                                before rename (simulated torn write)
 ``store.index.tear``           truncate the JSON index mid-rewrite
 ``store.read.corrupt``         flip payload bytes on disk before a read
+``checkpoint.write.tear``      write only the first half of a
+                               checkpoint append (a torn last record)
 ``session.submit.error``       raise inside ``ScreeningSession.submit``
 ``session.slow``               sleep inside ``ScreeningSession.submit``
                                (``REPRO_FAULT_SLOW_S`` secs, def. 0.2)

@@ -8,6 +8,8 @@ parts directly; end-to-end bit-identity of merged *campaign results*
 from __future__ import annotations
 
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.campaign.checkpoint import (
 )
 from repro.obs.logs import set_log_sink
 from repro.obs.metrics import default_registry
+from repro.store import pack_archive
 
 pytestmark = pytest.mark.campaign
 
@@ -225,18 +228,58 @@ def test_to_bytes_equals_saved_file_bytes(tmp_path):
     assert part.to_bytes() == on_disk
 
 
-def test_from_bytes_rejects_version_mismatch():
-    part = _part(0, [0.1])
-    data = part.to_bytes()
+def test_from_bytes_rejects_version_mismatch(tmp_path):
     # A checkpoint from "the future" must refuse to load, whether it
-    # came from disk or over the wire.
-    import json as _json
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        arrays = {k: archive[k] for k in archive.files}
-    meta = _json.loads(str(arrays["meta"]))
-    meta["version"] = 999
-    arrays["meta"] = np.asarray(_json.dumps(meta))
+    # came from disk or over the wire, as an archive or as a log.
+    part = _part(0, [0.1])
+    meta = {"version": 999, "config_key": KEY, "threshold": THRESHOLD,
+            "start_index": 0, "next_index": 1, "timing": {},
+            "fallback_dies": 0, "chunks_done": 1, "complete": True}
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    with pytest.raises(CheckpointMismatch, match="version"):
-        StreamCheckpoint.from_bytes(buffer.getvalue())
+    np.savez_compressed(buffer, meta=np.asarray(json.dumps(meta)),
+                        ndfs=np.array([0.1]), f0=np.array([0.01]),
+                        q=np.array([0.0]),
+                        labels=np.frombuffer(b'["die00000"]',
+                                             dtype=np.uint8))
+    future_log = bytearray(part.to_bytes())
+    struct.pack_into("<I", future_log, 8, 999)
+    path = str(tmp_path / "future.npz")
+    for data in (buffer.getvalue(), bytes(future_log)):
+        with pytest.raises(CheckpointMismatch, match="version"):
+            StreamCheckpoint.from_bytes(data)
+        with open(path, "wb") as handle:
+            handle.write(data)
+        with pytest.raises(CheckpointMismatch, match="version"):
+            StreamCheckpoint.load(path)
+
+
+def _misaligned_archive():
+    """A version-2 record with 3 NDF rows, 2 f0, 1 q and 2 labels."""
+    meta = {"version": 2, "config_key": KEY, "threshold": THRESHOLD,
+            "start_index": 0, "next_index": 2, "timing": {},
+            "fallback_dies": 0, "chunks_done": 1, "complete": False}
+    labels = np.frombuffer(json.dumps(["die0", "die1"]).encode("utf-8"),
+                           dtype=np.uint8)
+    return pack_archive({"ndfs": np.array([0.1, 0.2, 0.3]),
+                         "f0": np.array([0.01, 0.02]),
+                         "q": np.array([0.0]), "labels": labels},
+                        meta, "meta")
+
+
+def _misaligned_log():
+    """The same rows as a version-3 record."""
+    record = StreamCheckpoint(KEY, THRESHOLD)
+    record.value_parts = [np.array([0.1, 0.2, 0.3])]
+    record.f0_parts = [np.array([0.01, 0.02])]
+    record.q_parts = [np.array([0.0])]
+    record.labels = ["die0", "die1"]
+    return record.to_bytes()
+
+
+@pytest.mark.parametrize("data", [_misaligned_archive(), _misaligned_log()],
+                         ids=["v2", "v3"])
+def test_from_bytes_refuses_rows_that_disagree_in_length(data):
+    """A record whose NDF rows, deviations and labels disagree would
+    misalign a merge: refused, never appended."""
+    with pytest.raises(ValueError, match="disagree"):
+        StreamCheckpoint.from_bytes(data)

@@ -1,5 +1,8 @@
 """Checkpointed streamed campaigns: kill anywhere, resume bit-identical."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from repro.campaign import (
     montecarlo_dies,
     stream_montecarlo_dies,
 )
+from repro.obs.logs import set_log_sink
+from repro.obs.trace import tracing
 from repro.testing.faultinject import FaultInjected, inject
 
 pytestmark = pytest.mark.campaign
@@ -117,20 +122,37 @@ def test_resume_across_different_chunk_size(small_engine, tmp_path):
 
 def test_crash_mid_checkpoint_write_restarts_cleanly(small_engine,
                                                      tmp_path):
-    """A torn checkpoint file is unreadable -> the next run starts
+    """A torn append drops only the torn record: the next run resumes
 
-    from zero rather than trusting damaged state, and still matches."""
+    behind the whole records, rewrites the log, and still matches."""
     ck = str(tmp_path / "campaign.npz")
     reference = small_engine.run_stream(_chunks(), band="auto")
+    # The first save writes the log whole; the second, the first
+    # append, tears, and the stream dies right after it.
     with inject("checkpoint.write.tear", times=1):
-        with inject("stream.chunk.crash", times=1):
+        with inject("stream.chunk.crash", times=1, after=1):
             with pytest.raises(FaultInjected):
                 small_engine.run_stream(_chunks(), band="auto",
                                         checkpoint=ck)
-    assert StreamCheckpoint.load_if_valid(ck) is None
-    rerun = small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck)
+    sink = io.StringIO()
+    previous = set_log_sink(sink)
+    try:
+        partial = StreamCheckpoint.load_if_valid(ck)
+    finally:
+        set_log_sink(previous)
+    assert partial.next_index == CHUNK and not partial.complete
+    event = json.loads(sink.getvalue())
+    assert event["event"] == "checkpoint.tail_dropped"
+    assert (event["kept_dies"], event["dropped_dies"]) == (CHUNK, CHUNK)
+    with tracing() as tracer:
+        rerun = small_engine.run_stream(_chunks(), band="auto",
+                                        checkpoint=ck)
     _assert_identical(rerun, reference)
+    screened = sum(record.attributes["dies"] for record in tracer.records()
+                   if record.name == "stage.ndf")
+    assert screened == DIES - CHUNK
+    final = StreamCheckpoint.load(ck)
+    assert final.complete and final.next_index == DIES
 
 
 def test_completed_checkpoint_short_circuits(small_engine, tmp_path):

@@ -11,7 +11,9 @@ reassignment too.
 
 from __future__ import annotations
 
+import json
 import os
+import socket
 import subprocess
 import sys
 import tempfile
@@ -26,7 +28,14 @@ from repro.monitor.second_signature import second_signature_bank
 from repro.paper import PAPER_BIQUAD
 from repro.shard import MonteCarloFleet, ShardCoordinator, ShardWorkerError
 from repro.shard.coordinator import _Worker
-from repro.shard.protocol import done_message, progress_message
+from repro.shard.protocol import (
+    decode_message,
+    done_message,
+    encode_message,
+    progress_message,
+)
+from repro.shard.worker import connect_main
+from repro.store import pack_archive
 
 pytestmark = pytest.mark.campaign
 
@@ -119,6 +128,61 @@ def test_held_rows_take_only_the_record_that_follows(small_engine):
     assert take(worker, done_message(0, 6, [])) is None
     assert worker.shard is None and coordinator._held[0].complete
     assert take(worker, done_message(0, 6, [])) is not None  # unassigned
+
+
+def _misaligned_rows(shard, lo, key, threshold):
+    """A ``progress`` line whose version-2 record for dies
+    ``[lo, lo + 2)`` holds 3 NDF rows, 2 f0, 1 q and 2 labels."""
+    meta = {"version": 2, "config_key": key, "threshold": threshold,
+            "start_index": lo, "next_index": lo + 2, "timing": {},
+            "fallback_dies": 0, "chunks_done": 1, "complete": False}
+    labels = json.dumps([f"die{lo}", f"die{lo + 1}"]).encode("utf-8")
+    record = pack_archive(
+        {"ndfs": np.array([0.1, 0.2, 0.3]), "f0": np.array([0.0, 0.0]),
+         "q": np.array([0.0]),
+         "labels": np.frombuffer(labels, dtype=np.uint8)}, meta, "meta")
+    return progress_message(shard, lo + 2, record)
+
+
+def test_record_with_misaligned_rows_loses_the_worker(small_engine):
+    """A TCP worker (outside input) whose row record's arrays disagree
+    in length is a desync: it is lost, its shard resumes at the first
+    row the coordinator holds, and the merge stays bit-identical."""
+    fleet = _fleet()
+    reference = small_engine.run_stream(fleet.chunks(0, len(fleet)),
+                                        band="auto")
+    coordinator = ShardCoordinator(
+        small_engine.config, reference.threshold, fleet, shards=2,
+        heartbeat=HEARTBEAT, listen=("127.0.0.1", 0))
+    host, port = coordinator.address
+    outcome = {}
+    campaign = threading.Thread(
+        target=lambda: outcome.update(result=coordinator.run()),
+        daemon=True)
+    campaign.start()
+    with socket.create_connection((host, port), timeout=10.0) as fake:
+        lines = fake.makefile("r", encoding="utf-8", newline="\n")
+        assert decode_message(lines.readline())["type"] == "init"
+        assign = decode_message(lines.readline())
+        assert assign["type"] == "assign"
+        line = encode_message(_misaligned_rows(
+            assign["shard"], assign["lo"],
+            small_engine.config.checkpoint_key(), reference.threshold))
+        fake.sendall((line + "\n").encode("utf-8"))
+        assert lines.readline() == ""  # the coordinator hung up
+    worker = threading.Thread(target=connect_main, args=(host, port),
+                              daemon=True)
+    worker.start()
+    campaign.join(timeout=180.0)
+    worker.join(timeout=30.0)
+    assert not campaign.is_alive(), "campaign did not finish"
+    merged, stats = outcome["result"]
+    np.testing.assert_array_equal(merged.values(np.empty(0)),
+                                  reference.ndfs)
+    np.testing.assert_array_equal(merged.f0_deviations(),
+                                  reference.f0_deviations)
+    assert merged.labels == list(reference.labels)
+    assert (stats["reassigned"], stats["completed"]) == (1.0, 2.0)
 
 
 @pytest.fixture()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import socket
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -89,6 +91,27 @@ def test_socket_peer_close_reads_as_eof():
     a.kill()
     try:
         assert [line.strip() for line in b.lines()] == ["one"]
+    finally:
+        b.kill()
+
+
+def test_socket_kill_wakes_a_reader_blocked_in_recv():
+    """Losing a worker kills its channel from the coordinator's thread
+    while the channel's reader thread waits for a line: the kill must
+    end that read (as EOF), not wait for it."""
+    a, b = _socket_pair()
+    lines = []
+    reader = threading.Thread(target=lambda: lines.extend(a.lines()),
+                              daemon=True)
+    reader.start()
+    time.sleep(0.05)  # let the reader block in recv
+    killer = threading.Thread(target=a.kill, daemon=True)
+    killer.start()
+    killer.join(timeout=5.0)
+    reader.join(timeout=5.0)
+    try:
+        assert not killer.is_alive(), "kill waited on the blocked reader"
+        assert not reader.is_alive() and lines == []
     finally:
         b.kill()
 
