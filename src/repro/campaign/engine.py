@@ -530,6 +530,14 @@ def _merge_timing(total: Dict[str, float],
         total[key] = total.get(key, 0.0) + value
 
 
+def _check_stream_options(checkpoint_every: int,
+                          stream_offset: int) -> None:
+    if checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be >= 1")
+    if stream_offset < 0:
+        raise ValueError("stream_offset must be >= 0")
+
+
 class CampaignEngine:
     """Runs signature-test campaigns over CUT populations.
 
@@ -816,10 +824,7 @@ class CampaignEngine:
         uninterrupted run; see :meth:`resume` and
         ``docs/persistence.md``.
         """
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if stream_offset < 0:
-            raise ValueError("stream_offset must be >= 0")
+        _check_stream_options(checkpoint_every, stream_offset)
         if encoders is not None:
             return self.with_encoders(encoders).run_stream(
                 chunks, band, keep_signatures, checkpoint=checkpoint,
@@ -852,11 +857,13 @@ class CampaignEngine:
         """
         from repro.campaign.checkpoint import StreamCheckpoint
 
-        StreamCheckpoint.load(checkpoint)  # must exist and parse
-        return self.run_stream(chunks, band,
-                               checkpoint=checkpoint,
-                               checkpoint_every=checkpoint_every,
-                               stream_offset=stream_offset)
+        state = StreamCheckpoint.load(checkpoint)  # must exist and parse
+        _check_stream_options(checkpoint_every, stream_offset)
+        with self._campaign("stream"):
+            return self._submit_parts(
+                chunks, band, False, streamed=True,
+                checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+                stream_offset=stream_offset, state=state)
 
     @staticmethod
     def _lot_or_stream(population) -> Tuple[Iterable, bool]:
@@ -881,7 +888,8 @@ class CampaignEngine:
                       streamed: bool = False,
                       checkpoint: Optional[str] = None,
                       checkpoint_every: int = 1,
-                      stream_offset: int = 0) -> CampaignResult:
+                      stream_offset: int = 0,
+                      state=None) -> CampaignResult:
         """The parts loop behind every in-process campaign.
 
         ``streamed`` takes ``population`` as an iterable of chunks (a
@@ -890,6 +898,9 @@ class CampaignEngine:
         :meth:`_screen_parts` turns each into a one-part record, and
         the loop folds the records into a :class:`StreamCheckpoint`,
         which only a stream with a ``checkpoint`` path ever persists.
+        ``state`` is ``checkpoint``'s content when the caller already
+        loaded it (:meth:`resume`); otherwise the file is loaded here,
+        damage degrading to a fresh start.
         """
         from repro.campaign.checkpoint import StreamCheckpoint
         from repro.testing.faultinject import fail_if_armed
@@ -900,7 +911,6 @@ class CampaignEngine:
             parts, streamed = self._lot_or_stream(population)
         threshold = self._resolve_threshold(band)
         config_key = self.config.checkpoint_key()
-        state = None
         if checkpoint is not None:
             if keep_signatures:
                 raise ValueError(
@@ -908,7 +918,8 @@ class CampaignEngine:
                     "packed batch is not part of the mergeable "
                     "checkpoint state (run without checkpoint=, or "
                     "without keep_signatures)")
-            state = StreamCheckpoint.load_if_valid(checkpoint)
+            if state is None:
+                state = StreamCheckpoint.load_if_valid(checkpoint)
             if state is not None:
                 state.validate(config_key, threshold)
         if state is None:

@@ -258,8 +258,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--burst", type=float, default=None,
                        help="per-client burst depth (default: rate)")
     serve.add_argument("--window-ms", type=float, default=5.0,
-                       help="coalescing linger window in milliseconds "
-                            "(default 5)")
+                       help="longest coalescing linger in milliseconds: "
+                            "a flush waits only while another request "
+                            "is on its way (default 5)")
     serve.add_argument("--max-dies", type=_positive_int,
                        default=100_000,
                        help="die cap per coalesced engine pass")
@@ -934,7 +935,7 @@ def _cmd_serve(args) -> int:
     limit = (f"{args.rate:g}/s per client" if args.rate
              else "unlimited")
     print(f"serving at {server.url}  "
-          f"(coalesce window {args.window_ms:g} ms, rate {limit})",
+          f"(linger up to {args.window_ms:g} ms, rate {limit})",
           flush=True)
     stop = threading.Event()
     for signum in (signal.SIGINT, signal.SIGTERM):

@@ -3,11 +3,18 @@
 The shared-tester economics of the paper cut against tiny lots: a
 50-die request pays the same per-pass overheads (golden lookup, chunk
 scheduling, encode setup) as a 5000-die one.  The
-:class:`CoalescingBatcher` therefore *lingers* for a few milliseconds
-when a request arrives, gathers every compatible request that lands in
-the window, concatenates their spec populations into one combined
-population, runs a single engine pass, and scatters the per-client row
-slices back out (:meth:`~repro.campaign.result.CampaignResult.slice`).
+:class:`CoalescingBatcher` therefore gathers every compatible request
+that is queued when it flushes, concatenates their spec populations
+into one combined population, runs a single engine pass, and scatters
+the per-client row slices back out
+(:meth:`~repro.campaign.result.CampaignResult.slice`).
+
+It *lingers* before a flush only while another request is on its way:
+a caller announces its request with :meth:`CoalescingBatcher.arriving`
+before it builds it, and the worker holds the flush until every
+announced request has queued (or left without queuing), for at most
+``window`` seconds.  A lone request flushes at once; a request already
+on its way still joins the pass.
 
 Coalescing is invisible to clients: per-die NDFs and verdicts depend
 only on that die's own spec (the front half broadcasts per row, the
@@ -36,8 +43,9 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.campaign.request import ScreeningRequest
 from repro.campaign.result import CampaignResult
@@ -91,16 +99,17 @@ def concatenate_populations(parts: List[SpecPopulation]
 
 
 class CoalescingBatcher:
-    """Linger-window batcher in front of one screening session.
+    """Coalescing batcher in front of one screening session.
 
     Parameters
     ----------
     session:
         The warm session the combined passes run through.
     window:
-        Linger seconds after the first arrival before a flush (more
-        arrivals within the window join the batch).  0 still
-        coalesces whatever is queued when the worker wakes.
+        The longest linger, in seconds.  A flush waits only while a
+        request announced through :meth:`arriving` has not queued yet,
+        and never longer than this; a lone request flushes at once.
+        0 still coalesces whatever is queued when the worker wakes.
     max_dies:
         Cap on combined population size per engine pass; a group
         larger than this flushes as several passes (each still one
@@ -129,6 +138,8 @@ class CoalescingBatcher:
         self.metrics = metrics
         self._cond = threading.Condition()
         self._queue: List[_Pending] = []
+        # Threads that announced a request which has not queued yet.
+        self._arrivals: Set[int] = set()
         self._closed = False
         self._worker = threading.Thread(
             target=self._loop, name="repro-batcher", daemon=True)
@@ -137,6 +148,32 @@ class CoalescingBatcher:
     # ------------------------------------------------------------------
     # Client side
     # ------------------------------------------------------------------
+    @contextmanager
+    def arriving(self) -> Iterator[None]:
+        """Announce that the calling thread will :meth:`submit` soon.
+
+        While the announcement stands, a flush lingers (up to
+        ``window``) so the request can join it.  The thread's next
+        :meth:`submit` consumes it in the same critical section that
+        queues the request (or refuses it, or hands it straight to the
+        session); leaving the block without submitting withdraws it.
+        One announcement per thread at a time.
+        """
+        me = threading.get_ident()
+        with self._cond:
+            self._arrivals.add(me)
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._arrived(me)
+
+    def _arrived(self, me: int) -> None:
+        """Drop thread ``me``'s announcement (caller holds the lock)."""
+        if me in self._arrivals:
+            self._arrivals.discard(me)
+            self._cond.notify_all()
+
     def submit(self, request: ScreeningRequest,
                timeout: Optional[float] = None) -> CampaignResult:
         """Run ``request``, coalescing it with concurrent compatible
@@ -147,13 +184,18 @@ class CoalescingBatcher:
         bounds the wait: on expiry the request is withdrawn from the
         queue (if still there) and :class:`DeadlineExceeded` raises.
         Raises :class:`QueueFull` when ``max_queue`` requests are
-        already waiting.
+        already waiting.  Consumes the calling thread's
+        :meth:`arriving` announcement, if any.
         """
+        me = threading.get_ident()
         population = self._coalescible_population(request)
         if population is None:
+            with self._cond:
+                self._arrived(me)
             return self.session.submit(request)
         pending = _Pending(request, population)
         with self._cond:
+            self._arrived(me)
             if self._closed:
                 raise RuntimeError("batcher is closed")
             if self.max_queue is not None \
@@ -237,14 +279,13 @@ class CoalescingBatcher:
                     self._cond.wait()
                 if not self._queue and self._closed:
                     return
-                # Linger: give concurrent clients the window to join.
-                deadline = time.monotonic() + self.window
-                while not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
+                with span("batcher.linger") as linger:
+                    reason, waited = self._linger()
+                    linger.set(reason=reason, waited_s=waited)
                 batch, self._queue = self._queue, []
+            if self.metrics is not None:
+                self.metrics.histogram("batcher_linger_seconds",
+                                       reason=reason).observe(waited)
             try:
                 self._flush(batch)
             except BaseException as error:
@@ -252,6 +293,33 @@ class CoalescingBatcher:
                 # leaves every queued and future submission waiting
                 # forever.  Fail this batch's waiters and keep serving.
                 self._fail_pendings(batch, error)
+
+    def _linger(self) -> Tuple[str, float]:
+        """Hold the flush while an announced request is on its way,
+        for at most ``window``; the caller holds the lock.
+
+        Returns ``(reason, seconds waited)``, the reason being
+        ``alone`` (nothing was on its way), ``joined`` (every
+        announced request queued or left), ``window`` (the window ran
+        out) or ``closed`` (the batcher is closing).
+        """
+        if self._closed:
+            return "closed", 0.0
+        if not self._arrivals:
+            return "alone", 0.0
+        started = time.monotonic()
+        deadline = started + self.window
+        reason = "joined"
+        while self._arrivals:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                reason = "window"
+                break
+            self._cond.wait(remaining)
+            if self._closed:
+                reason = "closed"
+                break
+        return reason, time.monotonic() - started
 
     @staticmethod
     def _fail_pendings(pendings: List[_Pending],

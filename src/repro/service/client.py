@@ -1,8 +1,9 @@
 """Minimal stdlib client for the screening service.
 
-``ServiceClient`` wraps :mod:`urllib.request` so scripts, tests and
-the CLI can talk to a running ``repro serve`` without any HTTP
-dependency::
+``ServiceClient`` speaks HTTP/1.1 through :mod:`http.client` so
+scripts, tests and the CLI can talk to a running ``repro serve``
+without any HTTP dependency.  Each calling thread keeps one connection
+open across its calls::
 
     client = ServiceClient("http://127.0.0.1:8765", client_id="lineA")
     verdict = client.campaign(kind="mc", dies=50, sigma=0.03, seed=7)
@@ -27,13 +28,13 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import socket
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
 from dataclasses import dataclass
 from typing import Dict, Optional
+from urllib.parse import urlsplit
 
 from repro.obs.logs import log_event
 from repro.obs.trace import REQUEST_ID_HEADER, new_request_id
@@ -129,8 +130,31 @@ class RetryPolicy:
         return backoff
 
 
+def _closed_by_peer(connection: http.client.HTTPConnection) -> bool:
+    """True when an idle connection cannot carry another request.
+
+    Between replies nothing is due from the server, so a readable
+    socket means it was closed (EOF) or broke protocol.
+    """
+    sock = connection.sock
+    if sock is None:
+        return False  # not connected yet: the request connects it
+    try:
+        readable, __, __ = select.select([sock], [], [], 0)
+    except (OSError, ValueError):
+        return True
+    return bool(readable)
+
+
 class ServiceClient:
     """One client identity against one screening service.
+
+    Each calling thread keeps one HTTP/1.1 connection open across its
+    calls.  Before a call reuses it, a connection the server has
+    closed is dropped and a new one opened; a request that was sent
+    is never re-sent by the transport, so a failed send surfaces as
+    :class:`ServiceUnavailable` and only :class:`RetryPolicy` retries
+    it.
 
     Parameters
     ----------
@@ -146,6 +170,12 @@ class ServiceClient:
                  timeout: float = 120.0,
                  retry: Optional[RetryPolicy] = None) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"not an http:// service URL: {base_url!r}")
+        self._host, self._port = parts.hostname, parts.port
+        self._prefix = parts.path
+        self._local = threading.local()
         self.client_id = client_id
         self.timeout = float(timeout)
         self.retry = retry
@@ -159,34 +189,59 @@ class ServiceClient:
         self._sleep = time.sleep
 
     # ------------------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, reopened if the server
+        closed it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None and _closed_by_peer(connection):
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._host, self._port, timeout=self.timeout)
+            self._local.connection = connection
+        return connection
+
+    def _drop_connection(self) -> None:
+        """Close the calling thread's connection; the next call opens
+        a new one."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+            self._local.connection = None
+
     def _request_once(self, path: str, payload: Optional[Dict],
                       headers: Dict[str, str]) -> bytes:
-        url = self.base_url + path
         data = None
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers = dict(headers)
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data,
-                                         headers=headers)
+        connection = self._connection()
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as error:
-            raw = error.read()
+            connection.request("GET" if data is None else "POST",
+                               self._prefix + path, body=data,
+                               headers=headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            # One exception surface: transport failures (connection
+            # refused/reset, DNS, timeouts) become status-0 errors.
+            self._drop_connection()
+            raise ServiceUnavailable(str(error)) from None
+        except BaseException:
+            # A half-read reply leaves the connection unusable.
+            self._drop_connection()
+            raise
+        if response.will_close:
+            self._drop_connection()
+        if not 200 <= response.status < 300:
             try:
                 body = json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
                 body = {"error": raw.decode("utf-8", "replace")}
-            raise ServiceError(error.code, body) from None
-        except (urllib.error.URLError, ConnectionError, socket.timeout,
-                OSError, http.client.HTTPException) as error:
-            # One exception surface: transport failures (connection
-            # refused/reset, DNS, timeouts) become status-0 errors.
-            reason = getattr(error, "reason", None)
-            raise ServiceUnavailable(str(reason if reason is not None
-                                         else error)) from None
+            raise ServiceError(response.status, body)
+        return raw
 
     def _request(self, path: str, payload: Optional[Dict] = None
                  ) -> bytes:
@@ -257,10 +312,6 @@ class ServiceClient:
             except ServiceError as error:
                 if 400 <= error.status < 500:
                     raise
-                last = error
-                time.sleep(interval)
-            except (urllib.error.URLError, ConnectionError,
-                    socket.timeout) as error:  # pragma: no cover
                 last = error
                 time.sleep(interval)
         raise TimeoutError(

@@ -45,11 +45,12 @@ from the CLI with ``repro serve``.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Set, Tuple, Union
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -80,6 +81,10 @@ CLIENT_HEADER = "X-Client"
 #: Hard cap on request bodies (a million-sample trace stack is a
 #: library workload, not an HTTP payload).
 MAX_BODY_BYTES = 32 * 1024 * 1024
+
+#: Seconds :meth:`ScreeningServer.close` waits for busy connections
+#: to answer their current request.
+CLOSE_GRACE = 5.0
 
 
 class BadRequest(ValueError):
@@ -294,6 +299,10 @@ class ScreeningServer(ThreadingHTTPServer):
         self._inflight_count = 0
         self._idle = threading.Event()
         self._idle.set()
+        # Accepted sockets whose handler has not finished: kept-alive
+        # connections that close() must end.
+        self._connections: Set[socket.socket] = set()
+        self._connections_done = threading.Condition()
         self._serve_thread: Optional[threading.Thread] = None
         super().__init__(address, _Handler)
 
@@ -316,13 +325,40 @@ class ScreeningServer(ThreadingHTTPServer):
         return self
 
     def close(self) -> None:
-        """Stop serving and drain the batcher."""
+        """Stop serving, end every open connection, drain the batcher.
+
+        An idle kept-alive connection is closed at once; a busy one
+        after its handler has answered the request it is on (waiting
+        up to :data:`CLOSE_GRACE` seconds), so a client reusing a
+        connection sees it closed rather than sending into a server
+        that has gone.
+        """
         self.shutdown()
         self.server_close()
+        with self._connections_done:
+            for connection in self._connections:
+                try:
+                    # EOF to the handler's next read; replies still go.
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            self._connections_done.wait_for(
+                lambda: not self._connections, CLOSE_GRACE)
         self.batcher.close()
         if self._serve_thread is not None:
             self._serve_thread.join()
             self._serve_thread = None
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_done:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self._connections_done:
+            self._connections.discard(request)
+            self._connections_done.notify_all()
 
     # ------------------------------------------------------------------
     # Graceful drain (the CLI's SIGTERM path)
@@ -364,6 +400,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: ScreeningServer
     protocol_version = "HTTP/1.1"
+    # A reply is two writes (head, body); with Nagle on, the second
+    # waits for the client's delayed ACK of the first on a kept-alive
+    # connection.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -414,13 +454,24 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode("utf-8")
         self._send(status, body, "application/json", extra)
 
-    def _read_payload(self) -> Dict:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+    def _read_body(self) -> bytes:
+        """The request body, read whole before any answer: bytes left
+        unread would be parsed as the connection's next request."""
+        if self.headers.get("Transfer-Encoding"):
+            raise BadRequest("send the body with a Content-Length")
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise BadRequest("bad Content-Length")
         if length > MAX_BODY_BYTES:
             raise BadRequest("request body too large")
-        raw = self.rfile.read(length) if length else b"{}"
+        return self.rfile.read(length)
+
+    def _read_payload(self) -> Dict:
         try:
-            payload = json.loads(raw.decode("utf-8") or "{}")
+            payload = json.loads(self._body.decode("utf-8") or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise BadRequest(f"bad JSON body: {error}") from None
         if not isinstance(payload, dict):
@@ -490,6 +541,14 @@ class _Handler(BaseHTTPRequestHandler):
         path = urlsplit(self.path).path
         with request_context(self._request_id()), \
                 span("http.request", method="POST", path=path):
+            try:
+                self._body = self._read_body()
+            except BadRequest as error:
+                # The body stays unread, so the connection cannot
+                # carry another request.
+                self._send_json(400, {"error": str(error)},
+                                {"Connection": "close"})
+                return
             if path == "/campaign":
                 self._screen(diagnose=False)
                 return
@@ -590,17 +649,22 @@ class _Handler(BaseHTTPRequestHandler):
         inflight = metrics.gauge("inflight", endpoint=endpoint)
         inflight.inc()
         self.server._enter_request()
+        batcher = self.server.batcher
         try:
-            fail_if_armed("server.handler.error")
-            payload = self._read_payload()
-            request = request_from_payload(
-                payload, self.server.session.engine.config.golden_spec,
-                client=client, keep_signatures=diagnose,
-                request_id=get_request_id())
-            with timed(metrics.window("request_seconds",
-                                      endpoint=endpoint)):
-                result = self.server.batcher.submit(
-                    request, timeout=self.server.deadline)
+            # Announced from here until the batcher queues it, so a
+            # flush already waiting lingers for this request.
+            with batcher.arriving():
+                fail_if_armed("server.handler.error")
+                payload = self._read_payload()
+                request = request_from_payload(
+                    payload,
+                    self.server.session.engine.config.golden_spec,
+                    client=client, keep_signatures=diagnose,
+                    request_id=get_request_id())
+                with timed(metrics.window("request_seconds",
+                                          endpoint=endpoint)):
+                    result = batcher.submit(
+                        request, timeout=self.server.deadline)
             include_ndfs = bool(payload.get("include_ndfs", True))
             body = campaign_payload(result, include_ndfs=include_ndfs)
             body["client"] = client

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -181,6 +182,44 @@ def test_checkpoint_every_batches_saves(small_engine, tmp_path):
 def test_resume_requires_existing_checkpoint(small_engine, tmp_path):
     with pytest.raises(FileNotFoundError):
         small_engine.resume(str(tmp_path / "missing.npz"), _chunks())
+
+
+def test_resume_refuses_an_unparseable_checkpoint(small_engine, tmp_path):
+    ck = tmp_path / "campaign.npz"
+    ck.write_bytes(b"RPROCKPT")  # a log torn inside its file header
+    with pytest.raises(ValueError):
+        small_engine.resume(str(ck), _chunks())
+
+
+def test_resume_decodes_a_torn_log_once(small_engine, tmp_path):
+    """``resume`` loads its checkpoint once: a torn tail is reported
+    once, and the resumed run is still bit-identical."""
+    from repro.paper import PAPER_BIQUAD
+
+    def chunks():
+        return stream_montecarlo_dies(PAPER_BIQUAD, 48, chunk_size=12,
+                                      sigma_f0=0.05, seed=9)
+
+    ck = str(tmp_path / "campaign.npz")
+    reference = small_engine.run_stream(chunks(), band="auto")
+    with inject("stream.chunk.crash", times=1, after=2):
+        with pytest.raises(FaultInjected):
+            small_engine.run_stream(chunks(), band="auto", checkpoint=ck)
+    with open(ck, "r+b") as handle:
+        handle.truncate(os.path.getsize(ck) - 200)
+    sink = io.StringIO()
+    previous = set_log_sink(sink)
+    try:
+        resumed = small_engine.resume(ck, chunks())
+    finally:
+        set_log_sink(previous)
+    events = [json.loads(line) for line in sink.getvalue().splitlines()]
+    dropped = [e for e in events
+               if e["event"] == "checkpoint.tail_dropped"]
+    assert len(dropped) == 1
+    assert (dropped[0]["kept_dies"], dropped[0]["dropped_dies"]) \
+        == (24, 12)
+    _assert_identical(resumed, reference)
 
 
 def test_checkpoint_rejects_other_configuration(small_engine, tmp_path):

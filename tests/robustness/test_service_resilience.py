@@ -3,6 +3,7 @@ shedding, graceful drain, and the batcher's crash-proof worker."""
 
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -262,16 +263,40 @@ def test_worker_survives_flush_crash(session, batcher, monkeypatch):
     assert result.num_dies == 6
 
 
+@contextmanager
+def _announced_elsewhere(batcher):
+    """Another thread announces a request and holds the announcement
+    for the block, so every flush lingers for the full window."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with batcher.arriving():
+            held.set()
+            release.wait()
+
+    thread = threading.Thread(target=hold)
+    thread.start()
+    assert held.wait(timeout=30)
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join()
+
+
 def test_submit_deadline_withdraws_queued_request(session):
     batcher = CoalescingBatcher(session, window=0.5)
     submitted = session.submitted
     try:
-        with pytest.raises(DeadlineExceeded):
-            batcher.submit(ScreeningRequest(population=_lot(session)),
-                           timeout=0.05)
-        # Withdrawn before the linger window flushed: never executed.
-        assert batcher.queue_depth == 0
-        time.sleep(0.6)
+        with _announced_elsewhere(batcher):
+            with pytest.raises(DeadlineExceeded):
+                batcher.submit(
+                    ScreeningRequest(population=_lot(session)),
+                    timeout=0.05)
+            # Withdrawn before the linger window flushed: never
+            # executed.
+            assert batcher.queue_depth == 0
+            time.sleep(0.6)
         assert session.submitted == submitted
     finally:
         batcher.close()
@@ -280,18 +305,20 @@ def test_submit_deadline_withdraws_queued_request(session):
 def test_max_queue_sheds_load(session):
     batcher = CoalescingBatcher(session, window=0.5, max_queue=1)
     try:
-        background = threading.Thread(
-            target=lambda: batcher.submit(
-                ScreeningRequest(population=_lot(session))))
-        background.start()
-        deadline = time.monotonic() + 5.0
-        while batcher.queue_depth == 0 \
-                and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert batcher.queue_depth == 1
-        with pytest.raises(QueueFull) as excinfo:
-            batcher.submit(ScreeningRequest(population=_lot(session)))
-        assert excinfo.value.retry_after > 0
+        with _announced_elsewhere(batcher):
+            background = threading.Thread(
+                target=lambda: batcher.submit(
+                    ScreeningRequest(population=_lot(session))))
+            background.start()
+            deadline = time.monotonic() + 5.0
+            while batcher.queue_depth == 0 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert batcher.queue_depth == 1
+            with pytest.raises(QueueFull) as excinfo:
+                batcher.submit(
+                    ScreeningRequest(population=_lot(session)))
+            assert excinfo.value.retry_after > 0
         background.join(timeout=30.0)
     finally:
         batcher.close()

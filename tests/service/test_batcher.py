@@ -1,5 +1,6 @@
 """Coalescing batcher: packed passes, slices bit-identical to solo."""
 
+import re
 import threading
 
 import numpy as np
@@ -347,3 +348,134 @@ def test_group_error_propagates_to_every_member(session):
         assert bad.error is not None
     finally:
         batcher.close()
+
+
+# ----------------------------------------------------------------------
+# The linger: only while an announced request is on its way
+# ----------------------------------------------------------------------
+def _linger_counts(metrics):
+    """Flushes per linger reason, from the ``batcher_linger_seconds``
+    histograms."""
+    counts = {}
+    for key, series in metrics.snapshot()["histograms"].items():
+        match = re.fullmatch(r'batcher_linger_seconds\{reason="(\w+)"\}',
+                             key)
+        if match:
+            counts[match.group(1)] = series["count"]
+    return counts
+
+
+def test_lone_request_flushes_without_lingering(session):
+    """Nothing announced: a 10 s window costs a lone request nothing."""
+    lot = _lots(session.engine.config.golden_spec, seeds=(18,),
+                dies=2)[0]
+    solo = session.submit(ScreeningRequest(population=lot))
+    metrics = MetricsRegistry()
+    batcher = CoalescingBatcher(session, window=10.0, metrics=metrics)
+    try:
+        result = batcher.submit(ScreeningRequest(population=lot),
+                                timeout=2.0)
+    finally:
+        batcher.close()
+    np.testing.assert_array_equal(result.ndfs, solo.ndfs)
+    assert _linger_counts(metrics) == {"alone": 1}
+
+
+def test_announced_request_joins_the_lingering_flush(session,
+                                                    monkeypatch):
+    """A request announced before the first one queues joins its
+    flush: one pass with both, every run, whatever the timing."""
+    from repro.obs import tracing
+
+    lots = _lots(session.engine.config.golden_spec, seeds=(19, 20),
+                 dies=3)
+    solo = [session.submit(ScreeningRequest(population=lot))
+            for lot in lots]
+    metrics = MetricsRegistry()
+    batcher = CoalescingBatcher(session, window=10.0, metrics=metrics)
+    # The worker enters its linger holding the lock, so once this is
+    # set a submit can only run while the linger waits.
+    lingering = threading.Event()
+    linger = batcher._linger
+
+    def signalling_linger():
+        lingering.set()
+        return linger()
+
+    monkeypatch.setattr(batcher, "_linger", signalling_linger)
+    results = {}
+    first = threading.Thread(target=lambda: results.setdefault(
+        0, batcher.submit(ScreeningRequest(population=lots[0]),
+                          timeout=30)))
+    try:
+        with tracing() as tracer:
+            with batcher.arriving():
+                first.start()
+                # The first request queues, and its flush lingers on
+                # this thread's announcement.
+                assert lingering.wait(timeout=30)
+                results[1] = batcher.submit(
+                    ScreeningRequest(population=lots[1]), timeout=30)
+            first.join(timeout=30)
+    finally:
+        batcher.close()
+    flushes = [r for r in tracer.records() if r.name == "batcher.flush"]
+    assert [f.attributes["clients"] for f in flushes] == [2]
+    lingers = [r for r in tracer.records() if r.name == "batcher.linger"]
+    assert [r.attributes["reason"] for r in lingers] == ["joined"]
+    assert lingers[0].attributes["waited_s"] < 10.0
+    assert _linger_counts(metrics) == {"joined": 1}
+    for index, reference in enumerate(solo):
+        np.testing.assert_array_equal(results[index].ndfs,
+                                      reference.ndfs)
+
+
+def test_window_caps_the_linger_on_an_announcement_that_never_arrives(
+        session):
+    lot = _lots(session.engine.config.golden_spec, seeds=(21,),
+                dies=1)[0]
+    metrics = MetricsRegistry()
+    batcher = CoalescingBatcher(session, window=0.05, metrics=metrics)
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with batcher.arriving():
+            held.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert held.wait(timeout=30)
+        result = batcher.submit(ScreeningRequest(population=lot),
+                                timeout=30)
+    finally:
+        release.set()
+        holder.join()
+        batcher.close()
+    assert result.num_dies == 1
+    histogram = metrics.histogram("batcher_linger_seconds",
+                                  reason="window")
+    assert histogram.count == 1
+    assert histogram.total >= 0.05
+    # Leaving the block without submitting withdrew the announcement.
+    assert not batcher._arrivals
+
+
+def test_close_ends_a_linger_and_flushes_what_is_queued(session):
+    lot = _lots(session.engine.config.golden_spec, seeds=(22,),
+                dies=1)[0]
+    metrics = MetricsRegistry()
+    batcher = CoalescingBatcher(session, window=10.0, metrics=metrics)
+    results = []
+    with batcher.arriving():
+        queued = threading.Thread(target=lambda: results.append(
+            batcher.submit(ScreeningRequest(population=lot))))
+        queued.start()
+        with batcher._cond:
+            assert batcher._cond.wait_for(lambda: batcher._queue,
+                                          timeout=30)
+        batcher.close()
+    queued.join(timeout=30)
+    assert len(results) == 1 and results[0].num_dies == 1
+    assert _linger_counts(metrics) == {"closed": 1}

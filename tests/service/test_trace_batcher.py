@@ -46,7 +46,9 @@ def _lot(seed, dies=5):
 def test_concurrent_clients_one_flush_span_n_slices(session, tracer):
     clients = 3
     barrier = threading.Barrier(clients)
-    batcher = CoalescingBatcher(session, window=0.2)
+    # Every client announces before any submits, so the first flush
+    # lingers until all three have queued; the window only caps it.
+    batcher = CoalescingBatcher(session, window=10.0)
     rids = [new_request_id() for __ in range(clients)]
     results = {}
 
@@ -54,8 +56,9 @@ def test_concurrent_clients_one_flush_span_n_slices(session, tracer):
         request = ScreeningRequest(
             population=_lot(seed=index), band=THRESHOLD,
             client=f"client-{index}", request_id=rids[index])
-        barrier.wait()
-        results[index] = batcher.submit(request, timeout=30)
+        with batcher.arriving():
+            barrier.wait()
+            results[index] = batcher.submit(request, timeout=30)
 
     try:
         threads = [threading.Thread(target=submit, args=(i,))
