@@ -26,6 +26,11 @@ Proofs for the batched campaign engine:
   returns the exact public kernels' codes at least 2x faster on
   traces+encode, computes at most 25% of the columns per die on a
   sigma = 0.03 lot, and stays exact on a sigma = 0.15 lot;
+* **fleet-NDF kernel** -- on a 256-die lot at 512 samples,
+  ``SignatureBatch.ndf_to`` with its lane sums (numpy's pairwise order,
+  no per-row loop) takes at most 0.8x the time of the same kernel with
+  the lane probe forced to fail (``np.sum`` row by row), and both
+  return the scalar ``ndf()`` loop's NDFs bit for bit;
 * **Monte-Carlo build** -- ``MonteCarloFleet.chunks`` draws a
   4,096-die range (array evaluation of the seeding) at least 3x faster
   than numpy's per-die reference, with bit-identical deviations,
@@ -53,6 +58,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.analysis import (
     Comparison,
@@ -307,6 +313,86 @@ def test_signature_ndf_stage_speedup(bench_setup, report_writer):
 
     assert identical
     assert speedup >= required
+
+
+def test_fleet_ndf_kernel_cost(bench_setup, report_writer,
+                              monkeypatch):
+    """The fleet-NDF kernel's lane sums vs its row-by-row fallback.
+
+    The packed rows of a 256-die lot screened at 512 samples (the
+    certified front half, one engine chunk) are scored by
+    ``SignatureBatch.ndf_to`` twice per round, alternating: once with
+    the per-row sums in numpy's pairwise order (the lane model), once
+    with the lane probe forced to fail, so every row is summed by
+    ``np.sum`` on its own.  Each call gets a fresh batch object, so
+    both pay for the padded layout.  Both must equal the scalar
+    ``ndf()`` loop bit for bit, and the lane path must take at most
+    0.8x the fallback's time.
+    """
+    from repro.core import signature_batch
+    from repro.core.ndf import ndf
+    from repro.core.signature_batch import SignatureBatch
+
+    if not signature_batch._lane_model_agrees():
+        pytest.skip("the lane probe rejects this numpy's summation "
+                    "order, so every ndf_to call sums row by row")
+    n, rounds = 256, 31
+    engine = bench_setup.campaign_engine(samples_per_period=512,
+                                         cache=GoldenCache())
+    golden = engine.golden().signature
+    rows = engine.run(montecarlo_dies(bench_setup.golden_spec, n,
+                                      sigma_f0=0.03, seed=53),
+                      band=None, keep_signatures=True).signature_batch
+    scalar = np.asarray([ndf(row, golden) for row in rows.to_signatures()])
+
+    def timed():
+        batch = SignatureBatch(rows.codes, rows.durations,
+                               rows.row_offsets, rows.periods)
+        start = time.perf_counter()
+        values = batch.ndf_to(golden)
+        return time.perf_counter() - start, values
+
+    times = {"lanes": [], "row_loop": []}
+    values = {}
+    for __ in range(rounds):
+        for path in times:
+            monkeypatch.setattr(signature_batch, "_lanes_agree",
+                                path == "lanes")
+            elapsed, values[path] = timed()
+            times[path].append(elapsed)
+    per_die = {path: float(np.median(spent)) / n * 1e6
+               for path, spent in times.items()}
+    ratio = per_die["lanes"] / per_die["row_loop"]
+    identical = {path: values[path].tobytes() == scalar.tobytes()
+                 for path in values}
+    required = 0.8
+
+    report_writer("campaign_fleet_ndf_kernel", "\n".join([
+        banner(f"CAMPAIGN: fleet-NDF kernel ({n} dies, 512 samples)"),
+        format_table(["quantity", "value"], [
+            ["lane sums", f"{per_die['lanes']:.2f} us/die"],
+            ["row-by-row np.sum", f"{per_die['row_loop']:.2f} us/die"],
+            ["ratio", f"{ratio:.2f}"]]),
+        "",
+        comparison_table([
+            Comparison("lane / row-loop time", f"<= {required}",
+                       f"{ratio:.2f}", match=ratio <= required),
+            Comparison("NDFs vs scalar ndf()", "bit-identical",
+                       str(all(identical.values())),
+                       match=all(identical.values())),
+        ]),
+    ]))
+    _write_json("campaign_fleet_ndf_kernel", {
+        "dies": n,
+        "samples_per_period": 512,
+        "rounds": rounds,
+        "us_per_die": per_die,
+        "ratio": ratio,
+        "bit_identical": identical,
+    })
+
+    assert all(identical.values())
+    assert ratio <= required
 
 
 def test_e2e_campaign_speedup_vs_pr1_pipeline(bench_setup,

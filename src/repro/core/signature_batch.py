@@ -20,7 +20,9 @@ N dies at once in CSR (compressed sparse row) layout:
 Construction from a stacked ``(N, samples)`` zone-code array is a
 single vectorized run-length pass (:meth:`from_code_stack`), and
 :meth:`ndf_to` scores every row against a shared golden signature in
-one flat kernel -- no per-die ``np.unique`` breakpoint merges.
+one kernel over the rows padded to a ``(N, max_runs)`` layout (cached
+on the batch) -- no per-die ``np.unique`` breakpoint merges and no
+per-row Python loop.
 Conversion to per-die :class:`Signature` objects happens only at the
 diagnosis edges (:meth:`to_signatures`, :meth:`row`).
 
@@ -42,9 +44,15 @@ everywhere it matters, so for the same code stack:
   ``np.cumsum`` over each row's durations);
 * :meth:`ndf_to` equals :func:`repro.core.ndf.ndf` against the same
   golden **bit for bit**: the merged partition, interval widths,
-  Hamming terms and even the final per-row summation (``np.sum`` over a
-  contiguous slice of the same length) reproduce the scalar metric's
-  exact operations.
+  Hamming terms and even the final per-row summation reproduce the
+  scalar metric's exact operations.  Rows are summed in numpy's
+  pairwise order by a lane model (:func:`_pairwise_row_sums`: eight
+  lane accumulators, then the tail in order) that a once-per-process
+  probe checks against ``np.sum`` on rows of every length from 1 to
+  128.  A row of more than 128 terms (numpy splits those in two) is
+  summed by ``np.sum`` itself; so is every row if the probe fails,
+  and those rows count in ``ndf_fallback_rows_total`` on the
+  process-default registry.
 
 The campaign equivalence tests assert all three; the full contract is
 written out in ``docs/paper_map.md``.  K-channel stacks of this batch
@@ -53,11 +61,22 @@ live in :mod:`repro.core.multi_signature_batch`.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.signature import Signature, SignatureEntry
+from repro.obs.metrics import default_registry
+
+
+class _PaddedRows(NamedTuple):
+    """A batch's rows padded to its longest row (see
+    :meth:`SignatureBatch._padded`)."""
+
+    starts: np.ndarray        # (N, W) run starts, +inf past each row
+    codes: np.ndarray         # (N, W) zone codes, 0 past each row
+    counts: np.ndarray        # (N,) runs per row
+    period: Optional[float]   # the rows' one period, None if they differ
 
 
 class SignatureBatch:
@@ -99,7 +118,12 @@ class SignatureBatch:
             raise ValueError("row_offsets must be monotone, start at 0, "
                              "end at the run count, and give every row "
                              "at least one run")
-        self._starts: np.ndarray = None  # lazy; see start_times()
+        self._rows: Optional[_PaddedRows] = None  # see _padded()
+
+    def __getstate__(self) -> dict:
+        # Pool workers send batches home: the padded layout is rebuilt
+        # where it is needed instead of riding along.
+        return dict(self.__dict__, _rows=None)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -243,29 +267,47 @@ class SignatureBatch:
 
         Row ``i``'s slice equals ``Signature._starts[:-1]`` of the
         unpacked row: a 0 head followed by the sequential ``np.cumsum``
-        of the row's durations.  Computed once over a zero-padded
-        ``(N, max_runs)`` stack -- trailing zeros never perturb the
-        prefix sums, so each row's cumsum is bit-identical to the
-        scalar one -- then gathered back to CSR.
+        of the row's durations.  Read from the cached padded layout
+        (:meth:`_padded`).
         """
-        if self._starts is None:
-            counts = self.runs_per_row
+        rows = self._padded()
+        if rows.starts.size == self.codes.size:
+            return rows.starts.reshape(-1)
+        return rows.starts[np.arange(rows.starts.shape[1])
+                           < rows.counts[:, None]]
+
+    def _padded(self) -> "_PaddedRows":
+        """The ``(N, max_runs)`` layout the NDF kernel reads (cached).
+
+        Starts are computed once over the zero-padded durations --
+        trailing zeros never perturb the prefix sums, so each row's
+        cumsum is bit-identical to the scalar one -- and their padding
+        is then set to +inf.  A batch whose rows all have the same run
+        count views ``codes`` and ``durations`` without copying them.
+        """
+        if self._rows is None:
             n = len(self)
-            if n == 0 or self.codes.size == 0:
-                self._starts = np.zeros(self.codes.size)
-                return self._starts
-            local = (np.arange(self.codes.size)
-                     - np.repeat(self.row_offsets[:-1], counts))
-            rows = np.repeat(np.arange(n), counts)
-            padded = np.zeros((n, int(counts.max())))
-            padded[rows, local] = self.durations
-            csums = np.cumsum(padded, axis=1)
-            starts = np.empty(self.codes.size)
-            starts[self.row_offsets[:-1]] = 0.0
-            inner = local > 0
-            starts[inner] = csums[rows[inner], local[inner] - 1]
-            self._starts = starts
-        return self._starts
+            counts = self.runs_per_row
+            runs = int(counts.max(initial=0))
+            if n and counts.min() == runs:
+                valid = None
+                codes = self.codes.reshape(n, runs)
+                durations = self.durations.reshape(n, runs)
+            else:
+                valid = np.arange(runs) < counts[:, None]
+                codes = np.zeros((n, runs), dtype=np.int64)
+                codes[valid] = self.codes
+                durations = np.zeros((n, runs))
+                durations[valid] = self.durations
+            starts = np.zeros((n, runs))
+            np.cumsum(durations[:, :-1], axis=1, out=starts[:, 1:])
+            if valid is not None:
+                starts[~valid] = np.inf
+            period = None
+            if n and np.all(self.periods == self.periods[0]):
+                period = float(self.periods[0])
+            self._rows = _PaddedRows(starts, codes, counts, period)
+        return self._rows
 
     # ------------------------------------------------------------------
     # The fleet-NDF kernel
@@ -273,24 +315,25 @@ class SignatureBatch:
     def ndf_to(self, golden: Signature) -> np.ndarray:
         """Exact NDF of every row against a shared golden signature.
 
-        One flat pass over all rows, replacing N ``np.unique``
-        breakpoint merges with one flat ``np.searchsorted`` plus
-        integer rank bookkeeping:
+        One pass over the padded ``(rows, runs)`` layout
+        (:meth:`_padded`), with no per-row Python work and no
+        ``np.unique`` breakpoint merges:
 
-        1. one ``searchsorted`` of the concatenated observed start
-           array onto the golden's starts yields, per observed event,
-           the golden code in force and the event's rank among the
-           golden breakpoints; the dual ranks -- how many observed
-           starts precede each golden breakpoint in each row -- follow
-           from a per-row histogram of those ranks (pure integer math,
-           so the merge order is exact even for breakpoints one ulp
-           apart);
-        2. the ranks give each event's position in its row's merged
-           partition directly, so the merge is a scatter -- no sort;
-        3. duplicate instants collapse (keeping the event that already
-           carries both post-change codes), widths close each row at
-           the period, and the Hamming-weighted widths segment-reduce
-           by row.
+        1. one ``searchsorted`` of the padded starts onto the golden's
+           starts places observed event ``j`` of a row at merged
+           instant ``j`` plus the number of golden starts strictly
+           before it (observed first on a tie, so the merge order is
+           exact integer bookkeeping even for breakpoints one ulp
+           apart); a ``(rows, runs + k)`` mask marks those instants,
+           and its running count names the observed and the golden run
+           in force at every merged instant;
+        2. the earlier instant of every tie is dropped (the later one
+           already carries both post-change codes); each kept instant's
+           interval runs to the next kept one, a row's last to the
+           period;
+        3. each row's Hamming-weighted widths are summed in numpy's
+           pairwise order (:func:`_pairwise_row_sums`) over the padded
+           rows.
 
         Every interval width, Hamming term and per-row summation
         reproduces :func:`repro.core.ndf.ndf`'s floating-point
@@ -305,83 +348,70 @@ class SignatureBatch:
         if n == 0:
             return np.empty(0)
         period = golden.period
-        if not np.allclose(self.periods, period, rtol=1e-6):
+        rows = self._padded()
+        if rows.period is not None:
+            # np.allclose(self.periods, period, rtol=1e-6), for one
+            # shared period.
+            same = (rows.period == period
+                    or abs(rows.period - period)
+                    <= 1e-8 + 1e-6 * abs(period))
+        else:
+            same = np.allclose(self.periods, period, rtol=1e-6)
+        if not same:
             raise ValueError(
                 "signatures have different periods; resample to a "
                 "common period first")
-        s = self.start_times()                    # flat observed starts
-        c = self.codes
-        off = self.row_offsets
-        counts = self.runs_per_row
-        rowidx = np.repeat(np.arange(n), counts)
+        starts, codes = rows.starts, rows.codes
         g = golden._starts[:-1]                   # golden starts (k,)
-        gc = golden._codes
-        k = g.size
+        runs = starts.shape[1]
+        width = runs + g.size
+        cols = np.arange(width)
 
-        # Golden code in force at each observed event (changes landing
-        # exactly on the event instant included), and the event's rank
-        # among the golden starts (strictly-earlier golden events).
-        g_at_obs = gc[np.searchsorted(g, s, side="right") - 1]
-        obs_rank = np.searchsorted(g, s, side="left")
-
-        # Dual ranks without a second float comparison: within a row,
-        # ``s_i <= g_j``  iff  ``obs_rank_i <= j`` (g is sorted), so
-        # the number of observed events at or before each golden
-        # breakpoint is the running histogram of obs_rank -- exact
-        # integer arithmetic, immune to ulp-level float coincidences.
-        hist = np.bincount(rowidx * (k + 1) + obs_rank,
-                           minlength=n * (k + 1)).reshape(n, k + 1)
-        gold_rank = np.cumsum(hist, axis=1)[:, :k].ravel()
-        growidx = np.repeat(np.arange(n), k)
-        obs_at_gold = c[off[growidx] + gold_rank - 1]
-        g_tiled = np.tile(g, n)
-        gc_tiled = np.tile(gc, n)
-
-        # Scatter both event families into the merged partition.  An
-        # event's merged position is its own index plus the other
-        # family's rank; the strict/inclusive rank pair breaks
-        # start-time ties consistently (observed first), so positions
-        # never collide.
-        merged_off = off + np.arange(n + 1) * k
-        pos_obs = np.arange(s.size) + rowidx * k + obs_rank
-        pos_gold = (off[growidx] + growidx * k
-                    + np.tile(np.arange(k), n) + gold_rank)
-        total = s.size + n * k
-        times_m = np.empty(total)
-        obs_m = np.empty(total, dtype=np.int64)
-        gold_m = np.empty(total, dtype=np.int64)
-        times_m[pos_obs] = s
-        times_m[pos_gold] = g_tiled
-        obs_m[pos_obs] = c
-        obs_m[pos_gold] = obs_at_gold
-        gold_m[pos_obs] = g_at_obs
-        gold_m[pos_gold] = gc_tiled
+        # Merge every row's starts with golden's, row after row in
+        # (runs + k)-wide slots of one flat array: observed start j
+        # goes to slot j + (golden starts strictly before it), so an
+        # observed start comes first on a tie.  Padding starts are
+        # +inf and land past a row's runs + k real instants.
+        at = np.searchsorted(g, starts, side="left")
+        at += np.arange(0, n * width, width)[:, None] + cols[:runs]
+        marks = np.zeros(n * width, dtype=np.intp)
+        marks[at] = 1
+        marks[0] -= 1
+        # Counted from -1, the marks give the flat index of the
+        # observed run in force at every merged instant; the instants
+        # up to it that are not observed are golden, which gives the
+        # golden run in force (-1 at a row's instant 0, whose observed
+        # start ties golden's and is dropped below).
+        run = np.cumsum(marks).reshape(n, width)
+        gold = cols + np.arange(-1, n * runs - 1, runs)[:, None] - run
+        times = g.take(gold)
+        times.reshape(-1)[at] = starts
+        distances = np.bitwise_count(
+            codes.reshape(-1).take(run) ^ golden._codes.take(gold))
 
         # Collapse duplicate instants exactly like the scalar metric's
-        # np.unique: drop the earlier event of a tie (the later one
-        # already carries both post-change codes).  Rows never bleed
-        # into each other -- each row's last event is always kept.
-        keep = np.ones(total, dtype=bool)
-        if total > 1:
-            keep[:-1] = times_m[1:] != times_m[:-1]
-        keep[merged_off[1:] - 1] = True
-        kept = np.flatnonzero(keep)
-        t_k = times_m[kept]
-        obs_k = obs_m[kept]
-        gold_k = gold_m[kept]
-        cum_keep = np.concatenate([[0], np.cumsum(keep)])
-        off_k = cum_keep[merged_off]
-        row_last = off_k[1:] - 1
-        row_first = off_k[:-1]
+        # np.unique: keep the last instant of every tie.  A row's
+        # last real instant is followed by its +inf padding, or ends a
+        # full row.
+        flat = times.reshape(-1)
+        keep = np.empty(n * width, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=keep[:-1])
+        keep.reshape(n, width)[:, -1] = rows.counts == runs
+        kept_at = np.flatnonzero(keep)
+        ends = np.searchsorted(kept_at,
+                               np.arange(width, n * width + 1, width))
+        kept = np.diff(ends, prepend=0)
+        t = flat.take(kept_at)
+        d = distances.reshape(-1).take(kept_at)
 
-        # Interval widths: to the next merged instant, the last one to
+        # Interval widths: to the next kept instant, the last one to
         # the period -- the same subtractions as np.diff over the
         # scalar path's [cuts..., period].
-        nxt = np.empty(t_k.size)
-        if t_k.size > 1:
-            nxt[:-1] = t_k[1:]
-        nxt[row_last] = period
-        widths = nxt - t_k
+        nxt = np.empty_like(t)
+        nxt[:-1] = t[1:]
+        nxt[ends - 1] = period
+        widths = nxt - t
+        terms = d * widths
 
         # The scalar metric evaluates both code functions at the
         # interval *midpoints*.  For any interval wider than one ulp
@@ -391,25 +421,100 @@ class SignatureBatch:
         # ``code_at``'s right-sided search then reads the *next*
         # interval's state (wrapping to the row's first state past the
         # period).  Emulate that rounding exactly.
-        mids = t_k + 0.5 * widths
-        source = np.arange(t_k.size)
-        bump = mids == nxt
-        source[bump] = source[bump] + 1
-        last_bumped = row_last[bump[row_last]]
-        source[last_bumped] = row_first[bump[row_last]]
-        distances = np.bitwise_count(
-            np.bitwise_xor(obs_k[source],
-                           gold_k[source])).astype(np.int64)
-        contributions = distances * widths
+        mids = widths * 0.5
+        mids += t
+        bumped = np.flatnonzero(mids == nxt)
+        if bumped.size:
+            source = bumped + 1
+            row = np.searchsorted(ends, bumped, side="right")
+            wrap = source == ends[row]
+            source[wrap] -= kept[row[wrap]]
+            terms[bumped] = d[source] * widths[bumped]
 
-        # Per-row reduction.  np.sum over a contiguous slice of the
-        # same length reproduces the scalar metric's pairwise-summation
-        # tree exactly; a reduceat here would be sequential and could
-        # drift by an ulp.
-        values = np.empty(n)
-        for i in range(n):
-            values[i] = contributions[off_k[i]:off_k[i + 1]].sum()
+        # Per-row reduction in numpy's pairwise order, over rows padded
+        # with zeros; np.sum row by row when this process's numpy
+        # failed the lane probe.
+        padded = np.zeros((n, _UNROLL * (int(kept.max()) // _UNROLL + 1)))
+        padded[np.arange(padded.shape[1]) < kept[:, None]] = terms
+        if _lane_model_agrees():
+            values = _pairwise_row_sums(padded, kept)
+        else:
+            default_registry().counter("ndf_fallback_rows_total").inc(
+                float(n))
+            values = np.asarray([row[:m].sum()
+                                 for row, m in zip(padded, kept)])
         return values / period
+
+
+#: numpy's pairwise summation of float64 (``pairwise_sum`` in its
+#: ``loops_utils.h.src``): a row under ``_UNROLL`` entries is summed in
+#: order from 0.0; a row of up to ``_PAIRWISE_BLOCK`` entries by
+#: ``_UNROLL`` lane accumulators, then its tail in order; a longer row
+#: is split in two, recursively.
+_UNROLL = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_row_sums(padded: np.ndarray, lengths: np.ndarray
+                       ) -> np.ndarray:
+    """``padded[i, :lengths[i]].sum()`` for every row, bit for bit.
+
+    ``padded`` is ``(N, 8m)`` with ``8m > lengths.max()`` and zeros
+    past each row's length; it is overwritten.  For a row of at most
+    :data:`_PAIRWISE_BLOCK` entries, lane ``j`` adds entries ``j, j +
+    8, ...`` of the row's leading multiple of eight in order (its tail
+    block is zeroed first, and zeros add exactly), the lanes combine as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the tail follows in
+    order.  A row shorter than eight has all-zero lanes, so it sums in
+    order from 0.0.  Longer rows go through ``np.sum`` itself.
+    """
+    n, span = padded.shape
+    long_rows = np.flatnonzero(lengths > _PAIRWISE_BLOCK)
+    long_sums = [padded[i, :lengths[i]].sum() for i in long_rows]
+    blocks = padded.reshape(-1, _UNROLL)
+    tail_at = np.arange(0, blocks.shape[0], span // _UNROLL) \
+        + lengths // _UNROLL
+    tail = blocks[tail_at]
+    blocks[tail_at] = 0.0
+    lanes = padded[:, :_UNROLL].copy()
+    for b in range(_UNROLL, min(span, _PAIRWISE_BLOCK), _UNROLL):
+        lanes += padded[:, b:b + _UNROLL]
+    pairs = lanes[:, 0::2] + lanes[:, 1::2]
+    pairs = pairs[:, 0::2] + pairs[:, 1::2]
+    values = pairs[:, 0] + pairs[:, 1]
+    for j in range(_UNROLL - 1):
+        values += tail[:, j]
+    values[long_rows] = long_sums
+    return values
+
+
+_lanes_agree: Optional[bool] = None
+
+
+def _lane_model_agrees() -> bool:
+    """Whether :func:`_pairwise_row_sums` matched ``np.sum`` on one row
+    of every length from 1 to :data:`_PAIRWISE_BLOCK` (checked once per
+    process).
+
+    The rows mix magnitudes over 24 binades, so summing them in any
+    other order changes the result in the last bits.  The probe also
+    registers ``ndf_fallback_rows_total`` (at 0) on the process-default
+    registry, so the counter shows before any fallback.
+    """
+    global _lanes_agree
+    if _lanes_agree is None:
+        default_registry().counter("ndf_fallback_rows_total")
+        lengths = np.arange(1, _PAIRWISE_BLOCK + 1)
+        span = _PAIRWISE_BLOCK + _UNROLL
+        index = np.arange(lengths.size * span, dtype=float)
+        values = (1.0 + (index * 0.6180339887498949) % 1.0) \
+            * np.exp2(index % 24.0 - 12.0)
+        padded = np.where(np.arange(span) < lengths[:, None],
+                          values.reshape(lengths.size, span), 0.0)
+        want = [row[:m].sum() for row, m in zip(padded, lengths)]
+        _lanes_agree = (_pairwise_row_sums(padded, lengths).tobytes()
+                        == np.asarray(want).tobytes())
+    return _lanes_agree
 
 
 def fleet_ndf(batch: SignatureBatch, golden: Signature) -> np.ndarray:

@@ -34,7 +34,7 @@ dictionary can actually tell apart.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,6 +153,8 @@ class FaultDictionary:
     num_bits: int
     period: float
     threshold: Optional[float] = None
+    _signatures: Optional[List[Signature]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.ndfs = np.asarray(self.ndfs, dtype=float)
@@ -173,6 +175,17 @@ class FaultDictionary:
     def signature(self, i: int) -> Signature:
         """Unpack fault ``i``'s signature (report edge only)."""
         return self.batch.row(i)
+
+    def signatures(self) -> List[Signature]:
+        """Every fault's signature, unpacked once per dictionary.
+
+        They are the references each NDF column of the matcher scores
+        against.  Threads sharing a dictionary (the service's handlers)
+        may both unpack it on a first call; either list is the same.
+        """
+        if self._signatures is None:
+            self._signatures = self.batch.to_signatures()
+        return self._signatures
 
     def detectable(self, threshold: Optional[float] = None) -> np.ndarray:
         """Boolean mask of faults the decision band flags at all.

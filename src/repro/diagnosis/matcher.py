@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.multi_signature_batch import MultiSignatureBatch
 from repro.core.ndf import ndf as scalar_ndf
-from repro.core.signature import Signature
 from repro.core.signature_batch import SignatureBatch
 from repro.diagnosis.dictionary import (
     FaultDictionary,
@@ -86,14 +85,6 @@ class DictionaryMatcher:
 
     def __init__(self, dictionary: FaultDictionary) -> None:
         self.dictionary = dictionary
-        # Fault signatures are unpacked once per matcher: they are the
-        # shared references every ndf_to column pass scores against.
-        self._fault_signatures: Optional[List[Signature]] = None
-
-    def _signatures(self) -> List[Signature]:
-        if self._fault_signatures is None:
-            self._fault_signatures = self.dictionary.batch.to_signatures()
-        return self._fault_signatures
 
     # ------------------------------------------------------------------
     def distance_matrix(self, batch: SignatureBatch,
@@ -108,7 +99,7 @@ class DictionaryMatcher:
             return np.empty((0, f))
         if metric == "ndf":
             columns = [batch.ndf_to(signature)
-                       for signature in self._signatures()]
+                       for signature in self.dictionary.signatures()]
             return np.stack(columns, axis=1)
         observed = dwell_features(batch, self.dictionary.num_bits)
         deltas = observed[:, None, :] - self.dictionary.features[None, :, :]
@@ -148,7 +139,7 @@ class DictionaryMatcher:
             raise ValueError(f"unknown metric {metric!r}; "
                              f"choose from {_METRICS}")
         rows = []
-        references = self._signatures()
+        references = self.dictionary.signatures()
         for observed in batch.to_signatures():
             if metric == "ndf":
                 rows.append([scalar_ndf(observed, reference)

@@ -86,6 +86,11 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 #: to answer their current request.
 CLOSE_GRACE = 5.0
 
+#: Seconds between the accept loop's checks for a shutdown request:
+#: the longest :meth:`ScreeningServer.close` (and ``drain``) waits for
+#: the loop to stop.  ``serve_forever``'s own default is 0.5 s.
+POLL_INTERVAL = 0.05
+
 
 class BadRequest(ValueError):
     """Client-side request error (rendered as HTTP 400)."""
@@ -320,7 +325,8 @@ class ScreeningServer(ThreadingHTTPServer):
     def start(self) -> "ScreeningServer":
         """Serve in a background thread (tests, embedded use)."""
         self._serve_thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve", daemon=True)
+            target=self.serve_forever, args=(POLL_INTERVAL,),
+            name="repro-serve", daemon=True)
         self._serve_thread.start()
         return self
 

@@ -16,9 +16,11 @@ from repro.campaign import (
 from repro.core.capture import AsyncCapture, CaptureConfig
 from repro.core.ndf import ndf
 from repro.core.signature import Signature
+from repro.core import signature_batch
 from repro.core.signature_batch import SignatureBatch, fleet_ndf
 from repro.filters.biquad import BiquadFilter
 from repro.monitor.configurations import table1_encoder
+from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.paper import PAPER_BIQUAD, PAPER_STIMULUS
 
 pytestmark = pytest.mark.campaign
@@ -152,6 +154,128 @@ def test_fleet_ndf_handles_hand_built_signatures():
     packed = SignatureBatch.from_signatures(rows)
     expected = np.asarray([ndf(r, golden) for r in rows])
     assert np.array_equal(packed.ndf_to(golden), expected)
+
+
+def _score_both(rows, golden):
+    """(kernel NDFs, scalar NDFs) of ``rows`` against ``golden``."""
+    packed = SignatureBatch.from_signatures(rows).ndf_to(golden)
+    return packed, np.asarray([ndf(row, golden) for row in rows])
+
+
+def test_midpoint_rule_reads_the_next_interval():
+    """A one-ulp interval whose rounded midpoint is its right end.
+
+    ``t1 = nextafter(0.25, 1)`` has an odd mantissa, so the midpoint of
+    ``[t1, t1 + ulp)`` rounds half-even onto ``t1 + ulp``, and the
+    scalar metric reads that interval's codes (3 against 3) instead of
+    its own (0 against 3).
+    """
+    t1 = np.nextafter(0.25, 1.0)
+    t2 = np.nextafter(t1, 1.0)
+    assert t1 + 0.5 * (t2 - t1) == t2
+    golden = Signature.from_transitions(1, [(t1, 3)], 1.0)
+    observed = Signature.from_transitions(0, [(t2, 3)], 1.0)
+    other = Signature.from_transitions(0, [(0.5, 3)], 1.0)
+    packed, scalar = _score_both([other, observed, other], golden)
+    assert packed.tobytes() == scalar.tobytes()
+    assert packed[1] == 0.25000000000000006
+    # Weighing the interval by its own codes gives another number.
+    assert packed[1] != np.sum([1 * t1, 2 * (t2 - t1), 0.0])
+
+
+def test_midpoint_rule_wraps_to_the_first_interval():
+    """The same rule on the last interval, one ulp below the period:
+    the midpoint rounds onto the period, and ``code_at`` wraps it to
+    t = 0, so the row's first interval's codes weigh it."""
+    last = np.nextafter(1.0, 0.0)
+    assert last + 0.5 * (1.0 - last) == 1.0
+    golden = Signature.from_transitions(2, [(0.5, 3)], 1.0)
+    observed = Signature.from_transitions(0, [(0.5, 3), (last, 4)], 1.0)
+    assert observed._starts[2] == last
+    other = Signature.from_transitions(1, [(0.25, 3)], 1.0)
+    packed, scalar = _score_both([observed, other, observed], golden)
+    assert packed.tobytes() == scalar.tobytes()
+    # First interval: 0 against 2, one bit; its own: 4 against 3.
+    assert packed[0] == 0.5 + 1 * (1.0 - last)
+    assert packed[0] != np.sum([1 * 0.5, 0.0, 3 * (1.0 - last)])
+
+
+def test_lane_probe_runs_without_numpy_random():
+    """The once-per-process probe builds its rows without importing
+    numpy.random (a cold-start cost)."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    probe = ("import sys; from repro.core import signature_batch as s; "
+             "print(s._lane_model_agrees(), 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    agrees, loaded = out.stdout.split()
+    assert agrees in ("True", "False")
+    assert loaded == "False"
+
+
+@pytest.fixture
+def registry():
+    fresh = MetricsRegistry()
+    previous = set_default_registry(fresh)
+    yield fresh
+    set_default_registry(previous)
+
+
+def test_lane_probe_failure_falls_back_row_by_row(registry, monkeypatch):
+    """A numpy whose sum order the lane model misses: every row is
+    summed by np.sum instead, with the same NDFs, and counted."""
+    from repro.campaign import CampaignEngine
+
+    engine = CampaignEngine.from_parts(table1_encoder(), PAPER_STIMULUS,
+                                       PAPER_BIQUAD,
+                                       samples_per_period=SAMPLES,
+                                       cache=GoldenCache())
+    dies = montecarlo_dies(PAPER_BIQUAD, 150, sigma_f0=0.1, seed=23)
+    lanes = engine.run(dies, band=0.05)
+    assert registry.counter("ndf_fallback_rows_total").value == 0.0
+    monkeypatch.setattr(signature_batch, "_lanes_agree", False)
+    fallback = engine.run(dies, band=0.05)
+    assert fallback.ndfs.tobytes() == lanes.ndfs.tobytes()
+    assert registry.counter("ndf_fallback_rows_total").value == 150.0
+
+
+def test_noise_rows_past_the_lane_block_match_scalar(monkeypatch):
+    """run_noise at the paper's 4096 samples makes rows of more than
+    128 merged intervals, which numpy splits in two: they still score
+    like the scalar metric."""
+    from repro.campaign import CampaignEngine
+
+    longest = []
+    kernel = SignatureBatch.ndf_to
+
+    def checked(batch, golden):
+        values = kernel(batch, golden)
+        rows = batch.to_signatures()
+        assert values.tobytes() == np.asarray(
+            [ndf(row, golden) for row in rows]).tobytes()
+        longest.append(max(
+            np.unique(np.concatenate([row.start_times(),
+                                      golden.start_times()])).size
+            for row in rows))
+        return values
+
+    monkeypatch.setattr(SignatureBatch, "ndf_to", checked)
+    engine = CampaignEngine.from_parts(table1_encoder(), PAPER_STIMULUS,
+                                       PAPER_BIQUAD,
+                                       samples_per_period=4096,
+                                       cache=GoldenCache())
+    engine.run_noise(montecarlo_dies(PAPER_BIQUAD, 2, sigma_f0=0.03,
+                                     seed=3), repeats=3, band=None)
+    assert max(longest) > signature_batch._PAIRWISE_BLOCK
 
 
 # ----------------------------------------------------------------------

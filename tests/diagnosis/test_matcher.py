@@ -1,5 +1,7 @@
 """Batched matcher: top-1 identification, reference parity, scaling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,34 @@ def test_fleet_of_1000_failing_dies_one_pass(engine, dictionary,
     groups = ambiguity_groups(
         dictionary, matrix=fault_distance_matrix(dictionary))
     assert diagnosis.group_accuracy(truth[failing], groups) >= 0.8
+
+
+def test_diagnoses_unpack_the_dictionary_once(engine, dictionary,
+                                              matcher, monkeypatch):
+    """Every ``CampaignResult.diagnose`` builds a new matcher; the
+    dictionary's fault rows are unpacked once for all of them."""
+    values = TowThomasValues.from_spec(PAPER_BIQUAD)
+    population, __ = perturbed_fault_fleet(
+        values, dictionary.faults, per_fault=1, sigma=0.02, seed=29)
+    result = engine.run(population, band=float(dictionary.threshold),
+                        keep_signatures=True)
+    fresh = replace(dictionary)          # nothing unpacked yet
+    unpacked = []
+    unpack = SignatureBatch.to_signatures
+
+    def counted(batch):
+        if batch is fresh.batch:
+            unpacked.append(batch)
+        return unpack(batch)
+
+    monkeypatch.setattr(SignatureBatch, "to_signatures", counted)
+    first = result.diagnose(fresh, top_k=3)
+    second = result.diagnose(fresh, top_k=3)
+    assert len(unpacked) == 1
+    expected = matcher.match(
+        result.signature_batch.select(result.failing_indices()), top_k=3)
+    for diagnosis in (first, second):
+        assert diagnosis.distances.tobytes() \
+            == expected.distances.tobytes()
+        assert np.array_equal(diagnosis.top_indices,
+                              expected.top_indices)

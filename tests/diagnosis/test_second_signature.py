@@ -219,6 +219,38 @@ def test_multi_matcher_stacked_and_combined(multi_dictionary):
     assert np.all(np.diag(combined) == 0.0)
 
 
+def test_multi_matchers_unpack_each_channel_once(multi_dictionary,
+                                                monkeypatch):
+    """Matchers built per diagnosis share their channels' unpacked
+    fault rows: each channel dictionary is unpacked once."""
+    from dataclasses import replace
+
+    from repro.core.signature_batch import SignatureBatch
+
+    fresh = MultiFaultDictionary(
+        [replace(channel) for channel in multi_dictionary.channels],
+        multi_dictionary.encoders)
+    batches = [channel.batch for channel in fresh.channels]
+    unpacked = [0] * len(batches)
+    unpack = SignatureBatch.to_signatures
+
+    def counted(batch):
+        for i, candidate in enumerate(batches):
+            unpacked[i] += batch is candidate
+        return unpack(batch)
+
+    monkeypatch.setattr(SignatureBatch, "to_signatures", counted)
+    observed = MultiSignatureBatch(batches)
+    first = MultiDictionaryMatcher(fresh).match(observed, top_k=3)
+    second = MultiDictionaryMatcher(fresh).match(observed, top_k=3)
+    assert unpacked == [1] * len(batches)
+    expected = MultiDictionaryMatcher(multi_dictionary).match(observed,
+                                                              top_k=3)
+    for result in (first, second):
+        assert result.distances.tobytes() == expected.distances.tobytes()
+        assert np.array_equal(result.top_indices, expected.top_indices)
+
+
 def test_multi_matcher_checks_channel_count(multi_dictionary,
                                             dictionary):
     matcher = MultiDictionaryMatcher(multi_dictionary)

@@ -2,9 +2,10 @@
 
 The batched kernel must inherit every invariant of the scalar
 :func:`repro.core.ndf.ndf` because it *is* the same metric, computed
-flat: on random populations it must match the per-die loop exactly,
-stay symmetric, vanish only on identical code functions, and be
-invariant under joint rotation.
+over padded rows: on random populations it must match the per-die loop
+exactly, stay symmetric, vanish only on identical code functions, and
+be invariant under joint rotation.  Its per-row sums must equal
+``np.sum`` bit for bit.
 """
 
 import numpy as np
@@ -13,7 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ndf import ndf
 from repro.core.signature import Signature
-from repro.core.signature_batch import SignatureBatch, fleet_ndf
+from repro.core.signature_batch import (
+    SignatureBatch,
+    _lane_model_agrees,
+    _pairwise_row_sums,
+    fleet_ndf,
+)
 
 PERIOD = 1.0
 
@@ -124,3 +130,29 @@ def test_bounded_by_code_width(population):
     values = SignatureBatch.from_signatures(rows).ndf_to(golden)
     assert np.all(values >= 0.0)
     assert np.all(values <= 6.0)  # 6-bit codes: dH <= 6
+
+
+@st.composite
+def term_rows(draw, max_rows=6, max_length=300):
+    """Rows of non-negative terms, as the kernel sums them: lengths on
+    both sides of the 8-entry lanes and the 128-entry block, zeros
+    mixed in."""
+    term = st.one_of(st.just(0.0),
+                     st.floats(min_value=1e-12, max_value=1e3))
+    return [draw(st.lists(term, min_size=1, max_size=max_length))
+            for _ in range(draw(st.integers(1, max_rows)))]
+
+
+@given(term_rows())
+@settings(max_examples=60, deadline=None)
+def test_row_sums_match_numpy_sum(rows):
+    if not _lane_model_agrees():
+        pytest.skip("this numpy sums in another order; the kernel sums "
+                    "row by row with np.sum")
+    lengths = np.asarray([len(row) for row in rows])
+    padded = np.zeros((len(rows), 8 * (lengths.max() // 8 + 1)))
+    for i, row in enumerate(rows):
+        padded[i, :len(row)] = row
+    expected = np.asarray([np.sum(row) for row in rows])
+    assert _pairwise_row_sums(padded, lengths).tobytes() \
+        == expected.tobytes()

@@ -4,6 +4,7 @@ announcement to the batcher never outlives its handler."""
 
 import http.client
 import json
+import time
 
 import pytest
 
@@ -148,6 +149,17 @@ def test_client_survives_a_server_restart_without_retrying(session):
             == first["ndfs"]
     finally:
         server.close()
+
+
+def test_close_right_after_a_request_is_prompt(session):
+    """close() waits one accept-loop poll at most for serve_forever to
+    stop, not serve_forever's default half second."""
+    server = _serve(session)
+    client = ServiceClient(server.url, client_id="close")
+    client.campaign(kind="mc", dies=1, seed=3)
+    start = time.perf_counter()
+    server.close()
+    assert time.perf_counter() - start < 0.25
 
 
 # ----------------------------------------------------------------------
