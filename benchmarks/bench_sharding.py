@@ -49,7 +49,7 @@ The checkpoint codec gates:
   codec.
 * **each row written once** --
   ``test_checkpointed_stream_writes_each_row_once`` traces the same
-  stream checkpointed with ``checkpoint_every=1``: its
+  stream checkpointed (one save per chunk): its
   ``checkpoint.save`` spans' ``bytes`` may sum to at most
   ``CHECKPOINT_WRITE_FACTOR`` times the final file.  The first save
   writes the log whole and every later one appends only the rows
@@ -475,7 +475,7 @@ def test_checkpointed_stream_writes_each_row_once():
         try:
             result = engine.run_stream(
                 fleet.chunks(0, CHECKPOINT_DIES), band=threshold,
-                checkpoint=path, checkpoint_every=1)
+                checkpoint=path)
         finally:
             wall_s = time.perf_counter() - start
             uninstall_tracer()

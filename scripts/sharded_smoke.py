@@ -162,7 +162,7 @@ def phase_b_cli_equivalence(args) -> None:
     def run(shards: int, *options: str) -> dict:
         placement = ["--shards", str(shards)]
         if shards > 1:
-            placement += ["--shard-chunk", str(args.chunk)]
+            placement += ["--chunk", str(args.chunk)]
         return _campaign_json(args, [*placement, *options])
 
     many, one = run(args.shards), run(1)

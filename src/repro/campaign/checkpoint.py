@@ -125,9 +125,9 @@ class StreamCheckpoint:
 
     The engine owns the instance: each screened part becomes a
     one-part record (:meth:`extend`) that the loop folds in
-    (:meth:`append`), the loop :meth:`save`\\ s it every
-    ``checkpoint_every`` chunks, and a resumed run reconstructs it
-    with :meth:`load` and keeps appending.
+    (:meth:`append`), the loop :meth:`save`\\ s it after every
+    chunk, and a resumed run reconstructs it with :meth:`load` and
+    keeps appending.
     ``next_index`` is the global index of the first unscreened die --
     the resume point.
 

@@ -530,14 +530,6 @@ def _merge_timing(total: Dict[str, float],
         total[key] = total.get(key, 0.0) + value
 
 
-def _check_stream_options(checkpoint_every: int,
-                          stream_offset: int) -> None:
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-    if stream_offset < 0:
-        raise ValueError("stream_offset must be >= 0")
-
-
 class CampaignEngine:
     """Runs signature-test campaigns over CUT populations.
 
@@ -796,9 +788,7 @@ class CampaignEngine:
                    band: Union[None, str, float, DecisionBand] = "auto",
                    keep_signatures: bool = False,
                    encoders: Optional[Sequence[ZoneEncoder]] = None,
-                   checkpoint: Optional[str] = None,
-                   checkpoint_every: int = 1,
-                   stream_offset: int = 0) -> CampaignResult:
+                   checkpoint: Optional[str] = None) -> CampaignResult:
         """Screen a stream of population chunks at bounded memory.
 
         ``chunks`` yields :class:`SpecPopulation` instances (or raw
@@ -816,41 +806,32 @@ class CampaignEngine:
 
         ``checkpoint`` names a file making the stream crash-safe:
         accumulated fleet stats plus the next global die index persist
-        there (atomically) every ``checkpoint_every`` chunks, and a
-        run that finds an existing checkpoint continues behind it --
-        fast-forwarding past the already-screened prefix (or trusting
-        ``stream_offset`` when the chunk stream itself restarts
-        mid-fleet).  The merged result is bit-identical to the
-        uninterrupted run; see :meth:`resume` and
+        there after every chunk (one appended, fsynced record), and a
+        run that finds an existing checkpoint continues behind it,
+        fast-forwarding past the already-screened prefix of the chunk
+        stream, which restarts from die 0.  The merged result is
+        bit-identical to the uninterrupted run; see :meth:`resume` and
         ``docs/persistence.md``.
         """
-        _check_stream_options(checkpoint_every, stream_offset)
         if encoders is not None:
             return self.with_encoders(encoders).run_stream(
-                chunks, band, keep_signatures, checkpoint=checkpoint,
-                checkpoint_every=checkpoint_every,
-                stream_offset=stream_offset)
+                chunks, band, keep_signatures, checkpoint=checkpoint)
         with self._campaign("stream"):
             return self._submit_parts(
                 chunks, band, keep_signatures, streamed=True,
-                checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-                stream_offset=stream_offset)
+                checkpoint=checkpoint)
 
     def resume(self, checkpoint: str, chunks: Iterable,
-               band: Union[None, str, float, DecisionBand] = "auto",
-               checkpoint_every: int = 1,
-               stream_offset: int = 0) -> CampaignResult:
+               band: Union[None, str, float, DecisionBand] = "auto"
+               ) -> CampaignResult:
         """Continue an interrupted checkpointed streamed campaign.
 
         ``checkpoint`` must exist (an interrupted :meth:`run_stream`
         left it); a missing file raises ``FileNotFoundError`` rather
         than silently starting over -- start-over is what a plain
         checkpointed :meth:`run_stream` does.  ``chunks`` re-supplies
-        the population stream: either restarted from die 0 (the
-        engine skips the screened prefix) or rebuilt mid-fleet with
-        ``stream_offset`` declaring its first global die index, e.g.
-        ``stream_montecarlo_dies(..., start=k)`` with
-        ``stream_offset=k``.  The returned result is bit-identical
+        the population stream restarted from die 0; the engine skips
+        the screened prefix.  The returned result is bit-identical
         (NDFs, verdicts, deviations, labels) to the uninterrupted
         run's -- global-index-stable seeding plus chunk-boundary-
         independent scoring make the merge exact.
@@ -858,12 +839,10 @@ class CampaignEngine:
         from repro.campaign.checkpoint import StreamCheckpoint
 
         state = StreamCheckpoint.load(checkpoint)  # must exist and parse
-        _check_stream_options(checkpoint_every, stream_offset)
         with self._campaign("stream"):
             return self._submit_parts(
                 chunks, band, False, streamed=True,
-                checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-                stream_offset=stream_offset, state=state)
+                checkpoint=checkpoint, state=state)
 
     @staticmethod
     def _lot_or_stream(population) -> Tuple[Iterable, bool]:
@@ -887,8 +866,6 @@ class CampaignEngine:
     def _submit_parts(self, population, band, keep_signatures: bool,
                       streamed: bool = False,
                       checkpoint: Optional[str] = None,
-                      checkpoint_every: int = 1,
-                      stream_offset: int = 0,
                       state=None) -> CampaignResult:
         """The parts loop behind every in-process campaign.
 
@@ -923,36 +900,24 @@ class CampaignEngine:
             if state is not None:
                 state.validate(config_key, threshold)
         if state is None:
-            # A fresh stream that starts mid-fleet (a rebuilt resume
-            # stream) covers [stream_offset, ...) -- the checkpoint
-            # names that range so partials can merge.
-            state = StreamCheckpoint(config_key, threshold,
-                                     start_index=stream_offset)
-        elif stream_offset < state.start_index:
+            state = StreamCheckpoint(config_key, threshold)
+        elif state.start_index != 0:
+            # Outside input, e.g. a workdir's shard_NNNN.npz.
             raise ValueError(
-                f"stream starts at global die {stream_offset} "
-                f"but the checkpoint covers dies from "
-                f"{state.start_index}: the prefix would merge into a "
-                "checkpoint that does not contain it")
-        # Dies already screened by a previous (interrupted) run that
-        # the restarted chunk stream will re-yield.
-        skip = state.next_index - stream_offset
-        if skip < 0:
-            raise ValueError(
-                f"stream starts at global die {stream_offset} "
-                f"but the checkpoint resumes at {state.next_index}: "
-                f"dies {state.next_index}..{stream_offset - 1} "
-                "would be missing")
+                f"the checkpoint covers dies from {state.start_index}, "
+                "but a stream starts at die 0: its prefix would merge "
+                "into a checkpoint that does not contain it")
         # Only spec populations carry ground-truth deviations; encoder
         # populations run in process (their per-die work is one vector
         # op, not worth shipping to a pool).
         deviations = True
         executor = getattr(self.executor, "name", "custom")
         batches: List[Union[SignatureBatch, MultiSignatureBatch]] = []
-        chunks_since_save = 0
+        # Skip the dies a previous (interrupted) run already screened:
+        # the restarted chunk stream re-yields them.
         for part, record, part_batches in self._screen_parts(
-                parts, config_key, threshold, stream_offset,
-                skip, keep_signatures, specs_only=streamed):
+                parts, config_key, threshold, skip=state.next_index,
+                collect=keep_signatures, specs_only=streamed):
             if not isinstance(part, SpecPopulation):
                 deviations = False
                 if isinstance(part, EncoderPopulation):
@@ -960,10 +925,7 @@ class CampaignEngine:
             batches += part_batches
             state.append(record)
             if checkpoint is not None:
-                chunks_since_save += 1
-                if chunks_since_save >= checkpoint_every:
-                    state.save(checkpoint)
-                    chunks_since_save = 0
+                state.save(checkpoint)
                 # Robustness-suite injection point: die *after* the
                 # checkpoint landed, before the next chunk is drawn.
                 fail_if_armed("stream.chunk.crash")

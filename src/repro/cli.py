@@ -123,17 +123,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="stream the population in bounded-"
                                "memory chunks (mc scenario)")
     campaign.add_argument("--chunk", type=_positive_int, default=1024,
-                          help="streamed chunk size (with --stream)")
+                          help="chunk size (with --stream or --shards)")
     campaign.add_argument("--checkpoint", metavar="PATH", default=None,
                           help="crash-safe streaming (with --stream): "
                                "persist partial fleet stats to PATH "
                                "and resume behind an existing "
                                "checkpoint, bit-identical to the "
                                "uninterrupted run")
-    campaign.add_argument("--checkpoint-every", type=_positive_int,
-                          default=1, metavar="N",
-                          help="chunks between checkpoint saves "
-                               "(default 1)")
     campaign.add_argument("--shards", type=_positive_int, default=None,
                           metavar="N",
                           help="split the campaign into N shards run "
@@ -141,10 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "rows they send home bit-identical to "
                                "the monolithic run (mc/sweep/grid "
                                "scenarios)")
-    campaign.add_argument("--shard-chunk", type=_positive_int,
-                          default=None, metavar="C",
-                          help="per-worker streamed chunk size (with "
-                               "--shards; default: --chunk)")
     campaign.add_argument("--listen", metavar="HOST:PORT",
                           default=None,
                           help="with --shards: accept remote TCP "
@@ -461,14 +453,12 @@ def _shard_fleet(setup, args):
     """
     from repro.shard import MonteCarloFleet, as_fleet
 
-    chunk = args.shard_chunk if args.shard_chunk is not None \
-        else args.chunk
     if args.scenario == "mc":
         return MonteCarloFleet(setup.golden_spec, args.dies,
                                sigma_f0=args.sigma, seed=args.seed,
-                               chunk_size=chunk)
+                               chunk_size=args.chunk)
     population, __ = _campaign_population(setup, args)
-    return as_fleet(population, chunk_size=chunk)
+    return as_fleet(population, chunk_size=args.chunk)
 
 
 def _campaign_executor(args):
@@ -539,10 +529,6 @@ def _cmd_campaign(setup, args) -> int:
         print("--second-signature needs a CUT population (the "
               "monitor-mc/corners scenarios vary the primary bank "
               "itself)", file=sys.stderr)
-        return 2
-    if args.shard_chunk is not None and args.shards is None:
-        print("--shard-chunk only applies to a sharded campaign; add "
-              "--shards N", file=sys.stderr)
         return 2
     if args.listen is not None and args.shards is None:
         print("--listen only applies to a sharded campaign; add "
@@ -621,9 +607,8 @@ def _cmd_campaign(setup, args) -> int:
             chunks = stream_montecarlo_dies(
                 setup.golden_spec, args.dies, chunk_size=args.chunk,
                 sigma_f0=args.sigma, seed=args.seed)
-            result = engine.run_stream(
-                chunks, band="auto", checkpoint=args.checkpoint,
-                checkpoint_every=args.checkpoint_every)
+            result = engine.run_stream(chunks, band="auto",
+                                       checkpoint=args.checkpoint)
         else:
             population, faults = _campaign_population(setup, args)
             result = engine.run(population, band="auto")

@@ -18,24 +18,29 @@ One :class:`ShardCoordinator` owns a sharded campaign end to end:
    protocol lines into one queue.  A worker that dials in mid-
    campaign -- a late rejoin -- is init-ed on accept and handed
    pending shards like any other.
-3. **Watch** -- workers heartbeat every ``heartbeat/2`` seconds and
-   report progress per screened chunk.  A worker whose channel closes
-   (pipe EOF, process exit, socket close/reset), that goes silent
-   past the heartbeat deadline, or that speaks an undecodable line
-   (protocol desync) is declared lost: its channel is torn down, its
-   shard goes back on the queue and -- pipe mode only -- a fresh
-   worker respawns into the slot (a dialled-in worker must redial).
+3. **Watch** -- a worker speaks only while it holds a shard: a
+   ``progress`` record per screened chunk, and a ``ping`` whenever
+   nothing else went out for ``heartbeat/2`` seconds.  A worker whose
+   channel closes (pipe EOF, process exit, socket close/reset), that
+   holds a shard and goes silent past the heartbeat deadline, or
+   that speaks an undecodable line (protocol desync) is declared
+   lost: its channel is torn down, its shard goes back on the queue
+   and -- pipe mode only -- a fresh worker respawns into the slot (a
+   dialled-in worker must redial).
 4. **Hold** -- the coordinator is the only holder of shard state.
    Every ``progress`` line carries the chunk's rows as a one-record
    :class:`StreamCheckpoint` log (a CRC-checked flat record), and the
    coordinator appends it to the shard's held rows in index order
    only: a record that fails its CRC, whose arrays disagree in
-   length, that does not start at the shard's next index, or a
-   ``done`` before the shard's last row, is a desync that loses the
-   worker, like an undecodable line.  A reassignment carries
-   ``resume_at``, the first row the coordinator does not hold, so it
-   **resumes, never restarts**, on either carrier, and no worker
-   writes a file.
+   length, that does not start at the shard's next index or that
+   names another campaign than this one's ``init`` did, is a desync
+   that loses the worker, like an undecodable line.  The record that
+   brings the held rows to the shard's ``hi`` completes the shard.
+   So every single lost line ends the campaign: a lost record leaves
+   a hole (a desync), and a lost last record or ``assign`` leaves
+   silence (a stall).  A reassignment carries ``resume_at``, the
+   first row the coordinator does not hold, so it **resumes, never
+   restarts**, on either carrier, and no worker writes a file.
 5. **Merge** -- one :meth:`StreamCheckpoint.merge` over the held
    shards reassembles the fleet in global-index order, bit-identical
    to the monolithic stream (proven by ``tests/shard/`` and the CI
@@ -48,7 +53,7 @@ Lifecycle metrics land in the process-default registry
 (``shard_dispatched_total`` / ``shard_completed_total`` /
 ``shard_reassigned_total`` / ``shard_merge_seconds``, plus
 ``shard_bytes_total`` per transport direction and
-``shard_rtt_seconds`` -- the assign-to-done round trip per shard,
+``shard_rtt_seconds`` -- the assign-to-last-row round trip per shard,
 which is also what feeds the autotuner --
 ``shard_record_decode_seconds``, one observation per row record
 decoded, and
@@ -57,11 +62,11 @@ pipe worker process); with tracing on, the whole campaign nests under a
 ``shard.campaign`` span whose ``shard.dispatch`` children carry
 ``(shard, worker, attempt)`` -- a re-dispatch is visible as
 ``attempt > 1`` -- and worker-side spans come home pid- and
-host-stamped through the ``done`` message.  Stopping workers is a
-``shard.shutdown`` span wherever it happens: after a standalone
-coordinator's campaign, after a failed one, when a set replaces
-workers that started under another environment, and when a set
-closes.
+host-stamped on each shard's last ``progress`` record.  Stopping
+workers is a ``shard.shutdown`` span wherever it happens: after a
+standalone coordinator's campaign, after a failed one, when a set
+replaces workers that started under another environment, and when a
+set closes.
 
 Pipe workers come from a :class:`WorkerSet`.  An engine keeps one until
 it closes, so its second campaign leases the first one's
@@ -159,13 +164,13 @@ class _Worker:
     Its reader thread delivers every received line, as ``(worker,
     message)``, to :attr:`sink` -- the queue of the campaign that
     holds the worker -- and drops lines while the worker idles in a
-    :class:`WorkerSet` (``sink`` None), so an idle warm worker's pings
-    never pile up.
+    :class:`WorkerSet` (``sink`` None), so nothing a worker says
+    between campaigns can reach the next one.
     """
 
     __slots__ = ("index", "transport", "shard", "last_seen",
-                 "last_progress", "hello_seen",
-                 "assigned_at", "host", "spawned_at", "sink", "reading")
+                 "hello_seen", "assigned_at", "host", "spawned_at",
+                 "sink", "reading")
 
     def __init__(self, index: int, transport: Transport,
                  sink=None) -> None:
@@ -173,7 +178,6 @@ class _Worker:
         self.transport = transport
         self.shard: Optional[Shard] = None
         self.last_seen = time.monotonic()
-        self.last_progress = self.last_seen
         self.hello_seen = False
         self.assigned_at = 0.0
         self.host: Optional[str] = None
@@ -432,9 +436,9 @@ class ShardCoordinator:
         clean campaign; None writes nothing.  Nothing reads
         it back: a campaign's rows live in this process only.
     heartbeat:
-        Seconds of silence after which a worker counts as stalled.
-        A shard that fails :data:`MAX_ATTEMPTS` dispatches fails the
-        campaign.
+        Seconds of silence after which a worker that holds a shard
+        counts as stalled.  A shard that fails :data:`MAX_ATTEMPTS`
+        dispatches fails the campaign.
     listen:
         ``(host, port)`` to accept TCP workers on (port 0 binds an
         ephemeral port; read it back from :attr:`address`).  The
@@ -447,11 +451,6 @@ class ShardCoordinator:
         screening rate (:class:`ShardAutotuner`).  The first slice
         per worker is ``ceil(count / (2 * shards))`` dies, aligned to
         the fleet chunk size.
-    progress_timeout:
-        Optional seconds without a ``progress``/``done`` from an
-        assigned worker before it counts as lost even while its
-        heartbeat still arrives -- the guard against a dropped
-        completion line (heartbeats prove liveness, not progress).
     rejoin_grace:
         Listening mode only: seconds the coordinator waits with work
         pending and *zero* connected workers before failing the
@@ -468,7 +467,6 @@ class ShardCoordinator:
                  heartbeat: float = 5.0,
                  listen: Optional[Tuple[str, int]] = None,
                  autotune_target_s: Optional[float] = None,
-                 progress_timeout: Optional[float] = None,
                  rejoin_grace: float = STARTUP_GRACE,
                  worker_set: Optional[WorkerSet] = None) -> None:
         self.config = config
@@ -504,8 +502,6 @@ class ShardCoordinator:
                 workers if workers is not None else shards,
                 max(1, len(self.plan) or shards)))
         self.heartbeat = float(heartbeat)
-        self.progress_timeout = (None if progress_timeout is None
-                                 else float(progress_timeout))
         self.rejoin_grace = float(rejoin_grace)
         self._workdir = workdir
         #: Each dispatched shard's rows so far, in index order.
@@ -517,6 +513,8 @@ class ShardCoordinator:
         self._worker_set = worker_set
         self._own_set = worker_set is None and not self.listening
         self._trace_context = None
+        #: Drawn by :meth:`run`; every ``progress`` must echo it.
+        self._campaign: Optional[str] = None
         self._accept_stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
         self.stats: Dict[str, float] = {
@@ -542,7 +540,7 @@ class ShardCoordinator:
         worker.index = slot
         worker.shard = None
         worker.hello_seen = False
-        worker.last_seen = worker.last_progress = time.monotonic()
+        worker.last_seen = time.monotonic()
         self._workers[slot] = worker
         self.stats["workers"] = max(self.stats["workers"],
                                     float(len(self._workers)))
@@ -552,7 +550,8 @@ class ShardCoordinator:
         # declares the worker lost.
         _send(worker, init_message(
             self.config, self.threshold, self.fleet, self.heartbeat,
-            None if context is None else context.to_dict()))
+            None if context is None else context.to_dict(),
+            self._campaign))
         return worker
 
     def _spawn(self, slot: int) -> _Worker:
@@ -581,6 +580,9 @@ class ShardCoordinator:
         if self._own_set:
             self._worker_set = WorkerSet()
         _settle_keys(self.config)
+        # A warm worker whose ``init`` was lost still holds the last
+        # campaign's fleet: its rows name that campaign, not this one.
+        self._campaign = os.urandom(8).hex()
         clean = False
         try:
             with span("shard.campaign",
@@ -647,10 +649,7 @@ class ShardCoordinator:
                 shard.index, shard.lo, shard.hi, held.next_index))
         if ok:
             worker.shard = shard
-            now = time.monotonic()
-            worker.last_seen = now
-            worker.last_progress = now
-            worker.assigned_at = now
+            worker.last_seen = worker.assigned_at = time.monotonic()
             self.stats["dispatched"] += 1
             default_registry().counter("shard_dispatched_total").inc()
             log_event("shard.dispatched", shard=shard.index,
@@ -696,7 +695,6 @@ class ShardCoordinator:
             return
         pending: "deque[Shard]" = deque(self.plan)
         attempts: Dict[int, int] = {}
-        done = 0  # shards whose last row and ``done`` arrived
         if not self.listening:
             for slot, worker in enumerate(self._worker_set.lease(
                     self.num_workers, self._queue)):
@@ -706,7 +704,8 @@ class ShardCoordinator:
             time.monotonic() if self.listening else None)
         barrier_since = time.monotonic()
         dispatching = self._barrier is None
-        while done < len(self._carved) or self._frontier < self._total:
+        while self.stats["completed"] < len(self._carved) \
+                or self._frontier < self._total:
             if not dispatching:
                 greeted = sum(1 for worker in self._workers.values()
                               if worker.hello_seen)
@@ -764,14 +763,11 @@ class ShardCoordinator:
                             "shard_worker_startup_seconds").observe(
                             worker.last_seen - worker.spawned_at)
                         worker.spawned_at = None
-                elif kind in ("progress", "done"):
-                    worker.last_progress = time.monotonic()
+                elif kind == "progress":
                     desync = self._take(worker, message)
                     if desync is not None:
                         self._lose_worker(worker, pending, attempts,
                                           desync)
-                    elif kind == "done":
-                        done += 1
                 elif kind == "error":
                     raise ShardWorkerError(
                         f"worker {worker.index} "
@@ -793,8 +789,9 @@ class ShardCoordinator:
                     else:
                         self._workers.pop(worker.index, None)
                 # ping only refreshes last_seen (above)
-            # Stall detection: silent past the deadline with work
-            # assigned.  Pre-hello workers get the startup grace.
+            # Stall detection, the only liveness rule: silent past the
+            # deadline with work assigned (an idle worker says nothing).
+            # Pre-hello workers get the startup grace.
             now = time.monotonic()
             for worker in list(self._workers.values()):
                 if worker.shard is None:
@@ -804,11 +801,6 @@ class ShardCoordinator:
                 if now - worker.last_seen > deadline:
                     self._lose_worker(worker, pending, attempts,
                                       "heartbeat deadline passed")
-                elif self.progress_timeout is not None and \
-                        now - worker.last_progress > \
-                        self.progress_timeout:
-                    self._lose_worker(worker, pending, attempts,
-                                      "progress deadline passed")
             # Listening mode liveness: fail rather than wait forever
             # when every worker is gone and none redials.
             if self.listening:
@@ -826,41 +818,42 @@ class ShardCoordinator:
                         f"{self.address[1]}")
 
     def _take(self, worker: _Worker, message: dict) -> Optional[str]:
-        """Accept a ``progress`` record or a ``done``; returns why the
-        line is a desync (the worker is then lost), else None.
+        """Accept a ``progress`` record; returns why the line is a
+        desync (the worker is then lost), else None.
 
-        Rows are taken in index order only: a record must start at its
-        shard's next held index and stay inside the shard, and
-        ``done`` must follow the shard's last row.
+        Rows are taken in index order only: a record must name this
+        campaign, start at its shard's next held index and stay inside
+        the shard.  The record that brings the held rows to the
+        shard's ``hi`` completes the shard.
         """
         shard = worker.shard
         if shard is None or message.get("shard") != shard.index:
-            return (f"sent {message['type']} for shard "
-                    f"{message.get('shard')!r} while assigned "
+            return (f"sent rows for shard {message.get('shard')!r} "
+                    f"while assigned "
                     f"{None if shard is None else shard.index}")
+        if message.get("campaign") != self._campaign:
+            return (f"sent rows of campaign "
+                    f"{message.get('campaign')!r}, not of this "
+                    f"campaign {self._campaign!r}")
         held = self._held[shard.index]
-        if message["type"] == "progress":
-            try:
-                start = time.perf_counter()
-                record = StreamCheckpoint.from_bytes(unpack_rows(message))
-                default_registry().histogram(
-                    "shard_record_decode_seconds",
-                    buckets=DECODE_BUCKETS).observe(
-                    time.perf_counter() - start)
-                if record.next_index > shard.hi:
-                    raise ValueError(f"rows up to die {record.next_index} "
-                                     f"overrun the shard")
-                held.append(record)
-            except Exception as error:  # any unusable record: desync
-                return (f"sent a row record that does not follow shard "
-                        f"{shard.index} [{shard.lo}, {shard.hi}) held to "
-                        f"die {held.next_index}: "
-                        f"{type(error).__name__}: {error}")
+        try:
+            start = time.perf_counter()
+            record = StreamCheckpoint.from_bytes(unpack_rows(message))
+            default_registry().histogram(
+                "shard_record_decode_seconds",
+                buckets=DECODE_BUCKETS).observe(
+                time.perf_counter() - start)
+            if record.next_index > shard.hi:
+                raise ValueError(f"rows up to die {record.next_index} "
+                                 f"overrun the shard")
+            held.append(record)
+        except Exception as error:  # any unusable record: desync
+            return (f"sent a row record that does not follow shard "
+                    f"{shard.index} [{shard.lo}, {shard.hi}) held to "
+                    f"die {held.next_index}: "
+                    f"{type(error).__name__}: {error}")
+        if held.next_index < shard.hi:
             return None
-        if held.next_index != shard.hi:
-            return (f"reported shard {shard.index} [{shard.lo}, "
-                    f"{shard.hi}) done with rows held to die "
-                    f"{held.next_index}")
         held.complete = True
         worker.shard = None
         rtt = time.monotonic() - worker.assigned_at
@@ -873,8 +866,7 @@ class ShardCoordinator:
             self.autotuner.observe(worker.index, shard.num_dies, rtt)
         log_event("shard.completed", shard=shard.index,
                   worker=worker.index, host=worker.host,
-                  num_dies=int(message["num_dies"]),
-                  seconds=round(rtt, 3))
+                  num_dies=shard.num_dies, seconds=round(rtt, 3))
         rows = message.get("spans") or []
         tracer = current_tracer()
         if tracer is not None and rows:

@@ -11,8 +11,9 @@ chunk's rows in ``progress``.
 Coordinator -> worker
 ---------------------
 ``init``      config_b64, threshold, fleet_b64, heartbeat, trace (a
-              ``TraceContext`` dict or null); sent again by every
-              campaign that leases a warm worker
+              ``TraceContext`` dict or null), campaign (an id drawn
+              once per campaign); sent again by every campaign that
+              leases a warm worker
 ``assign``    shard (index), lo, hi, resume_at (the first die of
               ``[lo, hi)`` whose row the coordinator does not hold:
               ``lo`` on a first dispatch)
@@ -21,24 +22,27 @@ Coordinator -> worker
 Worker -> coordinator
 ---------------------
 ``hello``     pid, host (after every init: ready for assignments)
-``ping``      -- (heartbeat, every ``heartbeat/2`` seconds)
-``progress``  shard, next_index, rows_b64 (after each screened chunk:
-              base64 of the chunk's rows as a one-record
+``ping``      -- (only while the worker holds a shard, and only when
+              nothing else went out for ``heartbeat/2`` seconds)
+``progress``  shard, campaign (echoes the last ``init``), rows_b64
+              (after each screened chunk: base64 of the chunk's rows
+              as a one-record
               :class:`~repro.campaign.checkpoint.StreamCheckpoint`
-              log, ``to_bytes`` format -- a CRC-checked flat record
-              -- covering dies up to next_index)
-``done``      shard, num_dies, spans (pid/host-stamped span rows when
-              the campaign is traced)
+              log, ``to_bytes`` format -- a CRC-checked flat record),
+              spans (the shard's last record only: pid/host-stamped
+              span rows, empty when the campaign is untraced)
 ``error``     shard (or null), message (the worker then exits 1)
 
 The coordinator holds every row: it accepts a shard's records in
-index order only, so a record that does not start at the shard's
-next index, or a ``done`` before the shard's last row, is a desync
-that loses the worker, like an undecodable line, and so is a record
-whose CRC fails or whose arrays disagree in length.  The pickles only
-ever travel coordinator -> worker within one invocation (same code,
-same interpreter); rows come back in the record format crash
-recovery uses, never as pickled arrays.
+index order only, and the record that brings the held rows to the
+shard's ``hi`` completes the shard -- there is no separate end line.
+A record that does not start at the shard's next index, that names
+another campaign, whose CRC fails or whose arrays disagree in length
+is a desync that loses the worker, like an undecodable line; an
+assigned worker that falls silent past the heartbeat is lost too.
+The pickles only ever travel coordinator -> worker within one
+invocation (same code, same interpreter); rows come back in the
+record format crash recovery uses, never as pickled arrays.
 """
 
 from __future__ import annotations
@@ -80,11 +84,12 @@ def unpack_payload(data: str) -> object:
 
 def init_message(config, threshold: Optional[float], fleet,
                  heartbeat: float,
-                 trace: Optional[Dict[str, object]]
-                 ) -> Dict[str, object]:
+                 trace: Optional[Dict[str, object]],
+                 campaign: str) -> Dict[str, object]:
     return {"type": "init", "config_b64": pack_payload(config),
             "threshold": threshold, "fleet_b64": pack_payload(fleet),
-            "heartbeat": float(heartbeat), "trace": trace}
+            "heartbeat": float(heartbeat), "trace": trace,
+            "campaign": campaign}
 
 
 def assign_message(shard_index: int, lo: int, hi: int,
@@ -93,12 +98,17 @@ def assign_message(shard_index: int, lo: int, hi: int,
             "lo": int(lo), "hi": int(hi), "resume_at": int(resume_at)}
 
 
-def progress_message(shard_index: int, next_index: int,
-                     rows: bytes) -> Dict[str, object]:
-    """One screened chunk's rows (a ``StreamCheckpoint`` log)."""
-    return {"type": "progress", "shard": int(shard_index),
-            "next_index": int(next_index),
-            "rows_b64": base64.b64encode(rows).decode("ascii")}
+def progress_message(shard_index: int, campaign: str, rows: bytes,
+                     spans: Optional[List[Dict[str, object]]] = None
+                     ) -> Dict[str, object]:
+    """One screened chunk's rows (a ``StreamCheckpoint`` log); a
+    shard's last record also carries the worker's ``spans``."""
+    message = {"type": "progress", "shard": int(shard_index),
+               "campaign": campaign,
+               "rows_b64": base64.b64encode(rows).decode("ascii")}
+    if spans is not None:
+        message["spans"] = spans
+    return message
 
 
 def unpack_rows(message: Dict[str, object]) -> bytes:
@@ -108,17 +118,10 @@ def unpack_rows(message: Dict[str, object]) -> bytes:
     return base64.b64decode(str(message["rows_b64"]), validate=True)
 
 
-def done_message(shard_index: int, num_dies: int,
-                 spans: List[Dict[str, object]]) -> Dict[str, object]:
-    return {"type": "done", "shard": int(shard_index),
-            "num_dies": int(num_dies), "spans": spans}
-
-
 def shutdown_message() -> Dict[str, object]:
     return {"type": "shutdown"}
 
 
-__all__ = ["assign_message", "decode_message", "done_message",
-           "encode_message", "init_message", "pack_payload",
-           "progress_message", "shutdown_message", "unpack_payload",
-           "unpack_rows"]
+__all__ = ["assign_message", "decode_message", "encode_message",
+           "init_message", "pack_payload", "progress_message",
+           "shutdown_message", "unpack_payload", "unpack_rows"]

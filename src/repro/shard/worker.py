@@ -19,17 +19,23 @@ engine's own per-part body (the one a streamed campaign folds) and
 sends each chunk's rows home in a ``progress`` line, as a one-record
 :class:`~repro.campaign.checkpoint.StreamCheckpoint` log (a
 CRC-checked flat record: raw arrays and labels, no archive).  The
+record that reaches ``hi`` completes the shard: it goes out after the
+``shard.worker.run`` span closed, with the worker's span rows.  The
 worker writes no file and keeps no state between chunks: the
 coordinator holds every row, so a reassigned shard resumes at the
-``resume_at`` the coordinator names, whichever worker takes it.  A
-daemon thread emits ``ping`` heartbeats so the coordinator can tell a
-stalled worker from a slow chunk.
+``resume_at`` the coordinator names, whichever worker takes it.
+
+A worker speaks only while it holds a shard: until the shard's last
+record, a daemon thread sends a ``ping`` whenever nothing else went
+out for ``heartbeat/2`` seconds, so the coordinator can tell a
+stalled worker from a slow chunk.  An idle worker is silent.
 
 Fault points (the worker-loss drill):
 
 =========================  =========================================
 ``shard.worker.kill``      SIGKILL this worker after a progress
-                           report (armed via ``REPRO_FAULTS`` in the
+                           report, the shard's last one included
+                           (armed via ``REPRO_FAULTS`` in the
                            *worker's* environment; the coordinator
                            strips the variable from respawned
                            workers so the drill kills exactly once)
@@ -46,6 +52,7 @@ import signal
 import socket as socket_module
 import sys
 import threading
+import time
 import traceback
 from typing import Dict, List, Optional, TextIO
 
@@ -59,7 +66,6 @@ from repro.obs.trace import (
 )
 from repro.shard.protocol import (
     decode_message,
-    done_message,
     encode_message,
     progress_message,
     unpack_payload,
@@ -69,26 +75,48 @@ from repro.testing.faultinject import fail_if_armed, should_fail
 
 
 class _Emitter:
-    """Locked line writer (the heartbeat thread shares stdout)."""
+    """Locked line writer, shared with the heartbeat thread.
+
+    From :meth:`hold` to :meth:`release` -- while a shard is held --
+    the heartbeat sends a ``ping`` whenever nothing went out for
+    ``interval`` seconds.  A ping only fills silence, so a fast
+    shard's records go out back to back.
+    """
 
     def __init__(self, stream: TextIO) -> None:
         self._stream = stream
         self._lock = threading.Lock()
+        self._sent_at = time.monotonic()
+        self._stop = threading.Event()
 
-    def send(self, message: Dict[str, object]) -> None:
+    def send(self, message: Dict[str, object],
+             if_silent_for: float = 0.0) -> None:
+        """Write one line, unless one went out less than
+        ``if_silent_for`` seconds ago."""
         line = encode_message(message)
         with self._lock:
+            if time.monotonic() - self._sent_at < if_silent_for:
+                return
             self._stream.write(line + "\n")
             self._stream.flush()
+            self._sent_at = time.monotonic()
 
+    def hold(self, interval: float) -> None:
+        with self._lock:
+            self._sent_at = time.monotonic()  # silence counts from here
+        self._stop = stop = threading.Event()
+        threading.Thread(target=self._heartbeat, args=(interval, stop),
+                         daemon=True, name="shard-heartbeat").start()
 
-def _heartbeat_loop(emit: _Emitter, interval: float,
-                    stop: threading.Event) -> None:
-    while not stop.wait(interval):
-        try:
-            emit.send({"type": "ping"})
-        except Exception:
-            return  # coordinator went away; the stdin loop will end us
+    def release(self) -> None:
+        self._stop.set()
+
+    def _heartbeat(self, interval: float, stop: threading.Event) -> None:
+        while not stop.wait(self._sent_at + interval - time.monotonic()):
+            try:
+                self.send({"type": "ping"}, if_silent_for=interval)
+            except Exception:
+                return  # coordinator went away; the loop ends us
 
 
 class _State:
@@ -100,13 +128,14 @@ class _State:
         self.config_b64: Optional[str] = None
         self.fleet = None
         self.threshold = None
+        self.heartbeat = 5.0
+        self.campaign: Optional[str] = None
         self.tracer = None
-        self._beat: Optional[threading.Event] = None
 
     def init(self, init: Dict[str, object]) -> None:
-        """Take a campaign's ``init``: its tracer, fleet, threshold and
-        heartbeat; a new engine only when the config bytes changed."""
-        self.stop_heartbeat()
+        """Take a campaign's ``init``: its id, tracer, fleet, threshold
+        and heartbeat; a new engine only when the config bytes
+        changed."""
         self.tracer = None if init.get("trace") is None else \
             context_tracer(TraceContext.from_dict(init["trace"]))
         install_tracer(self.tracer)
@@ -119,18 +148,21 @@ class _State:
             record.set(warm=warm)
             self.fleet = unpack_payload(init["fleet_b64"])
             self.threshold = init.get("threshold")
-        self._beat = threading.Event()
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(self.emit, float(init.get("heartbeat", 5.0)) / 2.0,
-                  self._beat),
-            daemon=True, name="shard-heartbeat").start()
+        self.heartbeat = float(init.get("heartbeat", 5.0))
+        self.campaign = init.get("campaign")
         self.emit.send({"type": "hello", "pid": os.getpid(),
                         "host": socket_module.gethostname()})
 
-    def stop_heartbeat(self) -> None:
-        if self._beat is not None:
-            self._beat.set()
+    def send_rows(self, shard_index: int, record,
+                  spans: Optional[List[Dict[str, object]]] = None
+                  ) -> None:
+        """Send one record home (``spans`` on a shard's last).  The kill
+        fault point sits right after: dying there is the worst case
+        for the coordinator (it believes the worker healthy)."""
+        self.emit.send(progress_message(
+            shard_index, self.campaign, record.to_bytes(), spans))
+        if should_fail("shard.worker.kill"):
+            os.kill(os.getpid(), signal.SIGKILL)
 
 
 def worker_main(stdin: Optional[TextIO] = None,
@@ -172,27 +204,21 @@ def worker_main(stdin: Optional[TextIO] = None,
                 emit.send({"type": "error", "shard": shard_index,
                            "message": traceback.format_exc(limit=8)})
                 return 1
-            tracer = state.tracer
-            rows = [] if tracer is None else stamped_records(tracer)
-            if tracer is not None:
-                tracer.clear()
-            emit.send(done_message(shard_index, hi - lo, rows))
         return 0
     finally:
-        state.stop_heartbeat()
+        emit.release()
 
 
 def _run_assignment(state: _State, shard_index: int, lo: int, hi: int,
                     resume_at: int) -> None:
     """Screen dies ``[resume_at, hi)`` of shard ``[lo, hi)`` and send
-    each chunk's rows home.
+    each chunk's rows home, heartbeating until the last record.
 
     The rows carry the coordinator's *resolved* threshold, so no
-    worker ever re-runs calibration.  The kill fault point sits right
-    after a progress report: dying there is the worst case for the
-    coordinator (it believes the worker healthy).
+    worker ever re-runs calibration.
     """
     engine = state.engine
+    state.emit.hold(state.heartbeat / 2.0)
     with span("shard.worker.run", shard=shard_index, lo=lo, hi=hi,
               resume_at=resume_at, pid=os.getpid()):
         fail_if_armed("shard.worker.error")
@@ -200,10 +226,15 @@ def _run_assignment(state: _State, shard_index: int, lo: int, hi: int,
                 state.fleet.chunks(resume_at, hi),
                 engine.config.checkpoint_key(), state.threshold,
                 offset=resume_at):
-            state.emit.send(progress_message(
-                shard_index, record.next_index, record.to_bytes()))
-            if should_fail("shard.worker.kill"):
-                os.kill(os.getpid(), signal.SIGKILL)
+            if record.next_index == hi:
+                break
+            state.send_rows(shard_index, record)
+    tracer = state.tracer
+    rows = [] if tracer is None else stamped_records(tracer)
+    if tracer is not None:
+        tracer.clear()
+    state.send_rows(shard_index, record, spans=rows)
+    state.emit.release()
 
 
 def connect_main(host: str, port: int, attempts: int = 40,

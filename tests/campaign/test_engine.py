@@ -354,19 +354,28 @@ def test_noise_campaign_rejects_non_spec_populations(engine):
         engine.run_noise(traces, repeats=2)
 
 
-def test_stream_starting_past_its_checkpoint_is_refused(engine,
-                                                         tmp_path):
-    """A stream that starts past the checkpoint's next index would
-    leave a gap in the merged result, so the engine names the dies."""
+def test_checkpoint_starting_past_die_0_is_refused(engine, tmp_path):
+    """A stream starts at die 0, so rows that start past it (another
+    shard's or stream's range) would merge into a checkpoint that
+    lacks the stream's prefix: ``run_stream`` and ``resume`` refuse
+    it."""
+    from repro.campaign import StreamCheckpoint
+
     path = str(tmp_path / "stream.npz")
-    engine.run_stream(stream_montecarlo_dies(
-        PAPER_BIQUAD, 6, chunk_size=3, sigma_f0=0.03, seed=1),
-        band=None, checkpoint=path)
-    later = stream_montecarlo_dies(PAPER_BIQUAD, 12, chunk_size=3,
-                                   sigma_f0=0.03, seed=1, start=8)
-    with pytest.raises(ValueError, match=r"dies 6\.\.7 would be missing"):
-        engine.run_stream(later, band=None, checkpoint=path,
-                          stream_offset=8)
+    record = StreamCheckpoint(engine.config.checkpoint_key(), None,
+                              start_index=6)
+    record.extend(np.full(2, 0.01), np.zeros(2), np.zeros(2),
+                  ["die6", "die7"], {})
+    record.save(path)
+
+    def chunks():
+        return stream_montecarlo_dies(PAPER_BIQUAD, 12, chunk_size=3,
+                                      sigma_f0=0.03, seed=1)
+
+    with pytest.raises(ValueError, match="does not contain"):
+        engine.run_stream(chunks(), band=None, checkpoint=path)
+    with pytest.raises(ValueError, match="does not contain"):
+        engine.resume(path, chunks(), band=None)
 
 
 def test_noise_campaign_executor_parity_bit_identical(engine):

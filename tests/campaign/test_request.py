@@ -115,8 +115,6 @@ def _startups() -> int:
     ("run_sharded", "heartbeat", 0.0),
     ("run_sharded", "workers", 0),
     ("run_sharded", "autotune_s", 0.0),
-    ("run_stream", "checkpoint_every", 0),
-    ("run_stream", "stream_offset", -1),
 ])
 def test_placement_methods_refuse_bad_options(method, option, value):
     """Each placement option is checked by the method that takes it,

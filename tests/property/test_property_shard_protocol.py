@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from repro.shard.protocol import (
     assign_message,
     decode_message,
-    done_message,
     encode_message,
     init_message,
     pack_payload,
@@ -119,37 +118,40 @@ def test_assign_message_round_trips_resume_at(shard, lo, size, done):
 
 
 @given(shard=st.integers(min_value=0, max_value=10**6),
-       next_index=st.integers(min_value=0, max_value=10**9),
+       campaign=st.text(max_size=16),
        rows=st.binary(max_size=256))
 @settings(max_examples=100, deadline=None)
-def test_progress_message_round_trips_rows_bit_exact(shard, next_index,
+def test_progress_message_round_trips_rows_bit_exact(shard, campaign,
                                                      rows):
     decoded = decode_message(encode_message(
-        progress_message(shard, next_index, rows)))
+        progress_message(shard, campaign, rows)))
     assert decoded["shard"] == shard
-    assert decoded["next_index"] == next_index
+    assert decoded["campaign"] == campaign
+    assert "spans" not in decoded
     assert unpack_rows(decoded) == rows
 
 
 @given(shard=st.integers(min_value=0, max_value=10**6),
-       num_dies=st.integers(min_value=0, max_value=10**9),
+       rows=st.binary(max_size=64),
        spans=st.lists(st.dictionaries(st.text(max_size=8), json_values,
                                       max_size=3), max_size=3))
 @settings(max_examples=100, deadline=None)
-def test_done_message_round_trips(shard, num_dies, spans):
+def test_progress_message_with_spans_round_trips(shard, rows, spans):
     decoded = decode_message(encode_message(
-        done_message(shard, num_dies, spans)))
-    assert decoded == {"type": "done", "shard": shard,
-                       "num_dies": num_dies, "spans": spans}
+        progress_message(shard, "c1", rows, spans)))
+    assert decoded["spans"] == spans
+    assert decoded["shard"] == shard
+    assert unpack_rows(decoded) == rows
 
 
 def test_init_and_shutdown_round_trip_through_the_wire():
     config = {"tolerance": 0.05}  # any picklable stands in
     fleet = [1, 2, 3]
-    message = init_message(config, 0.25, fleet, 5.0, None)
+    message = init_message(config, 0.25, fleet, 5.0, None, "c1")
     decoded = decode_message(encode_message(message))
     assert set(decoded) == {"type", "config_b64", "threshold",
-                            "fleet_b64", "heartbeat", "trace"}
+                            "fleet_b64", "heartbeat", "trace",
+                            "campaign"}
     assert decoded["threshold"] == 0.25 and decoded["heartbeat"] == 5.0
     assert unpack_payload(decoded["config_b64"]) == config
     assert unpack_payload(decoded["fleet_b64"]) == fleet

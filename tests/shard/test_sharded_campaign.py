@@ -22,6 +22,7 @@ from repro.campaign.engine import CERTIFIED_MIN_ROWS
 from repro.core.testflow import SignatureTester
 from repro.filters.biquad import BiquadFilter, BiquadSpec
 from repro.monitor.second_signature import second_signature_bank
+from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.obs.metrics import (
     MetricsRegistry,
     default_registry,
@@ -182,19 +183,29 @@ def test_empty_fleet(small_engine):
 def test_kill_drill_reassigns_and_stays_bit_identical(
         small_engine, monkeypatch):
     """SIGKILL one worker mid-shard: the shard reassigns, resumes
-    from its checkpoint, and the merged result is still bit-identical."""
+    at the first row the coordinator does not hold, and the merged
+    result is still bit-identical."""
     population = montecarlo_dies(PAPER_BIQUAD, DIES, sigma_f0=SIGMA,
                                  seed=SEED)
     reference = small_engine.run(population, band="auto")
-    # Kill the first worker right after its second progress report --
-    # past a durable checkpoint, so the resume is a true mid-shard one.
+    # Kill the first worker right after its second row record, the
+    # middle one of its shard's three, so the resume is mid-shard.
     monkeypatch.setenv("REPRO_SHARD_WORKER_FAULTS",
                        "shard.worker.kill:1:1")
     before = default_registry().counter("shard_reassigned_total").value
-    sharded = small_engine.run_sharded(_mc_fleet(chunk=2), shards=3,
-                                       band="auto",
-                                       heartbeat=HEARTBEAT)
+    tracer = Tracer()
+    install_tracer(tracer)
+    try:
+        sharded = small_engine.run_sharded(_mc_fleet(chunk=2), shards=2,
+                                           band="auto",
+                                           heartbeat=HEARTBEAT)
+    finally:
+        uninstall_tracer()
     _assert_same_result(sharded, reference)
+    runs = [r for r in tracer.records() if r.name == "shard.worker.run"]
+    assert any(r.attributes["lo"] < r.attributes["resume_at"]
+               < r.attributes["hi"] for r in runs), \
+        "no shard resumed mid-shard"
     assert sharded.shard_stats["reassigned"] >= 1.0
     assert sharded.shard_stats["dispatched"] > \
         sharded.shard_stats["planned"]
@@ -227,29 +238,24 @@ def test_coordinator_reuses_workers_across_shards(small_engine):
 
 def test_offset_stream_checkpoints_carry_start_index(
         small_engine, tmp_path):
-    """A shard-style offset stream writes a checkpoint naming its
-    global range, resumes behind it, and rejects a stream that starts
-    before the checkpoint's own range."""
+    """A workdir's shard file is a checkpoint naming its global range;
+    a stream starts at die 0, so it refuses one whose range starts
+    past it: the stream's prefix cannot merge into it."""
     from repro.campaign.checkpoint import StreamCheckpoint
 
     fleet = _mc_fleet(chunk=2)
-    path = str(tmp_path / "shard.npz")
-    result = small_engine.run_stream(fleet.chunks(4, 10), band="auto",
-                                     checkpoint=path, stream_offset=4)
-    assert result.num_dies == 6
+    workdir = tmp_path / "shards"
+    small_engine.run_sharded(fleet, shards=3, band="auto",
+                             heartbeat=HEARTBEAT, workdir=str(workdir))
+    path = str(workdir / "shard_0001.npz")
     state = StreamCheckpoint.load(path)
-    assert state.start_index == 4
-    assert state.next_index == 10
+    assert (state.start_index, state.next_index) == (4, 8)
     assert state.complete
-    # Re-running the same range resumes (skips everything): the
-    # result is bit-identical to the first pass.
-    again = small_engine.run_stream(fleet.chunks(4, 10), band="auto",
-                                    checkpoint=path, stream_offset=4)
-    _assert_same_result(again, result)
-    # A stream starting before the checkpoint's range cannot merge.
     with pytest.raises(ValueError, match="does not contain"):
-        small_engine.run_stream(fleet.chunks(0, 10), band="auto",
-                                checkpoint=path, stream_offset=0)
+        small_engine.run_stream(fleet.chunks(0, DIES), band="auto",
+                                checkpoint=path)
+    with pytest.raises(ValueError, match="does not contain"):
+        small_engine.resume(path, fleet.chunks(0, DIES), band="auto")
 
 
 def test_autotuned_campaign_carves_dynamically_and_stays_identical(

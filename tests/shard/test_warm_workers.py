@@ -2,7 +2,9 @@
 sharded campaign.
 
 Every check here reads events and counters -- the startup histogram,
-the set's idle pids, span attributes, shard stats -- never sleeps.
+the set's idle pids, span attributes, shard stats -- and never sleeps,
+except the check that an idle worker is silent, which has to let
+heartbeat intervals pass.
 Each result is compared with ``array_equal`` to the in-process
 ``run_stream`` over the same fleet.
 """
@@ -326,8 +328,9 @@ def test_worker_reinit_drops_the_previous_campaigns_tracer(small_engine):
     fleet = _fleet()
     lines = [encode_message(message) for message in (
         init_message(small_engine.config, 0.05, fleet, 60.0,
-                     {"trace_id": "t1", "parent_span_id": 7}),
-        init_message(small_engine.config, 0.05, fleet, 60.0, None),
+                     {"trace_id": "t1", "parent_span_id": 7}, "c1"),
+        init_message(small_engine.config, 0.05, fleet, 60.0, None,
+                     "c2"),
         shutdown_message())]
     stdout = io.StringIO()
     try:
@@ -337,3 +340,75 @@ def test_worker_reinit_drops_the_previous_campaigns_tracer(small_engine):
     finally:
         uninstall_tracer()
     assert stdout.getvalue().count('"type":"hello"') == 2
+
+
+def test_a_worker_speaks_only_while_it_holds_a_shard(small_engine,
+                                                     monkeypatch):
+    """An idle worker is silent, before its ``assign`` and after the
+    shard's last record, across five ping intervals each; while it
+    holds the shard, pings bridge chunks slower than the interval.
+    The last record carries the span rows (none: untraced) and every
+    record echoes the campaign of the ``init`` (driven in process
+    through ``worker_main`` on a pipe)."""
+    import io
+    import threading
+    import time
+
+    from repro.shard.protocol import (
+        assign_message,
+        decode_message,
+        encode_message,
+        init_message,
+        shutdown_message,
+    )
+    from repro.shard.worker import worker_main
+
+    screen = CampaignEngine._screen_parts
+
+    def slow_screen(self, *args, **kwargs):
+        for item in screen(self, *args, **kwargs):
+            time.sleep(0.35)  # over three ping intervals per chunk
+            yield item
+
+    monkeypatch.setattr(CampaignEngine, "_screen_parts", slow_screen)
+    read_fd, write_fd = os.pipe()
+    stdout = io.StringIO()
+    with os.fdopen(read_fd, "r") as stdin, \
+            os.fdopen(write_fd, "w") as feed:
+        worker = threading.Thread(target=worker_main,
+                                  args=(stdin, stdout), daemon=True)
+        worker.start()
+
+        def send(message):
+            feed.write(encode_message(message) + "\n")
+            feed.flush()
+
+        def wait_for(count, kind):
+            deadline = time.monotonic() + 60.0
+            while stdout.getvalue().count(f'"type":"{kind}"') < count:
+                assert time.monotonic() < deadline, stdout.getvalue()
+                time.sleep(0.01)
+
+        send(init_message(small_engine.config, 0.05,
+                          _fleet(count=4), 0.2, None, "c1"))
+        wait_for(1, "hello")
+        time.sleep(0.5)  # idle: five ping intervals of 0.1 s
+        idle = stdout.getvalue()
+        send(assign_message(0, 0, 4, 0))
+        wait_for(2, "progress")
+        held = stdout.getvalue()
+        time.sleep(0.5)  # idle again
+        after = stdout.getvalue()
+        send(shutdown_message())
+        worker.join(timeout=30.0)
+    uninstall_tracer()
+    assert not worker.is_alive()
+    assert [decode_message(line)["type"]
+            for line in idle.splitlines()] == ["hello"]
+    assert after == held  # nothing once the last record is out
+    lines = [decode_message(line) for line in held.splitlines()[1:]]
+    assert any(m["type"] == "ping" for m in lines)
+    records = [m for m in lines if m["type"] == "progress"]
+    assert lines[-1] is records[-1]
+    assert [m.get("spans") for m in records] == [None, []]
+    assert {m["campaign"] for m in records} == {"c1"}

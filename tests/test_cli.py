@@ -382,7 +382,7 @@ def test_campaign_sharded_matches_serial(capsys):
 
     assert main(["campaign", "--dies", "8", "--seed", "1",
                  "--samples", "512", "--shards", "2",
-                 "--shard-chunk", "2", "--json"]) == 0
+                 "--chunk", "2", "--json"]) == 0
     sharded = json.loads(capsys.readouterr().out)
     assert main(["campaign", "--dies", "8", "--seed", "1",
                  "--samples", "512", "--json"]) == 0
@@ -402,7 +402,7 @@ def test_campaign_sharded_trace_holds_the_worker_shutdown(capsys,
     path = tmp_path / "trace.json"
     assert main(["campaign", "--dies", "8", "--seed", "1",
                  "--samples", "512", "--shards", "2",
-                 "--shard-chunk", "2", "--trace-out", str(path)]) == 0
+                 "--chunk", "2", "--trace-out", str(path)]) == 0
     capsys.readouterr()
     events = json.loads(path.read_text())["traceEvents"]
     [shutdown] = [e for e in events if e["name"] == "shard.shutdown"]
@@ -415,7 +415,7 @@ def test_campaign_sharded_second_signature_matches_unsharded(capsys):
     args = ["campaign", "--dies", "12", "--seed", "1", "--sigma", "0.1",
             "--samples", "512", "--second-signature",
             "bias-0.10_level1e-05", "--json"]
-    assert main(args + ["--shards", "2", "--shard-chunk", "3"]) == 0
+    assert main(args + ["--shards", "2", "--chunk", "3"]) == 0
     sharded = json.loads(capsys.readouterr().out)
     assert main(args) == 0
     unsharded = json.loads(capsys.readouterr().out)
@@ -437,8 +437,6 @@ def test_campaign_shards_exclusions(capsys):
     assert main(["campaign", "--shards", "2", "--scenario",
                  "corners"]) == 2
     assert "streaming-capable" in capsys.readouterr().err
-    assert main(["campaign", "--shard-chunk", "4"]) == 2
-    assert "--shards N" in capsys.readouterr().err
 
 
 def test_campaign_listen_and_autotune_require_shards(capsys):
@@ -478,7 +476,7 @@ def test_campaign_autotuned_sharded_runs(capsys):
 
     assert main(["campaign", "--dies", "8", "--seed", "1",
                  "--samples", "512", "--shards", "2",
-                 "--shard-chunk", "2", "--shard-autotune", "0.5",
+                 "--chunk", "2", "--shard-autotune", "0.5",
                  "--json"]) == 0
     sharded = json.loads(capsys.readouterr().out)
     assert main(["campaign", "--dies", "8", "--seed", "1",
