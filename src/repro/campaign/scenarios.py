@@ -32,10 +32,14 @@ streaming campaign consumes one at a time.
 
 numpy's per-die path (:func:`_per_die_deviations`) defines die ``i``.
 Ranges of :data:`ARRAY_MIN_DIES` dies or more evaluate the same draws
-as arrays: the seed hash of the whole range runs vectorized, and only
-numpy's own normal draw runs per die.  A probe checks the array
-evaluation against the per-die path once per process; on a mismatch
-every later range draws per die and counts its dies in
+as arrays over the whole range: the ``SeedSequence`` hash, PCG64's
+seeding, LCG steps and XSL-RR output as ``uint64`` arithmetic, then
+the first try of numpy's normal ziggurat, with tables read from numpy
+itself once per process.  Only a die with a draw not proven accepted
+on that first try (1.5-3.5% of dies) is redrawn through numpy's own
+``normal()``.  A probe checks the array evaluation
+against the per-die path once per process; on a mismatch every later
+range draws per die and counts its dies in
 ``montecarlo_fallback_dies_total``.
 """
 
@@ -58,7 +62,7 @@ from repro.monitor.comparator import MonitorBoundary
 from repro.monitor.configurations import table1_bank
 from repro.monitor.montecarlo import bank_samples
 from repro.obs.metrics import default_registry
-from repro.obs.trace import span
+from repro.obs.trace import NULL_SPAN, span
 
 
 @dataclass
@@ -189,19 +193,29 @@ class EncoderPopulation:
 # Monte Carlo dies
 # ----------------------------------------------------------------------
 #: Smallest die range drawn as arrays.  The array evaluation costs a
-#: fixed ~50 us of numpy dispatch per range plus 4-6 us per die,
-#: numpy's per-die path 15-20 us per die: they break even at 3-4 dies
-#: (2 vCPUs, numpy 2.4).
-ARRAY_MIN_DIES = 4
+#: fixed ~35 us of numpy dispatch per range (33-37 us at 1-8 dies,
+#: redraws included), numpy's per-die path ~13 us per die: they break
+#: even at 3 dies (2 vCPUs, numpy 2.4; `_array_deviations` against
+#: `_per_die_deviations`, interleaved, 64 ranges per size).
+ARRAY_MIN_DIES = 3
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the
-# PCG64 LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+# PCG64 LCG multiplier (numpy/random/src/pcg64/pcg64.h), with its
+# inverse mod 2**128.
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+
+# Array operands are 0-d arrays, numpy's cheapest kind of scalar.
+_MIX_L, _MIX_R, _16 = (np.array(v, np.uint32)
+                       for v in (0xCA01F9DD, 0x4973F715, 16))
+_U9, _U32, _U58, _U63, _U64 = (np.array(v, np.uint64)
+                               for v in (9, 32, 58, 63, 64))
+_SIGNED_LAYER, _MAGNITUDE = (np.array(v, np.uint64)
+                              for v in (0x1FF, (1 << 52) - 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -219,18 +233,20 @@ def _hash_constants(init: int, mult: int, first: int,
     return out
 
 
-#: ``generate_state``'s constants for PCG64's eight seed words.
-_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+#: ``generate_state``'s constants for PCG64's eight seed words, as two
+#: rounds over the four pool words.
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 0, 8).reshape(
+    2, 2, 4, 1)
 
 
 def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
     value = (value ^ constants[0]) * constants[1]
-    return value ^ (value >> 16)
+    return value ^ (value >> _16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     result = _MIX_L * x - _MIX_R * y
-    return result ^ (result >> 16)
+    return result ^ (result >> _16)
 
 
 def _entropy_words(entropy) -> int:
@@ -241,53 +257,205 @@ def _entropy_words(entropy) -> int:
     return sum(_entropy_words(part) for part in entropy)
 
 
-def _pcg64_seeds(seed, lo: int, hi: int) -> List[List[int]]:
+@functools.lru_cache(maxsize=16)
+def _root_pool(seed) -> Tuple[np.ndarray, np.ndarray]:
+    """``SeedSequence(seed)``'s pool as a ``(4, 1)`` column, and the
+    hash constants its children's spawn keys mix with (an int seed's
+    are cached)."""
+    root = np.random.SeedSequence(seed)
+    calls = 16 + 4 * max(0, _entropy_words(root.entropy) - 4)
+    pool = root.pool[:, None]
+    pool.flags.writeable = False
+    return pool, _hash_constants(_INIT_A, _MULT_A, calls, 8)
+
+
+def _pcg64_seeds(seed, lo: int, hi: int) -> np.ndarray:
     """What PCG64 seeds from, for every die of ``lo..hi-1`` at once:
-    the four ``uint64`` words of ``generate_state(4, np.uint64)`` on
-    each of ``seed_children(seed, lo, hi)``.
+    ``(n, 4)`` ``uint64``, row ``k`` the words of
+    ``generate_state(4, np.uint64)`` on ``seed_children(seed, lo,
+    hi)[k]``.
 
     A child's pool is the root pool mixed further with its spawn-key
     words (one below ``2**32``, two from there), the hash multiplier
     carrying on where the root's mixing left it; each ``uint32`` pass
     here covers every die of the range.
     """
-    root = np.random.SeedSequence(seed)
-    calls = 16 + 4 * max(0, _entropy_words(root.entropy) - 4)
-    key = _hash_constants(_INIT_A, _MULT_A, calls, 8)
+    root, key = _root_pool(seed) if type(seed) is int \
+        else _root_pool.__wrapped__(seed)
     index = np.arange(lo, hi, dtype=np.uint64)
-    pool = _mix(root.pool[:, None],
-                _hashmix((index & _MASK32).astype(np.uint32), key[:, :4]))
+    pool = _mix(root, _hashmix(index.astype(np.uint32), key[:, :4]))
     wide = max(0, min(hi, 1 << 32) - lo)  # first two-word key
     if wide < hi - lo:
         pool[:, wide:] = _mix(pool[:, wide:], _hashmix(
-            (index[wide:] >> 32).astype(np.uint32), key[:, 4:]))
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTANTS)
-    return words.T.astype("<u4", order="C").view("<u8").tolist()
+            (index[wide:] >> _U32).astype(np.uint32), key[:, 4:]))
+    words = _hashmix(pool, _STATE_CONSTANTS).reshape(8, -1)
+    return words.T.astype("<u4", order="C").view("<u8")
+
+
+@functools.lru_cache(maxsize=2)
+def _state_map(draws: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The PCG64 states of a generator's first ``draws`` draws as one
+    linear map of its seed words: a ``(4 draws, 16)`` matrix and a
+    ``(4 draws, 1)`` offset.
+
+    ``pcg64_set_seed`` then ``d`` LCG steps take state ``s`` and
+    stream ``i`` (``inc = 2 i + 1``) to ``s M**(d+1) + inc (1 + M +
+    ... + M**(d+1))`` mod ``2**128``.  Row ``4 (d-1) + u`` weights the
+    16-bit limbs of a :func:`_pcg64_seeds` row by what their multiplier
+    adds to the state's 32-bit digit ``u``, and the offset adds the
+    constant term's digit.  Each product is below ``2**48`` and each
+    row sum below ``2**53``, so a float64 product forms the digits'
+    sums exactly.
+    """
+    # Where each 16-bit limb of a seed row (s_hi, s_lo, i_hi, i_lo,
+    # little-endian) sits in its 128-bit number, in 16-bit places.
+    place = [limb % 4 + 4 * (limb // 4 % 2 == 0) for limb in range(16)]
+    matrix = np.zeros((4 * draws, 16))
+    offset = np.zeros((4 * draws, 1))
+    power, total = _PCG_MULT, 1 + _PCG_MULT  # after pcg64_set_seed
+    for draw in range(draws):
+        power = power * _PCG_MULT & _MASK128
+        total = (total + power) & _MASK128
+        for digit in range(4):
+            row = 4 * draw + digit
+            offset[row] = total >> 32 * digit & _MASK32
+            for limb in range(16):
+                weight = power if limb < 8 else 2 * total
+                matrix[row, limb] = (weight << 16 * place[limb]
+                                     >> 32 * digit) & _MASK32
+    matrix.flags.writeable = offset.flags.writeable = False
+    return matrix, offset
+
+
+def _pcg64_words(seeds: np.ndarray, draws: int) -> np.ndarray:
+    """``(draws, n)`` ``uint64``: the first ``draws`` words numpy's
+    PCG64 outputs after seeding from each row of ``seeds``.
+
+    The states' 32-bit digit sums (:func:`_state_map`) carry into
+    64-bit halves, which XSL-RR turns into each draw's output.
+    """
+    matrix, offset = _state_map(draws)
+    digits = (matrix @ seeds.view("<u2").T + offset).astype(np.uint64)
+    digits = digits.reshape(draws, 4, -1)
+    carry = ((digits[:, 0] >> _U32) + digits[:, 1]) >> _U32
+    halves = digits[:, 0::2] + (digits[:, 1::2] << _U32)
+    low, high = halves[:, 0], halves[:, 1] + carry
+    low ^= high
+    rot = high >> _U58
+    return (low >> rot) | (low << ((_U64 - rot) & _U63))
+
+
+def _first_try_normal(generator: np.random.Generator,
+                      word: int) -> Optional[float]:
+    """``generator.standard_normal()`` with ``word`` as its PCG64's next
+    output, or None when that draw read more than the one word (numpy's
+    ziggurat did not accept it on its first try)."""
+    bits = generator.bit_generator
+    # With inc 1 the next step lands on ``word`` itself; its high half
+    # of 0 makes XSL-RR output the low half unrotated.
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": (word - 1) * _PCG_MULT_INV & _MASK128,
+                            "inc": 1},
+                  "has_uint32": 0, "uinteger": 0}
+    value = generator.standard_normal()
+    return value if bits.state["state"]["state"] == word else None
+
+
+#: How far below ``wi[i-1] / wi[i]`` a layer's proven bound is taken.
+_KI_MARGIN = 1 << 20
+_ziggurat_tables: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+
+def _ziggurat() -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's normal ziggurat as the array path draws from it:
+    ``wi`` and ``limit`` per layer, read from numpy once per process.
+
+    ``random_standard_normal`` (numpy/random/src/distributions/
+    distributions.c) takes layer ``i = word & 0xff``, sign bit 8 and
+    the 52-bit magnitude above it, and on its first try returns
+    ``magnitude * wi[i]`` iff the magnitude is below ``ki[i]``;
+    otherwise it reads more words.  Layer ``i``'s ``wi`` is the draw of
+    magnitude 1.  ``ki[i]`` is ``wi[i-1] / wi[i]`` (``wi[255] / wi[0]``
+    for the base) in 52-bit fixed point, so ``limit`` is taken a margin
+    below that and kept only if the draw of magnitude ``limit - 1`` took
+    one word and returned its product: every magnitude below it is then
+    accepted on the first try.  A layer whose probe fails keeps limit 0
+    and is always redrawn.
+    """
+    global _ziggurat_tables
+    if _ziggurat_tables is None:
+        # A private generator: service handler threads draw lots at once.
+        first = functools.partial(_first_try_normal,
+                                  np.random.Generator(np.random.PCG64(0)))
+        wi = np.array([first(1 << 9 | layer) for layer in range(256)],
+                      dtype=float)
+        limit = np.zeros(256, np.uint64)
+        for layer in range(256):
+            bound = min(wi[layer - 1] / wi[layer], 1.0) * 2.0 ** 52 \
+                - _KI_MARGIN
+            if bound >= 2 and first(int(bound) - 1 << 9 | layer) \
+                    == (int(bound) - 1) * wi[layer]:
+                limit[layer] = int(bound)
+        # Indexed by the word's low 9 bits: layer, then sign.
+        _ziggurat_tables = np.concatenate([wi, -wi]), \
+            np.concatenate([limit, limit])
+    return _ziggurat_tables
 
 
 def _array_deviations(seed, lo: int, hi: int, sigma_f0: float,
-                      sigma_q: float) -> np.ndarray:
+                      sigma_q: float, build=NULL_SPAN) -> np.ndarray:
     """Dies ``lo..hi-1`` drawn like :func:`_per_die_deviations`.
 
-    Each die's PCG64 state is the two LCG steps of numpy's
-    ``pcg64_set_seed`` on its seed words; one reused generator then
-    draws numpy's own normals from it.
+    Every die's PCG64 words (:func:`_pcg64_words`) and numpy's first
+    ziggurat try on them (:func:`_ziggurat`) run as arrays over the
+    range.  A die with a draw not proven accepted on that first try is
+    redrawn through numpy's own ``normal()`` from its seeded state;
+    ``build`` (the range's span) records how many as ``redrawn``.
     """
+    sigmas = [sigma for sigma in (sigma_f0, sigma_q) if sigma > 0]
+    devs = np.zeros((2, hi - lo))
+    redraw: List[int] = []
+    if sigmas and hi > lo:
+        seeds = _pcg64_seeds(seed, lo, hi)
+        words = _pcg64_words(seeds, len(sigmas))
+        wi, limit = _ziggurat()
+        layer = words & _SIGNED_LAYER
+        magnitude = (words >> _U9) & _MAGNITUDE
+        normals = magnitude.astype(float) * wi[layer]
+        normals *= np.array(sigmas)[:, None]
+        normals += 0.0  # numpy's loc: a -0.0 draw gives +0.0
+        first = 0 if sigma_f0 > 0 else 1
+        devs[first:first + len(sigmas)] = normals
+        unproven = magnitude >= limit[layer]
+        if unproven.any():
+            redraw = np.flatnonzero(unproven.any(axis=0)).tolist()
+            _redraw(devs, redraw, seeds[redraw].tolist(), sigma_f0,
+                    sigma_q)
+    build.set(redrawn=len(redraw))
+    return devs
+
+
+def _redraw(devs: np.ndarray, dies: List[int], seeds: List[List[int]],
+            sigma_f0: float, sigma_q: float) -> None:
+    """Draw ``dies`` (columns of ``devs``) through numpy's own
+    ``normal()``, each from the PCG64 state ``pcg64_set_seed`` makes of
+    its seed words (``seeds``, one row per die)."""
+    # A private generator: service handler threads draw lots at once.
     generator = np.random.Generator(np.random.PCG64(0))
     bits, normal = generator.bit_generator, generator.normal
-    words = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0,
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
              "uinteger": 0}
-    draws: List[float] = []
-    for s_hi, s_lo, i_hi, i_lo in _pcg64_seeds(seed, lo, hi):
+    for die, (s_hi, s_lo, i_hi, i_lo) in zip(dies, seeds):
         inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-        words["state"] = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT
-                          + inc) & _MASK128
-        words["inc"] = inc
+        pcg["state"] = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT
+                        + inc) & _MASK128
+        pcg["inc"] = inc
         bits.state = state
-        draws.append(normal(0.0, sigma_f0) if sigma_f0 > 0 else 0.0)
-        draws.append(normal(0.0, sigma_q) if sigma_q > 0 else 0.0)
-    return _deviation_rows(draws)
+        if sigma_f0 > 0:
+            devs[0, die] = normal(0.0, sigma_f0)
+        if sigma_q > 0:
+            devs[1, die] = normal(0.0, sigma_q)
 
 
 def _per_die_deviations(seed, lo: int, hi: int, sigma_f0: float,
@@ -300,18 +468,13 @@ def _per_die_deviations(seed, lo: int, hi: int, sigma_f0: float,
         rng = np.random.default_rng(child)
         draws.append(rng.normal(0.0, sigma_f0) if sigma_f0 > 0 else 0.0)
         draws.append(rng.normal(0.0, sigma_q) if sigma_q > 0 else 0.0)
-    return _deviation_rows(draws)
-
-
-def _deviation_rows(draws: List[float]) -> np.ndarray:
-    """``(2, N)`` f0 and Q deviation rows from per-die draw pairs."""
     return np.array([draws[0::2], draws[1::2]], dtype=float)
 
 
 #: Ranges the array evaluation must reproduce before a process uses
-#: it: a small seed, a seed beyond 128 bits, indices on both sides of
-#: ``2**32``; drawn with ``sigma_q`` on.
-_PROBES = ((7, 0, 3), (2 ** 160 + 12345, 2 ** 32 - 2, 2 ** 32 + 2))
+#: it: a small seed whose range redraws a die, a seed beyond 128 bits,
+#: indices on both sides of ``2**32``; drawn with ``sigma_q`` on.
+_PROBES = ((12, 0, 3), (2 ** 160 + 12345, 2 ** 32 - 2, 2 ** 32 + 2))
 _arrays_agree: Optional[bool] = None
 
 
@@ -342,8 +505,9 @@ def _die_population(golden_spec: BiquadSpec, seed, lo: int, hi: int,
                 "montecarlo_fallback_dies_total").inc(
                     0.0 if arrays else float(count))
         build.set(path="arrays" if arrays else "per_die")
-        draw = _array_deviations if arrays else _per_die_deviations
-        devs = draw(seed, lo, hi, sigma_f0, sigma_q)
+        devs = _array_deviations(seed, lo, hi, sigma_f0, sigma_q, build) \
+            if arrays else _per_die_deviations(seed, lo, hi, sigma_f0,
+                                               sigma_q)
         # Elementwise, the float operations of with_f0_deviation and
         # with_q_deviation; where a die is invalid (or NaN), those
         # methods run die by die and raise their own errors.

@@ -160,8 +160,10 @@ class PipeTransport(Transport):
                 from None
 
     def _iter_lines(self) -> Iterator[str]:
-        for line in self.proc.stdout:
-            yield line
+        # The reader thread owns stdout: it closes it at EOF, so kill()
+        # never waits on the reader's buffer lock.
+        with self.proc.stdout:
+            yield from self.proc.stdout
 
     def alive(self) -> bool:
         return self.proc.poll() is None
@@ -178,6 +180,7 @@ class PipeTransport(Transport):
         except OSError:
             pass
         self.proc.wait()
+        self.close()
 
     def wait(self, timeout: Optional[float] = None) -> None:
         self.proc.wait(timeout=timeout)

@@ -12,9 +12,12 @@ straddle ``2**32`` (two-word spawn keys), any chunking and start.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.campaign import (
     SpecPopulation,
@@ -23,6 +26,7 @@ from repro.campaign import (
     stream_montecarlo_dies,
 )
 from repro.filters.biquad import BiquadSpec, SpecSequence, spec_arrays
+from repro.obs import Tracer, install_tracer, uninstall_tracer
 from repro.obs.metrics import MetricsRegistry, set_default_registry
 from repro.paper import PAPER_BIQUAD
 from repro.shard import MonteCarloFleet, PopulationFleet
@@ -38,6 +42,39 @@ starts = st.one_of(st.integers(0, 600),
                    st.integers(TWO_32 - 40, TWO_32 + 40))
 sigmas_f0 = st.sampled_from([0.0, 0.03, 0.1])
 sigmas_q = st.sampled_from([0.0, 0.02])
+
+#: ``(seed, start, count, sigma_f0, sigma_q)`` ranges of thousands of
+#: dies, each of which redraws some dies through numpy's ``normal()``
+#: (checked in ``test_large_ranges_redraw_some_dies``).
+LARGE_RANGES = [
+    (5, 0, 3000, 0.03, 0.02),
+    (2 ** 200 + 7, TWO_32 - 1500, 3000, 0.05, 0.02),
+    ([1, 2, 3], 100, 2000, 0.0, 0.02),
+    (61, 10_000, 4096, 0.03, 0.0),
+]
+
+
+def large_range_examples(test):
+    for seed, start, count, sigma_f0, sigma_q in LARGE_RANGES:
+        test = example(seed=seed, start=start, count=count,
+                       sigma_f0=sigma_f0, sigma_q=sigma_q)(test)
+    return test
+
+
+class Build:
+    """Stands in for a ``population.build`` span: keeps what is set."""
+
+    def set(self, **attributes):
+        self.__dict__.update(attributes)
+        return self
+
+
+def array_draw(seed, lo, hi, sigma_f0, sigma_q):
+    """The array evaluation's deviations and how many dies it redrew."""
+    build = Build()
+    devs = scenarios._array_deviations(seed, lo, hi, sigma_f0, sigma_q,
+                                       build)
+    return devs, build.redrawn
 
 
 def reference(golden, seed, lo, hi, sigma_f0, sigma_q):
@@ -95,6 +132,7 @@ def test_stream_chunks_match_numpy_per_die(seed, start, count, chunk,
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, start=starts, count=st.integers(1, 30),
        sigma_f0=sigmas_f0, sigma_q=sigmas_q)
+@large_range_examples
 def test_array_draw_equals_per_die_draw(seed, start, count, sigma_f0,
                                         sigma_q):
     """The array evaluation at every range size, below the
@@ -102,6 +140,91 @@ def test_array_draw_equals_per_die_draw(seed, start, count, sigma_f0,
     args = (seed, start, start + count, sigma_f0, sigma_q)
     assert (scenarios._array_deviations(*args).tobytes()
             == scenarios._per_die_deviations(*args).tobytes())
+
+
+@pytest.mark.parametrize("seed, start, count, sigma_f0, sigma_q",
+                         LARGE_RANGES)
+def test_large_ranges_redraw_some_dies(seed, start, count, sigma_f0,
+                                       sigma_q):
+    """The examples above reach the redraw branch, and a range's
+    ``population.build`` span reports its redraws."""
+    devs, redrawn = array_draw(seed, start, start + count, sigma_f0,
+                               sigma_q)
+    assert 0 < redrawn < count // 10
+    tracer = Tracer()
+    install_tracer(tracer)
+    try:
+        population = montecarlo_dies(PAPER_BIQUAD, count, sigma_f0,
+                                     sigma_q, seed) if start == 0 \
+            else MonteCarloFleet(PAPER_BIQUAD, start + count,
+                                 sigma_f0=sigma_f0, sigma_q=sigma_q,
+                                 seed=seed, chunk_size=count
+                                 ).chunks(start, start + count)
+        population = SpecPopulation.concatenate(
+            [population] if start == 0 else list(population))
+    finally:
+        uninstall_tracer()
+    (build,) = [r for r in tracer.records()
+                if r.name == "population.build"]
+    assert build.attributes["path"] == "arrays"
+    assert build.attributes["redrawn"] == redrawn
+    assert population.f0_deviations.tobytes() == devs[0].tobytes()
+    assert population.q_deviations.tobytes() == devs[1].tobytes()
+
+
+def test_a_layer_whose_probe_fails_is_always_redrawn(monkeypatch):
+    """A ziggurat layer numpy's probe does not confirm is never
+    accepted by the array path: every die with a draw in it is redrawn,
+    and the range stays bit-identical."""
+    layer, seed, lo, hi = 7, 5, 0, 3000
+    _, before = array_draw(seed, lo, hi, 0.03, 0.02)
+    # The layer's wi probe (magnitude 1) passes, its bound probe fails.
+    first_try = scenarios._first_try_normal
+    monkeypatch.setattr(
+        scenarios, "_first_try_normal",
+        lambda generator, word: None if word & 0xFF == layer
+        and word >> 9 > 1 else first_try(generator, word))
+    monkeypatch.setattr(scenarios, "_ziggurat_tables", None)
+    limit = scenarios._ziggurat()[1]
+    assert limit[layer] == limit[256 + layer] == 0 < limit[layer + 1]
+    devs, redrawn = array_draw(seed, lo, hi, 0.03, 0.02)
+    assert devs.tobytes() == \
+        scenarios._per_die_deviations(seed, lo, hi, 0.03, 0.02).tobytes()
+    # numpy's own first two words of each die (both sigmas draw).
+    in_layer = sum(
+        any(int(word) & 0xFF == layer for word in np.random.default_rng(
+            child).bit_generator.random_raw(2))
+        for child in scenarios.seed_children(seed, lo, hi))
+    assert in_layer > 0
+    assert in_layer <= redrawn <= before + in_layer
+
+
+def test_concurrent_builds_match_the_per_die_path(monkeypatch):
+    """Four threads build lots at once, from a cold process probe:
+    each lot equals numpy's per-die draw, redraws included."""
+    monkeypatch.setattr(scenarios, "_ziggurat_tables", None)
+    monkeypatch.setattr(scenarios, "_arrays_agree", None)
+    start = threading.Barrier(4)
+
+    def build(thread):
+        start.wait()
+        return [montecarlo_dies(PAPER_BIQUAD, 300, 0.05, 0.02,
+                                seed=100 * thread + lot)
+                for lot in range(5)]
+
+    with ThreadPoolExecutor(4) as pool:
+        built = list(pool.map(build, range(4)))
+    for thread, lots in enumerate(built):
+        for lot, population in enumerate(lots):
+            devs = scenarios._per_die_deviations(100 * thread + lot, 0,
+                                                 300, 0.05, 0.02)
+            assert population.f0_deviations.tobytes() == devs[0].tobytes()
+            assert population.q_deviations.tobytes() == devs[1].tobytes()
+
+
+def test_the_process_probe_covers_a_redraw():
+    assert sum(array_draw(*probe, 0.03, 0.02)[1]
+               for probe in scenarios._PROBES) > 0
 
 
 @settings(max_examples=15, deadline=None)

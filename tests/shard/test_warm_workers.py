@@ -15,6 +15,7 @@ import gc
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -208,6 +209,37 @@ def test_replacement_for_a_lost_worker_is_reused(small_engine,
     assert sorted(r.attributes["pid"] for r in tracer.records()
                   if r.name == "shard.worker.init") == pids
     _assert_matches_stream(small_engine, second, _fleet(seed=2))
+
+
+def test_lost_and_stopped_workers_close_their_pipes(small_engine,
+                                                  monkeypatch):
+    """A lost worker's stdin and stdout wrappers are closed, and so are
+    those of every worker the set stops: none is left to the garbage
+    collector (``ResourceWarning`` under ``python -X dev``)."""
+    transports = []
+    spawn = WorkerSet.spawn
+
+    def recording_spawn(self, sink):
+        worker = spawn(self, sink)
+        transports.append(worker.transport)
+        return worker
+
+    monkeypatch.setattr(WorkerSet, "spawn", recording_spawn)
+    monkeypatch.setenv("REPRO_SHARD_WORKER_FAULTS",
+                       "shard.worker.kill:1:1")
+    result = small_engine.run_sharded(_fleet(seed=1), shards=2,
+                                      band="auto", heartbeat=HEARTBEAT)
+    assert result.shard_stats["reassigned"] == 1.0
+    lost = transports[0]
+    assert lost.proc.stdin.closed and lost.proc.stdout.closed
+    small_engine.close()
+    # A stopped worker's reader closes stdout at EOF, on its own thread.
+    for thread in threading.enumerate():
+        if thread.name.startswith("shard-reader-pipe"):
+            thread.join(timeout=30)
+    assert len(transports) == 3
+    assert all(t.proc.stdin.closed and t.proc.stdout.closed
+               for t in transports)
 
 
 def test_multi_bank_requests_lease_the_engines_workers(small_engine,
